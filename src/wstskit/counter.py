@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 OP_INC = "inc"
@@ -68,6 +69,18 @@ class CounterMachine:
     def counter_index(self, c: str) -> int:
         return self.counters.index(c)
 
+    @cached_property
+    def post_index(self) -> dict[str, list[tuple[int, tuple[int, ...], int | None, str, str]]]:
+        """Transitions by source control, in declaration order, with counter
+        indices resolved: ``(label, zero-tested indices, counter index or
+        None, op, target)``.  Built on first use."""
+        index: dict[str, list] = {q: [] for q in self.states}
+        for label, t in enumerate(self.transitions):
+            zeros = tuple(self.counter_index(c) for c in t.zero_tests)
+            ci = None if t.counter is None else self.counter_index(t.counter)
+            index[t.source].append((label, zeros, ci, t.op, t.target))
+        return index
+
     def initial_config(self, values: Sequence[int] | None = None) -> CounterConfig:
         if values is None:
             values = (0,) * len(self.counters)
@@ -91,6 +104,25 @@ def counter_config_str(x: CounterConfig) -> str:
     return f"{x.control}:(" + ",".join(str(v) for v in x.values) + ")"
 
 
+def cm_post(machine: CounterMachine, x: CounterConfig) -> list[tuple[int, CounterConfig]]:
+    """All enabled one-step successors, in transition declaration order."""
+    values = x.values
+    out = []
+    for label, zeros, i, op, target in machine.post_index.get(x.control, ()):
+        if zeros and any(values[j] != 0 for j in zeros):
+            continue
+        if i is None:
+            y = values
+        elif op == OP_DEC:
+            if values[i] == 0:
+                continue
+            y = values[:i] + (values[i] - 1,) + values[i + 1 :]
+        else:
+            y = values[:i] + (values[i] + 1,) + values[i + 1 :]
+        out.append((label, CounterConfig(target, y)))
+    return out
+
+
 def cm_step(machine: CounterMachine, x: CounterConfig, label: int) -> CounterConfig | None:
     """One transition step; None when the transition is disabled.
 
@@ -99,32 +131,7 @@ def cm_step(machine: CounterMachine, x: CounterConfig, label: int) -> CounterCon
     """
     if not 0 <= label < len(machine.transitions):
         raise ValueError(f"unknown transition label {label}")
-    t = machine.transitions[label]
-    if x.control != t.source:
-        return None
-    for c in t.zero_tests:
-        if x.values[machine.counter_index(c)] != 0:
-            return None
-    values = x.values
-    if t.op != OP_NOOP:
-        i = machine.counter_index(t.counter)
-        if t.op == OP_DEC:
-            if values[i] == 0:
-                return None
-            values = values[:i] + (values[i] - 1,) + values[i + 1 :]
-        else:
-            values = values[:i] + (values[i] + 1,) + values[i + 1 :]
-    return CounterConfig(t.target, values)
-
-
-def cm_post(machine: CounterMachine, x: CounterConfig) -> list[tuple[int, CounterConfig]]:
-    """All enabled one-step successors, in transition declaration order."""
-    out = []
-    for label in range(len(machine.transitions)):
-        y = cm_step(machine, x, label)
-        if y is not None:
-            out.append((label, y))
-    return out
+    return next((y for fired, y in cm_post(machine, x) if fired == label), None)
 
 
 def cm_run(

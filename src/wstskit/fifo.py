@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 SEND = "!"
@@ -125,6 +126,18 @@ class FifoMachine:
     def channel_index(self, ch: str) -> int:
         return self.channels.index(ch)
 
+    @cached_property
+    def post_index(self) -> dict[str, list[tuple[int, int, bool, int, str]]]:
+        """Transitions by source control, in declaration order, with channel
+        indices resolved: ``(label, channel index, is send, letter,
+        target)``.  Built on first use."""
+        index: dict[str, list] = {q: [] for q in self.states}
+        for label, t in enumerate(self.transitions):
+            index[t.source].append(
+                (label, self.channel_index(t.channel), t.kind == SEND, t.letter, t.target)
+            )
+        return index
+
     def initial_config(
         self, contents: Mapping[str, str | Sequence[int]] | None = None
     ) -> FifoConfig:
@@ -144,6 +157,22 @@ def fifo_config_str(machine: FifoMachine, x: FifoConfig) -> str:
     return f"{x.control}:(" + "|".join(machine.alphabet.show(w) for w in x.contents) + ")"
 
 
+def fifo_post(machine: FifoMachine, x: FifoConfig) -> list[tuple[int, FifoConfig]]:
+    """All enabled one-step successors, in transition declaration order."""
+    contents = x.contents
+    out = []
+    for label, ci, send, letter, target in machine.post_index.get(x.control, ()):
+        word = contents[ci]
+        if send:
+            word = word + (letter,)
+        elif word and word[0] == letter:
+            word = word[1:]
+        else:
+            continue
+        out.append((label, FifoConfig(target, contents[:ci] + (word,) + contents[ci + 1 :])))
+    return out
+
+
 def fifo_step(machine: FifoMachine, x: FifoConfig, label: int) -> FifoConfig | None:
     """One transition step; None when disabled.
 
@@ -152,29 +181,7 @@ def fifo_step(machine: FifoMachine, x: FifoConfig, label: int) -> FifoConfig | N
     """
     if not 0 <= label < len(machine.transitions):
         raise ValueError(f"unknown transition label {label}")
-    t = machine.transitions[label]
-    if x.control != t.source:
-        return None
-    ci = machine.channel_index(t.channel)
-    word = x.contents[ci]
-    if t.kind == SEND:
-        new_word = word + (t.letter,)
-    else:
-        if not word or word[0] != t.letter:
-            return None
-        new_word = word[1:]
-    contents = x.contents[:ci] + (new_word,) + x.contents[ci + 1 :]
-    return FifoConfig(t.target, contents)
-
-
-def fifo_post(machine: FifoMachine, x: FifoConfig) -> list[tuple[int, FifoConfig]]:
-    """All enabled one-step successors, in transition declaration order."""
-    out = []
-    for label in range(len(machine.transitions)):
-        y = fifo_step(machine, x, label)
-        if y is not None:
-            out.append((label, y))
-    return out
+    return next((y for fired, y in fifo_post(machine, x) if fired == label), None)
 
 
 def fifo_run(
@@ -219,26 +226,32 @@ def resolve_action_run(
             ch = machine.channels[0]
         parsed.append((ch, kind, machine.alphabet.id(letter)))
 
+    if not parsed:
+        return []
+    spelled = [(t.channel, t.kind, t.letter) for t in machine.transitions]
+
+    def moves(x: FifoConfig, i: int):
+        return ((lab, y) for lab, y in fifo_post(machine, x) if spelled[lab] == parsed[i])
+
+    # depth-first, one pending-moves iterator per chosen prefix, so long runs
+    # need no recursion; stops once two complete resolutions are known
     solutions: list[list[int]] = []
-
-    def search(x: FifoConfig, i: int, chosen: list[int]) -> None:
-        if len(solutions) >= 2:
-            return
-        if i == len(parsed):
+    chosen: list[int] = []
+    stack = [moves(x0, 0)]
+    while stack and len(solutions) < 2:
+        move = next(stack[-1], None)
+        if move is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        label, y = move
+        chosen.append(label)
+        if len(chosen) == len(parsed):
             solutions.append(list(chosen))
-            return
-        ch, kind, lid = parsed[i]
-        for label, t in enumerate(machine.transitions):
-            if (t.channel, t.kind, t.letter) != (ch, kind, lid):
-                continue
-            y = fifo_step(machine, x, label)
-            if y is None:
-                continue
-            chosen.append(label)
-            search(y, i + 1, chosen)
             chosen.pop()
-
-    search(x0, 0, [])
+        else:
+            stack.append(moves(y, len(chosen)))
     if not solutions:
         raise ValueError("action run is not executable")
     if len(solutions) > 1:

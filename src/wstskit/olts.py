@@ -34,6 +34,8 @@ class Olts:
 
 def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) -> Olts:
     x0 = initial if initial is not None else machine.initial_config()
+    if len(x0.values) != len(machine.counters):
+        raise ValueError("initial configuration has a different number of counters")
     return Olts(
         initial=x0,
         post=lambda x: cm_post(machine, x),
@@ -46,6 +48,8 @@ def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) 
 
 def fifo_olts(machine: FifoMachine, initial: FifoConfig | None = None) -> Olts:
     x0 = initial if initial is not None else machine.initial_config()
+    if len(x0.contents) != len(machine.channels):
+        raise ValueError("initial configuration has a different number of channels")
     return Olts(
         initial=x0,
         post=lambda x: fifo_post(machine, x),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Any, Iterator, Optional
 
 from .olts import Olts
@@ -25,7 +26,7 @@ DEAD = "dead"
 DEFAULT_BUDGET = 10000
 
 
-@dataclass
+@dataclass(slots=True)
 class RrtNode:
     id: int
     state: Any
@@ -97,7 +98,7 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    order = olts.order
+    leq = olts.order.leq
     nodes = [RrtNode(0, olts.initial, None, None)]
     exhausted = False
     queue = deque([0])
@@ -108,24 +109,26 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
         if not succs:
             node.mark = DEAD
             continue
+        ids = []  # the node and its ancestors, reversed below to root first
+        aid = nid
+        while aid is not None:
+            ids.append(aid)
+            aid = nodes[aid].parent
+        ids.reverse()
+        states = [nodes[aid].state for aid in ids]
         for label, y in succs:
             if len(nodes) >= budget:
                 exhausted = True
                 break
             child = RrtNode(len(nodes), y, nid, label)
             nodes.append(child)
-            anc = nid
-            chain = [nid]
-            while nodes[anc].parent is not None:
-                anc = nodes[anc].parent
-                chain.append(anc)
-            for aid in reversed(chain):  # root first: closest subsumer to the root wins
-                if order.leq(nodes[aid].state, y):
-                    child.mark = DEAD
-                    child.subsumed_by = aid
-                    break
-            if child.mark == LIVE:
+            # the first hit scanning from the root: the subsumer closest to it
+            subsumer = next(compress(ids, map(leq, states, repeat(y))), None)
+            if subsumer is None:
                 queue.append(child.id)
+            else:
+                child.mark = DEAD
+                child.subsumed_by = subsumer
     return Rrt(nodes=nodes, budget=budget, budget_exhausted=exhausted)
 
 

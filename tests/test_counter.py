@@ -23,6 +23,7 @@ from wstskit.counter import (
     is_cmrz,
     require_no_zero_tests,
 )
+from wstskit.olts import counter_olts
 
 
 def mk(states, counters, trans, initial):
@@ -104,6 +105,34 @@ def test_post_is_declaration_ordered():
         assert labels == sorted(labels)
         for label, y in post:
             assert cm_step(m, x, label) == y
+
+
+def test_post_matches_reference_steps_on_random_machines():
+    # cm_post reads a per-machine index; every label of the reference stepper
+    # must agree, from every control and from an undeclared one
+    rng = Random(20261019)
+    for _ in range(150):
+        m = random_counter_machine(rng, max_counters=3, max_transitions=10, zero_tests=True)
+        for q in m.states + ("nowhere",):
+            for _ in range(5):
+                x = CounterConfig(q, tuple(rng.randint(0, 2) for _ in m.counters))
+                want = [
+                    (label, y)
+                    for label in range(len(m.transitions))
+                    if (y := ref_counter_step(m, x, label)) is not None
+                ]
+                assert cm_post(m, x) == want, (m, x)
+
+
+def test_olts_rejects_initial_config_of_other_dimension():
+    m = mk(["q0"], ["c"], [t("q0", OP_INC, "c", "q0")], "q0")
+    with pytest.raises(ValueError, match="counters"):
+        counter_olts(m, CounterConfig("q0", (0, 0)))
+    with pytest.raises(ValueError, match="counters"):
+        counter_olts(m, CounterConfig("q0", ()))
+    assert counter_olts(m, CounterConfig("q0", (4,))).post(CounterConfig("q0", (4,))) == [
+        (0, CounterConfig("q0", (5,)))
+    ]
 
 
 def test_run_reports_first_stuck_index():

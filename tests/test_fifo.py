@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import product as iproduct
 from random import Random
 
 import pytest
@@ -30,6 +31,7 @@ from wstskit.fifo import (
     resolve_action_run,
     send_proj,
 )
+from wstskit.olts import fifo_olts
 
 
 def chain_machine(actions: str, letters: str = "ab", channel: str = "ch"):
@@ -128,6 +130,38 @@ def test_post_and_run(m2):
     assert got[1] == 3  # recv c on content "aab" is stuck
 
 
+def test_post_matches_reference_steps_on_random_machines():
+    # fifo_post reads a per-machine index; every label of the reference
+    # stepper must agree, on one to three channels and from an undeclared control
+    rng = Random(20261020)
+    for _ in range(150):
+        m = random_fifo_machine(rng, max_channels=3, letters="abc", max_transitions=10)
+        for q in m.states + ("nowhere",):
+            for _ in range(5):
+                x = FifoConfig(
+                    q,
+                    tuple(
+                        tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))
+                        for _ in m.channels
+                    ),
+                )
+                want = [
+                    (label, y)
+                    for label in range(len(m.transitions))
+                    if (y := ref_fifo_step(m, x, label)) is not None
+                ]
+                assert fifo_post(m, x) == want, (m, x)
+
+
+def test_olts_rejects_initial_config_of_other_signature(m2):
+    m = m2.machine
+    with pytest.raises(ValueError, match="channels"):
+        fifo_olts(m, FifoConfig("q0", ((), ())))
+    with pytest.raises(ValueError, match="channels"):
+        fifo_olts(m, FifoConfig("q0", ()))
+    assert fifo_olts(m, FifoConfig("q0", ((),))).initial == m.initial_config()
+
+
 def test_describe_and_config_str(m2):
     m = m2.machine
     assert m.describe_transition(0) == "!a"
@@ -165,6 +199,51 @@ def test_resolve_action_run(m2):
     )
     with pytest.raises(ValueError):
         resolve_action_run(two, two.initial_config(), "!a")  # channel required
+
+
+def test_resolve_action_run_long_run_needs_no_recursion(m1):
+    labels = resolve_action_run(m1.machine, m1.initial, "!a " * 5000)
+    assert labels == [0] * 5000
+    assert fifo_run(m1.machine, m1.initial, labels)[1] is None
+    with pytest.raises(ValueError, match="not executable"):
+        resolve_action_run(m1.machine, m1.initial, "!a " * 4999 + "!b !a")
+
+
+def brute_resolutions(machine, x0, actions):
+    """Every label sequence whose transitions spell the actions and replay."""
+    per_action = []
+    for tok in actions:
+        ch, kind, letter = (tok[:-2] or machine.channels[0]), tok[-2], tok[-1]
+        lid = machine.alphabet.id(letter)
+        per_action.append([
+            label for label, t in enumerate(machine.transitions)
+            if (t.channel, t.kind, t.letter) == (ch, kind, lid)
+        ])
+    return [
+        list(seq) for seq in iproduct(*per_action)
+        if ref_run(machine, x0, seq, ref_fifo_step)[1] is None
+    ]
+
+
+def test_resolve_action_run_matches_brute_force_on_random_machines():
+    rng = Random(20261021)
+    outcomes = set()
+    for _ in range(300):
+        m = random_fifo_machine(rng, max_states=3, max_channels=2, max_transitions=8)
+        x0 = m.initial_config()
+        actions = [
+            f"{rng.choice(m.channels)}{rng.choice('!?')}{rng.choice('ab')}"
+            for _ in range(rng.randint(1, 5))
+        ]
+        want = brute_resolutions(m, x0, actions)
+        if len(want) == 1:
+            assert resolve_action_run(m, x0, actions) == want[0]
+            outcomes.add("unique")
+        else:
+            with pytest.raises(ValueError, match="not executable" if not want else "ambiguous"):
+                resolve_action_run(m, x0, actions)
+            outcomes.add("none" if not want else "ambiguous")
+    assert outcomes == {"unique", "none", "ambiguous"}
 
 
 def test_projections(m2):

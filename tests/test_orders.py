@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import pairwise_incomparable, ref_counter_leq, ref_ext_prefix_leq
-from wstskit.counter import CounterConfig
-from wstskit.fifo import FifoConfig
-from wstskit.olts import fifo_olts
+from wstskit.counter import CounterConfig, CounterMachine
+from wstskit.fifo import Alphabet, FifoConfig, FifoMachine
+from wstskit.olts import counter_olts, fifo_olts
 from wstskit.orders import (
     COUNTER_ORDER,
     EXT_PREFIX_ORDER,
@@ -107,6 +107,23 @@ def fifo_pair(draw):
 def test_ext_prefix_leq_matches_reference(pair):
     x, y = pair
     assert ext_prefix_leq(x, y) == ref_ext_prefix_leq(x, y)
+
+
+@given(st.data())
+def test_olts_orders_match_reference_on_shared_signatures(data):
+    # the olts orders skip the signature check; on pairs that share one
+    # they must agree with the definitions
+    x = data.draw(counter_configs())
+    y = CounterConfig(
+        data.draw(st.sampled_from(["q0", "q1"])), data.draw(vec(len(x.values)))
+    )
+    machine = CounterMachine(("q0", "q1"), tuple(f"c{i}" for i in range(len(x.values))), (), "q0")
+    assert counter_olts(machine, x).order.leq(x, y) == ref_counter_leq(x, y)
+    u, w = data.draw(fifo_pair())
+    machine = FifoMachine(
+        ("q0", "q1"), tuple(f"ch{i}" for i in range(len(u.contents))), Alphabet("ab"), (), "q0"
+    )
+    assert fifo_olts(machine, u).order.leq(u, w) == ref_ext_prefix_leq(u, w)
 
 
 def test_ext_prefix_leq_channel_mismatch():

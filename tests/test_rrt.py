@@ -99,21 +99,34 @@ def test_rrt_matches_textbook_unfolding(name, start):
     assert tree_by_path(rrt) == want
 
 
-def test_rrt_matches_textbook_unfolding_on_random_fifo_machines():
-    rng = Random(20261018)
+def assert_trees_match_textbook(machines, make_olts, step, leq):
     compared = bushy = 0
-    for _ in range(200):
-        machine = random_fifo_machine(rng, max_transitions=10)
-        rrt = build_rrt(fifo_olts(machine), budget=300)
+    for machine in machines:
+        rrt = build_rrt(make_olts(machine), budget=300)
         if not rrt.complete:
             continue
-        want = ref_rrt(
-            machine, machine.initial_config(), ref_fifo_step, ref_ext_prefix_leq, max_nodes=300
-        )
+        want = ref_rrt(machine, machine.initial_config(), step, leq, max_nodes=300)
         assert tree_by_path(rrt) == want, machine
         compared += 1
         bushy += len(want) >= 5
     assert compared >= 150 and bushy >= 40
+
+
+def test_rrt_matches_textbook_unfolding_on_random_fifo_machines():
+    rng = Random(20261018)
+    machines = (random_fifo_machine(rng, max_transitions=10) for _ in range(200))
+    assert_trees_match_textbook(machines, fifo_olts, ref_fifo_step, ref_ext_prefix_leq)
+
+
+def test_rrt_matches_textbook_unfolding_on_random_counter_machines():
+    # zero tests included: the counter order skips its signature check and
+    # successors come from the per-machine index, and the tree must not move
+    rng = Random(20261022)
+    machines = (
+        random_counter_machine(rng, max_counters=3, max_transitions=8, zero_tests=True)
+        for _ in range(200)
+    )
+    assert_trees_match_textbook(machines, counter_olts, ref_counter_step, ref_counter_leq)
 
 
 def test_boundedness_verdict_and_caveats(m1):
