@@ -109,13 +109,20 @@ def _build_parser() -> _Parser:
 def _load_model(parser: _Parser, path: str) -> ModelFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {path}: {exc}")
     try:
         return parse_model(text, name=Path(path).stem)
     except ParseError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
+
+
+def _write_file(parser: _Parser, path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc}")
 
 
 def _override_init(parser: _Parser, mf: ModelFile, state: Optional[str]):
@@ -211,9 +218,7 @@ def _cmd_check(parser: _Parser, args) -> int:
         if tree is None:
             print("note: --dot applies to tree analyses only; ignored", file=sys.stderr)
         else:
-            Path(args.dot).write_text(
-                export_dot(tree, olts.state_fmt, olts.label_fmt), encoding="utf-8"
-            )
+            _write_file(parser, args.dot, export_dot(tree, olts.state_fmt, olts.label_fmt))
 
     word = _WORDS[args.analysis].get(verdict.outcome, "inconclusive")
     report = {
@@ -300,7 +305,7 @@ def _cmd_product(parser: _Parser, args) -> int:
     out_mf = ModelFile("fifo", prod, prod.initial_config(), None)
     text = "\n".join(header) + "\n" + print_model(out_mf)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_file(parser, args.output, text)
         print(f"wrote {args.output} ({len(prod.states)} control states)")
     else:
         sys.stdout.write(text)

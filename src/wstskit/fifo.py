@@ -406,7 +406,8 @@ def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normal
 
     # Split each transition into one copy per occurrence of its letter on
     # its channel; transitions whose letter never occurs there are kept
-    # verbatim (the product will prune them).
+    # verbatim, and the product drops them because the position DFAs have
+    # no move on that letter.
     new_transitions = []
     for t in machine.transitions:
         variants = [
@@ -464,10 +465,6 @@ class Dfa:
         return state is not None and state in self.accepting
 
 
-def _tracker_initial(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    return (0, 0)
-
-
 def _tracker_step(
     blocks: tuple[tuple[int, ...], ...],
     posmap: dict[int, tuple[int, int]],
@@ -519,7 +516,7 @@ def _build_position_dfa(
         for lid in range(len(machine.alphabet))
     ]
 
-    initial = tuple(_tracker_initial(b) for b in per_channel_blocks)
+    initial = ((0, 0),) * len(per_channel_blocks)
     names: dict[tuple, str] = {initial: f"{prefix}0"}
     order = [initial]
     delta: dict[tuple[str, Action], str] = {}
@@ -575,47 +572,14 @@ def build_recv_dfa(machine: FifoMachine, lang: BoundedLang) -> Dfa:
     return _build_position_dfa(machine, lang, RECV, "r")
 
 
-def _completable_pairs(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> set[tuple[str, str]]:
-    """DFA state pairs from which some action word reaches acceptance in both."""
-    actions: list[Action] = [
-        (ch, kind, lid)
-        for ch in machine.channels
-        for kind in (SEND, RECV)
-        for lid in range(len(machine.alphabet))
-    ]
-    pairs = [(s, r) for s in send_dfa.states for r in recv_dfa.states]
-    preds: dict[tuple[str, str], set[tuple[str, str]]] = {p: set() for p in pairs}
-    for s, r in pairs:
-        for a in actions:
-            s2 = send_dfa.step(s, a)
-            r2 = recv_dfa.step(r, a)
-            if s2 is not None and r2 is not None:
-                preds[(s2, r2)].add((s, r))
-    good = {
-        (s, r)
-        for s, r in pairs
-        if s in send_dfa.accepting and r in recv_dfa.accepting
-    }
-    queue = deque(good)
-    while queue:
-        p = queue.popleft()
-        for q in preds[p]:
-            if q not in good:
-                good.add(q)
-                queue.append(q)
-    return good
-
-
-def product_machine(
-    machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa, prune: bool = True
-) -> FifoMachine:
+def product_machine(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> FifoMachine:
     """Product of a FIFO machine with the send and receive automata.
 
-    Control states are triples (q, s, r), reachable part only.  With
-    ``prune`` on (the default), states whose DFA pair cannot be completed
-    to joint acceptance by any action word are dropped as well.
+    Control states are the reachable triples (q, s, r), all of them kept:
+    the position DFAs are trim, so every reachable pair (s, r) completes to
+    joint acceptance (send the rest of each channel's current word; the
+    receive DFA accepts everywhere and self-loops on sends).
     """
-    good = _completable_pairs(machine, send_dfa, recv_dfa) if prune else None
     init = (machine.initial, send_dfa.initial, recv_dfa.initial)
 
     names: dict[tuple[str, str, str], str] = {}
@@ -647,8 +611,6 @@ def product_machine(
             s2 = send_dfa.step(s, action)
             r2 = recv_dfa.step(r, action)
             if s2 is None or r2 is None:
-                continue
-            if good is not None and (s2, r2) not in good:
                 continue
             triple = (t.target, s2, r2)
             if triple not in seen:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from wstskit.counter import OP_DEC, OP_INC, CounterConfig, CounterMachine
 from wstskit.cover import DownSet
-from wstskit.fifo import RECV, SEND, FifoConfig, FifoMachine
+from wstskit.fifo import RECV, SEND, Dfa, FifoConfig, FifoMachine
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +232,41 @@ def ref_rrt(machine, x0, step: Callable, leq: Callable, *, max_nodes: int) -> di
         tree[path] = (x, subsumer, subsumer is None and not children)
         stack.extend(children)
     return tree
+
+
+# ---------------------------------------------------------------------------
+# Bounded-language automata, by backward search over DFA pairs.
+
+
+def ref_completable_pairs(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> set[tuple[str, str]]:
+    """DFA state pairs from which some action word reaches acceptance in both."""
+    actions = [
+        (ch, kind, lid)
+        for ch in machine.channels
+        for kind in (SEND, RECV)
+        for lid in range(len(machine.alphabet))
+    ]
+    pairs = [(s, r) for s in send_dfa.states for r in recv_dfa.states]
+    preds: dict[tuple[str, str], set[tuple[str, str]]] = {p: set() for p in pairs}
+    for s, r in pairs:
+        for a in actions:
+            s2 = send_dfa.delta.get((s, a))
+            r2 = recv_dfa.delta.get((r, a))
+            if s2 is not None and r2 is not None:
+                preds[(s2, r2)].add((s, r))
+    good = {
+        (s, r)
+        for s, r in pairs
+        if s in send_dfa.accepting and r in recv_dfa.accepting
+    }
+    queue = deque(good)
+    while queue:
+        p = queue.popleft()
+        for q in preds[p]:
+            if q not in good:
+                good.add(q)
+                queue.append(q)
+    return good
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,25 @@ def test_usage_errors_exit_one(tmp_path):
     assert fails("check", "boundedness", str(bad)) == 1
 
 
+def test_non_utf8_model_exits_one(tmp_path, capsys):
+    latin = tmp_path / "latin.model"
+    latin.write_bytes("# caf\xe9\n".encode("latin-1") + (MODELS / "m1.model").read_bytes())
+    assert fails("check", "boundedness", str(latin)) == 1
+    assert f"cannot read {latin}" in capsys.readouterr().err
+
+
+def test_unwritable_dot_path_exits_one(tmp_path, capsys):
+    dot = tmp_path / "missing-dir" / "tree.dot"
+    assert fails("check", "termination", path("m1"), "--dot", str(dot)) == 1
+    assert f"cannot write {dot}" in capsys.readouterr().err
+
+
+def test_unwritable_product_output_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "product.model"
+    assert fails("product", path("m4"), "-o", str(target)) == 1
+    assert f"cannot write {target}" in capsys.readouterr().err
+
+
 def test_target_note_for_other_analyses(capsys):
     code, _, err = run(
         capsys, "check", "boundedness", path("m1"), "--target", "q0:(0)"

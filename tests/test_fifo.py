@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from gen import random_fifo_machine, random_loop_instance
-from oracles import ref_fifo_step, ref_run, simulate_iterations
+from oracles import ref_completable_pairs, ref_fifo_step, ref_run, simulate_iterations
 from wstskit.fifo import (
     RECV,
     SEND,
@@ -370,11 +370,40 @@ def test_product_matches_expected_path(m3, m4):
         ("q1_s1_r1", SEND, "b", "q2_s0_r1"),
     ]
     assert m3.machine.states == m4.machine.states  # same underlying triangle
-    unpruned = product_machine(
-        norm.machine, build_send_dfa(norm.machine, norm.lang),
-        build_recv_dfa(norm.machine, norm.lang), prune=False,
-    )
-    assert unpruned.states == prod.states  # position trackers are always completable
+
+
+def test_every_position_dfa_pair_is_completable():
+    # product_machine keeps every reachable triple because no DFA pair is a
+    # dead end; check that against the backward search on random languages
+    rng = Random(20261101)
+    seen = set()
+    for _ in range(120):
+        m = random_fifo_machine(rng, max_channels=3, letters="abcdef", max_transitions=6)
+        pool = list(m.alphabet.letters)
+        rng.shuffle(pool)
+        distinct = rng.random() < 0.5
+        words = {}
+        for ch in m.channels:
+            words[ch] = tuple(
+                "".join(
+                    pool.pop() if distinct and pool else rng.choice("abc")
+                    for _ in range(rng.randint(1, 2))
+                )
+                for _ in range(rng.randint(0, 3))
+            )
+        lang = bounded_lang(m, words)
+        norm = normalize_distinct_letter(m, lang)
+        send = build_send_dfa(norm.machine, norm.lang)
+        recv = build_recv_dfa(norm.machine, norm.lang)
+        pairs = {(s, r) for s in send.states for r in recv.states}
+        assert ref_completable_pairs(norm.machine, send, recv) == pairs, (m, lang.show())
+        seen.add("distinct" if lang.distinct_letter else "repeated")
+        seen.add(f"{len(m.channels)} channels")
+        if not all(words.values()):
+            seen.add("empty channel")
+    assert seen == {
+        "distinct", "repeated", "empty channel", "1 channels", "2 channels", "3 channels",
+    }
 
 
 def trace_actions(machine: FifoMachine, depth: int):
