@@ -16,8 +16,6 @@ from .counter import (
     CounterMachine,
     CounterTransition,
     cm_post,
-    cm_run,
-    cm_step,
     control_reachable,
     counter_config_str,
     has_zero_tests,
@@ -65,8 +63,6 @@ from .fifo import (
     check_fifo_infinite_iterability,
     fifo_config_str,
     fifo_post,
-    fifo_run,
-    fifo_step,
     normalize_distinct_letter,
     product_machine,
     recv_proj,

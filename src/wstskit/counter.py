@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 OP_INC = "inc"
 OP_DEC = "dec"
@@ -105,7 +105,11 @@ def counter_config_str(x: CounterConfig) -> str:
 
 
 def cm_post(machine: CounterMachine, x: CounterConfig) -> list[tuple[int, CounterConfig]]:
-    """All enabled one-step successors, in transition declaration order."""
+    """All enabled one-step successors, in transition declaration order.
+
+    A transition is disabled by a source control mismatch, a failing zero
+    test (evaluated on the pre-state), or a decrement at zero.
+    """
     values = x.values
     out = []
     for label, zeros, i, op, target in machine.post_index.get(x.control, ()):
@@ -121,34 +125,6 @@ def cm_post(machine: CounterMachine, x: CounterConfig) -> list[tuple[int, Counte
             y = values[:i] + (values[i] + 1,) + values[i + 1 :]
         out.append((label, CounterConfig(target, y)))
     return out
-
-
-def cm_step(machine: CounterMachine, x: CounterConfig, label: int) -> CounterConfig | None:
-    """One transition step; None when the transition is disabled.
-
-    Disabled covers a failing zero test, a decrement at zero, and a source
-    control mismatch.  Zero tests are evaluated on the pre-state.
-    """
-    if not 0 <= label < len(machine.transitions):
-        raise ValueError(f"unknown transition label {label}")
-    return next((y for fired, y in cm_post(machine, x) if fired == label), None)
-
-
-def cm_run(
-    machine: CounterMachine, x0: CounterConfig, labels: Iterable[int]
-) -> tuple[CounterConfig, int | None]:
-    """Fold cm_step over a label sequence.
-
-    Returns ``(final_config, None)`` on success, or ``(last_config, i)``
-    where ``i`` is the first index at which the run got stuck.
-    """
-    x = x0
-    for i, label in enumerate(labels):
-        nxt = cm_step(machine, x, label)
-        if nxt is None:
-            return x, i
-        x = nxt
-    return x, None
 
 
 def control_reachable(machine: CounterMachine, start: str) -> set[str]:

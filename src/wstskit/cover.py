@@ -302,11 +302,12 @@ def downset_candidates(machine: CounterMachine) -> Iterator[DownSet]:
     (ω entries are allowed at every bound).  Per-control vector lists are
     ordered lexicographically with ω last, subsets by size then position,
     and the per-control choices combine in control declaration order.
-    Sets already produced at a smaller bound are skipped.
+    Sets already produced at a smaller bound are skipped.  With no
+    counters every set appears at bound 1, so the enumeration ends there.
     """
     k = len(machine.counters)
     controls = machine.states
-    for bound in itertools.count(1):
+    for bound in itertools.count(1) if k else (1,):
         entries = list(range(bound + 1)) + [OMEGA]
         vectors = [tuple(v) for v in itertools.product(entries, repeat=k)]
         options = _antichain_subsets(vectors, bound)

@@ -365,7 +365,10 @@ def parse_target(mf: ModelFile, text: str) -> Union[CounterConfig, FifoConfig]:
         q, values_text = m.groups()
         if q not in mf.machine.states:
             raise ValueError(f"unknown state {q!r} in target")
-        values = tuple(int(v) for v in values_text.split(",")) if values_text.strip() else ()
+        try:
+            values = tuple(int(v) for v in values_text.split(",")) if values_text.strip() else ()
+        except ValueError:
+            raise ValueError("target values must be integers") from None
         if len(values) != len(mf.machine.counters):
             raise ValueError(
                 f"target has {len(values)} values, machine has {len(mf.machine.counters)} counters"

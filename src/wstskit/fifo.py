@@ -158,7 +158,11 @@ def fifo_config_str(machine: FifoMachine, x: FifoConfig) -> str:
 
 
 def fifo_post(machine: FifoMachine, x: FifoConfig) -> list[tuple[int, FifoConfig]]:
-    """All enabled one-step successors, in transition declaration order."""
+    """All enabled one-step successors, in transition declaration order.
+
+    A send appends to the channel tail; a receive consumes the head letter
+    and is disabled unless the channel starts with that letter.
+    """
     contents = x.contents
     out = []
     for label, ci, send, letter, target in machine.post_index.get(x.control, ()):
@@ -171,30 +175,6 @@ def fifo_post(machine: FifoMachine, x: FifoConfig) -> list[tuple[int, FifoConfig
             continue
         out.append((label, FifoConfig(target, contents[:ci] + (word,) + contents[ci + 1 :])))
     return out
-
-
-def fifo_step(machine: FifoMachine, x: FifoConfig, label: int) -> FifoConfig | None:
-    """One transition step; None when disabled.
-
-    A send appends to the channel tail; a receive consumes the head letter
-    and is disabled unless the channel starts with that letter.
-    """
-    if not 0 <= label < len(machine.transitions):
-        raise ValueError(f"unknown transition label {label}")
-    return next((y for fired, y in fifo_post(machine, x) if fired == label), None)
-
-
-def fifo_run(
-    machine: FifoMachine, x0: FifoConfig, labels: Iterable[int]
-) -> tuple[FifoConfig, int | None]:
-    """Fold fifo_step; returns (final, None) or (last config, stuck index)."""
-    x = x0
-    for i, label in enumerate(labels):
-        nxt = fifo_step(machine, x, label)
-        if nxt is None:
-            return x, i
-        x = nxt
-    return x, None
 
 
 _ACTION_RE = re.compile(r"^(\w+)?([!?])(\w+)$")
@@ -517,8 +497,7 @@ def _build_position_dfa(
     ]
 
     initial = ((0, 0),) * len(per_channel_blocks)
-    names: dict[tuple, str] = {initial: f"{prefix}0"}
-    order = [initial]
+    names: dict[tuple, str] = {initial: f"{prefix}0"}  # in discovery order
     delta: dict[tuple[str, Action], str] = {}
     queue = deque([initial])
     while queue:
@@ -538,18 +517,17 @@ def _build_position_dfa(
                 nxt = state[:ci] + (moved,) + state[ci + 1 :]
             if nxt not in names:
                 names[nxt] = f"{prefix}{len(names)}"
-                order.append(nxt)
                 queue.append(nxt)
             delta[(names[state], a)] = names[nxt]
 
     if tracked == SEND:
         accepting = frozenset(
-            names[s] for s in order if all(pos[1] == 0 for pos in s)
+            name for s, name in names.items() if all(pos[1] == 0 for pos in s)
         )
     else:
         accepting = frozenset(names.values())
     return Dfa(
-        states=tuple(names[s] for s in order),
+        states=tuple(names.values()),
         initial=names[initial],
         accepting=accepting,
         delta=delta,
@@ -582,7 +560,7 @@ def product_machine(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> FifoM
     """
     init = (machine.initial, send_dfa.initial, recv_dfa.initial)
 
-    names: dict[tuple[str, str, str], str] = {}
+    names: dict[tuple[str, str, str], str] = {}  # the visited triples, in discovery order
     taken: set[str] = set()
 
     def name_of(triple: tuple[str, str, str]) -> str:
@@ -597,11 +575,9 @@ def product_machine(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> FifoM
             taken.add(name)
         return names[triple]
 
-    order = [init]
     name_of(init)
     transitions: list[FifoTransition] = []
     queue = deque([init])
-    seen = {init}
     while queue:
         q, s, r = queue.popleft()
         for t in machine.transitions:
@@ -613,19 +589,17 @@ def product_machine(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> FifoM
             if s2 is None or r2 is None:
                 continue
             triple = (t.target, s2, r2)
-            if triple not in seen:
-                seen.add(triple)
-                order.append(triple)
+            if triple not in names:
                 queue.append(triple)
             transitions.append(
-                FifoTransition(name_of((q, s, r)), t.channel, t.kind, t.letter, name_of(triple))
+                FifoTransition(names[q, s, r], t.channel, t.kind, t.letter, name_of(triple))
             )
     return FifoMachine(
-        states=tuple(name_of(tr) for tr in order),
+        states=tuple(names.values()),
         channels=machine.channels,
         alphabet=machine.alphabet,
         transitions=tuple(transitions),
-        initial=name_of(init),
+        initial=names[init],
         name=f"{machine.name}-product",
     )
 
@@ -651,7 +625,9 @@ def check_fifo_infinite_iterability(
     ends in a different control state (so a second iteration is
     impossible), yields False.
     """
-    final, stuck = fifo_run(machine, x, labels)
+    from .olts import fifo_olts  # olts imports this module
+
+    final, stuck = fifo_olts(machine, x).run(labels)
     if stuck is not None or final.control != x.control:
         return False
     for ci, ch in enumerate(machine.channels):

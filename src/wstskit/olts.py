@@ -2,17 +2,19 @@
 
 The tree constructions and antichain search work against this interface
 only, so counter machines, FIFO machines, and ad hoc test systems plug in
-the same way: an initial state, a successor enumerator, a single-step
-function, and a quasi-ordering on states.
+the same way: an initial state, a successor enumerator, the number of
+transition labels, and a quasi-ordering on states.  Single steps and runs
+are derived from the successor enumerator, so each machine kind's
+semantics is written once, in its ``post``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from .counter import CounterConfig, CounterMachine, cm_post, cm_step, counter_config_str
-from .fifo import FifoConfig, FifoMachine, fifo_config_str, fifo_post, fifo_step
+from .counter import CounterConfig, CounterMachine, cm_post, counter_config_str
+from .fifo import FifoConfig, FifoMachine, fifo_config_str, fifo_post
 from .orders import COUNTER_ORDER, EXT_PREFIX_ORDER, Order
 
 
@@ -21,15 +23,37 @@ class Olts:
     """Ordered labelled transition system with explicit plumbing.
 
     ``post(x)`` returns (label, successor) pairs in a deterministic order;
-    ``step(x, label)`` returns the successor or None when disabled.
+    the labels are ``0 .. labels - 1``.
     """
 
     initial: Any
     post: Callable[[Any], list[tuple[Any, Any]]]
-    step: Callable[[Any, Any], Optional[Any]]
+    labels: int
     order: Order
     state_fmt: Callable[[Any], str] = field(default=str)
     label_fmt: Callable[[Any], str] = field(default=str)
+
+    def step(self, x: Any, label: int) -> Optional[Any]:
+        """The successor of x by ``label``, or None when it is disabled.
+
+        Raises ValueError on a label outside ``0 .. labels - 1``.
+        """
+        if label not in range(self.labels):
+            raise ValueError(f"unknown transition label {label}")
+        return next((y for fired, y in self.post(x) if fired == label), None)
+
+    def run(self, labels: Iterable[int], x: Any = None) -> tuple[Any, Optional[int]]:
+        """Fold ``step`` over a label sequence from x (default: the initial
+        state).  Returns ``(final, None)``, or ``(last, i)`` where ``i`` is
+        the first index at which the run got stuck."""
+        if x is None:
+            x = self.initial
+        for i, label in enumerate(labels):
+            nxt = self.step(x, label)
+            if nxt is None:
+                return x, i
+            x = nxt
+        return x, None
 
 
 def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) -> Olts:
@@ -39,7 +63,7 @@ def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) 
     return Olts(
         initial=x0,
         post=lambda x: cm_post(machine, x),
-        step=lambda x, label: cm_step(machine, x, label),
+        labels=len(machine.transitions),
         order=COUNTER_ORDER,
         state_fmt=counter_config_str,
         label_fmt=machine.describe_transition,
@@ -53,7 +77,7 @@ def fifo_olts(machine: FifoMachine, initial: FifoConfig | None = None) -> Olts:
     return Olts(
         initial=x0,
         post=lambda x: fifo_post(machine, x),
-        step=lambda x, label: fifo_step(machine, x, label),
+        labels=len(machine.transitions),
         order=EXT_PREFIX_ORDER,
         state_fmt=lambda x: fifo_config_str(machine, x),
         label_fmt=machine.describe_transition,

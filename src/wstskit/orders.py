@@ -104,13 +104,11 @@ def find_antichain_on_run(system, labels: Sequence, limit: int) -> list:
         raise ValueError("limit must be >= 1")
     order = system.order
     visited = [system.initial]
-    state = system.initial
     for i, label in enumerate(labels):
-        nxt = system.step(state, label)
+        nxt = system.step(visited[-1], label)
         if nxt is None:
             raise ValueError(f"run not executable: stuck at index {i}")
         visited.append(nxt)
-        state = nxt
     kept: list = []
     for s in visited:
         if len(kept) >= limit:

@@ -226,13 +226,8 @@ def build_lrrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
     """
     rrt = build_rrt(olts, budget)
     for n in rrt.subsumed_nodes():
-        labels = rrt.loop_labels(n.id)
-        x = n.state
-        for label in labels:
-            x = olts.step(x, label)
-            if x is None:
-                break
-        if x is not None and olts.order.leq(n.state, x):
+        x, stuck = olts.run(rrt.loop_labels(n.id), n.state)
+        if stuck is None and olts.order.leq(n.state, x):
             n.iterable = True
     return rrt
 

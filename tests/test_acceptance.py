@@ -34,7 +34,7 @@ from oracles import (
     simulate_iterations,
 )
 from wstskit.cli import main
-from wstskit.counter import CounterConfig, cm_run
+from wstskit.counter import CounterConfig
 from wstskit.cover import (
     DownSet,
     Ideal,
@@ -51,7 +51,6 @@ from wstskit.cover import (
 from wstskit.fifo import (
     FifoConfig,
     check_fifo_infinite_iterability,
-    fifo_run,
     recv_proj,
     resolve_action_run,
     send_proj,
@@ -151,7 +150,7 @@ def test_criterion_3_triangle_and_product(m3, tmp_path, capsys):
     labels = resolve_action_run(machine, machine.initial_config(), "!a !b ?a")
     assert labels == [0, 1, 2]
     b_state = FifoConfig("q0", (machine.alphabet.word("b"),))
-    last, stuck = fifo_run(machine, b_state, labels)
+    last, stuck = fifo_olts(machine).run(labels, b_state)
     assert stuck == 2  # the receive of a is the failing step
     assert last == FifoConfig("q2", (machine.alphabet.word("bab"),))
 
@@ -226,7 +225,7 @@ def test_criterion_5_m8_decisions_with_certificates(m8):
 
     pos = x0_coverability(machine, x0, CounterConfig("q2", (3,)))
     assert pos.outcome is Outcome.POSITIVE
-    end, stuck = cm_run(machine, x0, pos.witness)
+    end, stuck = counter_olts(machine).run(pos.witness, x0)
     assert stuck is None
     assert end.control == "q2" and vec_leq((3,), end.values)
 

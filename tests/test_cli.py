@@ -172,7 +172,7 @@ def test_budget_exhaustion_exit_code(capsys):
     assert "budget used: 1 of 1 (exhausted)" in out
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert fails("check", "weirdness", path("m1")) == 1
     assert fails("check", "x0-cover", path("m8")) == 1  # missing --target
     assert fails("check", "x0-cover", path("m1"), "--target", "q0:(0)") == 1  # fifo
@@ -181,6 +181,9 @@ def test_usage_errors_exit_one(tmp_path):
     assert fails("check", "boundedness", str(tmp_path / "missing.model")) == 1
     assert fails("check", "boundedness", path("m1"), "--init", "zz") == 1
     assert fails("check", "x0-cover", path("m8"), "--target", "wat") == 1
+    capsys.readouterr()
+    assert fails("check", "x0-cover", path("m8"), "--target", "q2:(x)") == 1
+    assert capsys.readouterr().err.endswith("error: target values must be integers\n")
     assert fails() == 1  # no subcommand
     bad = tmp_path / "bad.model"
     bad.write_text("kind counter\nstates q0\nq0 -- zap --> q0\ninit q0\n")

@@ -16,8 +16,6 @@ from wstskit.counter import (
     CounterMachine,
     CounterTransition,
     cm_post,
-    cm_run,
-    cm_step,
     control_reachable,
     counter_config_str,
     is_cmrz,
@@ -72,14 +70,15 @@ def test_step_semantics_on_hand_cases():
         ],
         "q0",
     )
-    assert cm_step(m, CounterConfig("q0", (0, 0)), 0) == CounterConfig("q1", (1, 0))
-    assert cm_step(m, CounterConfig("q1", (0, 0)), 0) is None  # wrong control
-    assert cm_step(m, CounterConfig("q1", (5, 0)), 1) is None  # dec at zero
-    assert cm_step(m, CounterConfig("q1", (5, 2)), 1) == CounterConfig("q0", (5, 1))
-    assert cm_step(m, CounterConfig("q0", (0, 0)), 2) == CounterConfig("q0", (0, 0))
-    assert cm_step(m, CounterConfig("q0", (1, 0)), 2) is None  # zero test fails
+    step = counter_olts(m).step
+    assert step(CounterConfig("q0", (0, 0)), 0) == CounterConfig("q1", (1, 0))
+    assert step(CounterConfig("q1", (0, 0)), 0) is None  # wrong control
+    assert step(CounterConfig("q1", (5, 0)), 1) is None  # dec at zero
+    assert step(CounterConfig("q1", (5, 2)), 1) == CounterConfig("q0", (5, 1))
+    assert step(CounterConfig("q0", (0, 0)), 2) == CounterConfig("q0", (0, 0))
+    assert step(CounterConfig("q0", (1, 0)), 2) is None  # zero test fails
     with pytest.raises(ValueError):
-        cm_step(m, CounterConfig("q0", (0, 0)), 3)
+        step(CounterConfig("q0", (0, 0)), 3)
 
 
 def test_step_agrees_with_reference_on_random_machines():
@@ -92,7 +91,7 @@ def test_step_agrees_with_reference_on_random_machines():
                 tuple(rng.randint(0, 3) for _ in m.counters),
             )
             for label in range(len(m.transitions)):
-                assert cm_step(m, x, label) == ref_counter_step(m, x, label)
+                assert counter_olts(m).step(x, label) == ref_counter_step(m, x, label)
 
 
 def test_post_is_declaration_ordered():
@@ -104,7 +103,7 @@ def test_post_is_declaration_ordered():
         labels = [label for label, _ in post]
         assert labels == sorted(labels)
         for label, y in post:
-            assert cm_step(m, x, label) == y
+            assert counter_olts(m).step(x, label) == y
 
 
 def test_post_matches_reference_steps_on_random_machines():
@@ -141,7 +140,7 @@ def test_run_reports_first_stuck_index():
         m = random_counter_machine(rng, zero_tests=True)
         x = m.initial_config()
         labels = [rng.randrange(len(m.transitions)) for _ in range(8)]
-        got = cm_run(m, x, labels)
+        got = counter_olts(m).run(labels, x)
         assert got == ref_run(m, x, labels, ref_counter_step)
 
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import islice
 from itertools import product as iproduct
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import wstskit
 from gen import random_counter_machine, random_downset
 from oracles import (
     bfs_reach,
@@ -316,6 +322,42 @@ def test_noncover_semiproc_budget_and_coverable_target(m8):
     assert small.outcome is Outcome.INCONCLUSIVE and small.budget_used == 10
     cov = noncover_semiproc(m, CounterConfig("q0", (0,)), CounterConfig("q2", (1,)), 500)
     assert cov.outcome is Outcome.INCONCLUSIVE  # target is coverable; no invariant exists
+
+
+def test_noncover_semiproc_ends_on_machines_without_counters():
+    # With no counters every candidate appears at bound 1.  The enumeration
+    # once went on to later bounds forever, so the calls run in a child
+    # process that the timeout stops instead of hanging the suite.
+    script = textwrap.dedent(
+        """
+        from wstskit.counter import CounterConfig, CounterMachine, CounterTransition
+        from wstskit.cover import downset_candidates, noncover_semiproc
+
+        def noop(src, tgt):
+            return CounterTransition(src, "noop", None, frozenset(), tgt)
+
+        m = CounterMachine(("q0", "q1"), (), (noop("q0", "q1"),), "q0")
+        v = noncover_semiproc(m, CounterConfig("q0", ()), CounterConfig("q1", ()), 50)
+        print(v.outcome.value, v.budget_used, len(list(downset_candidates(m))))
+        m = CounterMachine(("q0", "q1", "q2"), (), (noop("q0", "q1"),), "q0")
+        v = noncover_semiproc(m, CounterConfig("q0", ()), CounterConfig("q2", ()), 50)
+        print(v.outcome.value, v.budget_used, [i.control for i in v.witness.ideals])
+        """
+    )
+    src = str(Path(wstskit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    # q1 is reachable: all 2^2 - 1 candidates are tested, none separates
+    assert proc.stdout.splitlines() == [
+        "inconclusive 3 3",
+        "negative 6 ['q0', 'q1']",
+    ]
 
 
 def test_noncover_semiproc_can_miss_unreachable_targets(m7):

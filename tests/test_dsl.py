@@ -161,6 +161,8 @@ def test_parse_target_counter(m8):
         parse_target(m8, "q2:(3,1)")
     with pytest.raises(ValueError):
         parse_target(m8, "q2:(-1)")
+    with pytest.raises(ValueError, match="^target values must be integers$"):
+        parse_target(m8, "q2:(x)")
 
 
 def test_parse_target_fifo(m2):

@@ -23,8 +23,6 @@ from wstskit.fifo import (
     check_fifo_infinite_iterability,
     fifo_config_str,
     fifo_post,
-    fifo_run,
-    fifo_step,
     normalize_distinct_letter,
     product_machine,
     recv_proj,
@@ -94,15 +92,16 @@ def test_step_semantics_hand_cases(m2):
     m = m2.machine
     x = m.initial_config()
     assert x == FifoConfig("q0", ((),))
-    y = fifo_step(m, x, 0)  # send a
+    step = fifo_olts(m).step
+    y = step(x, 0)  # send a
     assert y == FifoConfig("q0", (m.alphabet.word("a"),))
-    assert fifo_step(m, x, 2) is None  # wrong control
-    z = fifo_step(m, FifoConfig("q1", (m.alphabet.word("ca"),)), 2)  # recv c
+    assert step(x, 2) is None  # wrong control
+    z = step(FifoConfig("q1", (m.alphabet.word("ca"),)), 2)  # recv c
     assert z == FifoConfig("q2", (m.alphabet.word("a"),))
-    assert fifo_step(m, FifoConfig("q1", (m.alphabet.word("ac"),)), 2) is None
-    assert fifo_step(m, FifoConfig("q1", ((),)), 2) is None
+    assert step(FifoConfig("q1", (m.alphabet.word("ac"),)), 2) is None
+    assert step(FifoConfig("q1", ((),)), 2) is None
     with pytest.raises(ValueError):
-        fifo_step(m, x, 99)
+        step(x, 99)
 
 
 def test_step_agrees_with_reference_on_random_machines():
@@ -116,7 +115,7 @@ def test_step_agrees_with_reference_on_random_machines():
             )
             x = FifoConfig(rng.choice(m.states), contents)
             for label in range(len(m.transitions)):
-                assert fifo_step(m, x, label) == ref_fifo_step(m, x, label)
+                assert fifo_olts(m).step(x, label) == ref_fifo_step(m, x, label)
 
 
 def test_post_and_run(m2):
@@ -124,10 +123,35 @@ def test_post_and_run(m2):
     x = FifoConfig("q2", (m.alphabet.word("b"),))
     post = fifo_post(m, x)
     assert [label for label, _ in post] == [3, 4, 6]
-    got = fifo_run(m, m.initial_config(), [0, 0, 1, 2])
+    got = fifo_olts(m).run([0, 0, 1, 2])
     want = ref_run(m, m.initial_config(), [0, 0, 1, 2], ref_fifo_step)
     assert got == want
     assert got[1] == 3  # recv c on content "aab" is stuck
+
+
+def test_run_reports_first_stuck_index():
+    # from loaded channels, along label sequences that are random or follow
+    # enabled steps, so both stuck and complete runs, receives included, occur
+    rng = Random(12)
+    stuck_at = set()
+    for _ in range(60):
+        m = random_fifo_machine(rng, max_channels=3)
+        x = m.initial_config(
+            {ch: "".join(rng.choice("ab") for _ in range(rng.randint(0, 3))) for ch in m.channels}
+        )
+        olts = fifo_olts(m, x)
+        for walk in (False, True):
+            labels, y = [], x
+            for _ in range(8):
+                enabled = [label for label, _ in fifo_post(m, y)]
+                label = rng.choice(enabled if walk and enabled else range(len(m.transitions)))
+                labels.append(label)
+                y = ref_fifo_step(m, y, label) or y
+            got = olts.run(labels)
+            assert got == ref_run(m, x, labels, ref_fifo_step)
+            assert olts.run(labels, x) == got
+            stuck_at.add(got[1])
+    assert None in stuck_at and 0 in stuck_at and len(stuck_at) >= 5
 
 
 def test_post_matches_reference_steps_on_random_machines():
@@ -204,7 +228,7 @@ def test_resolve_action_run(m2):
 def test_resolve_action_run_long_run_needs_no_recursion(m1):
     labels = resolve_action_run(m1.machine, m1.initial, "!a " * 5000)
     assert labels == [0] * 5000
-    assert fifo_run(m1.machine, m1.initial, labels)[1] is None
+    assert fifo_olts(m1.machine, m1.initial).run(labels)[1] is None
     with pytest.raises(ValueError, match="not executable"):
         resolve_action_run(m1.machine, m1.initial, "!a " * 4999 + "!b !a")
 
@@ -409,6 +433,7 @@ def test_every_position_dfa_pair_is_completable():
 def trace_actions(machine: FifoMachine, depth: int):
     """All executable action-name traces from the empty initial config."""
     out = set()
+    step = fifo_olts(machine).step
     stack = [(machine.initial_config(), ())]
     while stack:
         x, trace = stack.pop()
@@ -416,7 +441,7 @@ def trace_actions(machine: FifoMachine, depth: int):
         if len(trace) == depth:
             continue
         for label in range(len(machine.transitions)):
-            y = fifo_step(machine, x, label)
+            y = step(x, label)
             if y is not None:
                 t = machine.transitions[label]
                 stack.append((y, trace + ((t.kind, machine.alphabet.name(t.letter)),)))

@@ -170,12 +170,31 @@ def test_all_runs_deadlock_means_terminating():
     assert decide_boundedness(rrt, olts.order).outcome is Outcome.NEGATIVE
 
 
+def test_adhoc_olts_step_and_run():
+    olts = Olts(
+        initial="x",
+        post=lambda s: [(0, "y"), (1, "z")] if s == "x" else [(1, "x")] if s == "y" else [],
+        labels=2,
+        order=Order(leq=lambda a, b: a == b),
+    )
+    assert olts.step("x", 1) == "z"
+    assert olts.step("z", 0) is None  # known label, disabled here
+    for label in (2, -1, "a"):
+        with pytest.raises(ValueError, match="unknown transition label"):
+            olts.step("x", label)
+    assert olts.run([0, 1, 1]) == ("z", None)
+    assert olts.run([0, 0], "x") == ("y", 1)
+    assert olts.run([], "y") == ("y", None)
+    with pytest.raises(ValueError):
+        olts.run([0, 5])
+
+
 def test_non_antisymmetric_order_is_rejected():
     sloppy = Order(leq=lambda a, b: True, eq=lambda a, b: a == b)
     olts = Olts(
         initial="x",
         post=lambda s: [(0, "y")] if s == "x" else [],
-        step=lambda s, label: "y" if s == "x" and label == 0 else None,
+        labels=1,
         order=sloppy,
     )
     rrt = build_rrt(olts)
