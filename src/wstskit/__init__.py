@@ -18,7 +18,6 @@ from .counter import (
     cm_post,
     control_reachable,
     counter_config_str,
-    has_zero_tests,
     is_cmrz,
     require_no_zero_tests,
 )

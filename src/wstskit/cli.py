@@ -240,7 +240,11 @@ def _cmd_check(parser: _Parser, args) -> int:
         if witness is not None:
             print(f"witness: {json.dumps(witness, ensure_ascii=False)}")
         if verdict.outcome is Outcome.INCONCLUSIVE:
-            print(f"budget used: {verdict.budget_used} of {args.budget} (exhausted)")
+            exhausted = (
+                tree.budget_exhausted if tree is not None else verdict.budget_used >= args.budget
+            )
+            mark = " (exhausted)" if exhausted else ""
+            print(f"budget used: {verdict.budget_used} of {args.budget}{mark}")
         else:
             print(f"budget used: {verdict.budget_used}")
         print(f"elapsed: {elapsed_ms:.1f} ms")

@@ -186,10 +186,6 @@ def is_cmrz(machine: CounterMachine) -> tuple[bool, list[int] | None]:
     return best is None, best
 
 
-def has_zero_tests(machine: CounterMachine) -> bool:
-    return any(t.zero_tests for t in machine.transitions)
-
-
 def require_no_zero_tests(machine: CounterMachine) -> CounterMachine:
     """Gate for the monotone fragment; raises when a zero test is present."""
     for i, t in enumerate(machine.transitions):

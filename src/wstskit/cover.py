@@ -37,7 +37,7 @@ from .counter import (
     counter_config_str,
     require_no_zero_tests,
 )
-from .orders import counter_state_leq
+from .orders import counter_state_leq, nat_vec_leq
 from .verdict import AnalysisVerdict, Outcome
 
 OMEGA = float("inf")
@@ -47,12 +47,6 @@ Vec = tuple  # entries are ints, or OMEGA
 
 def entry_str(e) -> str:
     return "ω" if e == OMEGA else str(int(e))
-
-
-def vec_leq(u: Vec, v: Vec) -> bool:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return all(a <= b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,7 @@ def ideal_contains(ideal: Ideal, x: CounterConfig) -> bool:
 
 
 def ideal_subset(i1: Ideal, i2: Ideal) -> bool:
-    return i1.control == i2.control and vec_leq(i1.bounds, i2.bounds)
+    return i1.control == i2.control and nat_vec_leq(i1.bounds, i2.bounds)
 
 
 def _ideal_sort_key(i: Ideal):
@@ -275,7 +269,7 @@ def _antichain_subsets(vectors: list[Vec], max_size: int) -> list[tuple[Vec, ...
         for combo in itertools.combinations(vectors, size):
             ok = True
             for a, b in itertools.combinations(combo, 2):
-                if vec_leq(a, b) or vec_leq(b, a):
+                if nat_vec_leq(a, b) or nat_vec_leq(b, a):
                     ok = False
                     break
             if ok:
@@ -452,24 +446,20 @@ def check_cover_monotone_bounded(
 
     control_rank = {q: i for i, q in enumerate(machine.states)}
     for y1 in sorted(cover, key=lambda c: (control_rank[c.control], c.values)):
+        # everything y1 reaches in at most length_cap steps, each expanded once
+        reach = {y1}
+        frontier = [y1]
+        for _ in range(length_cap):
+            nxt_frontier = []
+            for y in frontier:
+                for _, y2 in cm_post(machine, y):
+                    if y2 not in reach:
+                        reach.add(y2)
+                        nxt_frontier.append(y2)
+            frontier = nxt_frontier
         for values in itertools.product(*(range(v + 1) for v in y1.values)):
             x1 = CounterConfig(y1.control, values)
             for label, x2 in cm_post(machine, x1):
-                # search y2 with y1 ->* y2 and x2 <= y2, up to length_cap steps
-                frontier = {y1}
-                seen = {y1}
-                found = any(counter_state_leq(x2, y2) for y2 in frontier)
-                depth = 0
-                while not found and depth < length_cap and frontier:
-                    depth += 1
-                    nxt_frontier = set()
-                    for y in frontier:
-                        for _, y2 in cm_post(machine, y):
-                            if y2 not in seen:
-                                seen.add(y2)
-                                nxt_frontier.add(y2)
-                    frontier = nxt_frontier
-                    found = any(counter_state_leq(x2, y2) for y2 in frontier)
-                if not found:
+                if not any(counter_state_leq(x2, y2) for y2 in reach):
                     return False, (y1, x1, label, x2)
     return True, None

@@ -75,9 +75,10 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _col_of(line: str, token: str) -> int:
-    pos = line.find(token)
-    return pos + 1 if pos >= 0 else 1
+def _words(m: re.Match, group: int, base: int) -> list[tuple[str, int]]:
+    """The words of a match group, each with its column on the line."""
+    start = base + m.start(group)
+    return [(w.group(), start + w.start()) for w in re.finditer(r"\w+", m.group(group))]
 
 
 _KIND_RE = re.compile(r"^kind\s+(counter|fifo)$")
@@ -96,49 +97,55 @@ _FIFO_CONTENT_RE = re.compile(r'(\w+)\s*:\s*"([^"]*)"')
 
 
 def parse_model(text: str, name: str = "model") -> ModelFile:
-    statements: list[tuple[int, str]] = []
+    # (line, base, body): base is the column of the body's first character
+    # on the line as written, so base + offset is a column there
+    statements: list[tuple[int, int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw).strip()
+        line = _strip_comment(raw)
+        body = line.strip()
         if body:
-            statements.append((lineno, body))
+            statements.append((lineno, len(line) - len(line.lstrip()) + 1, body))
     if not statements:
         raise ParseError(1, 1, "empty model: expected a kind line")
 
-    lineno, head = statements[0]
+    lineno, base, head = statements[0]
     m = _KIND_RE.match(head)
     if not m:
-        raise ParseError(lineno, 1, "expected 'kind counter' or 'kind fifo'")
+        raise ParseError(lineno, base, "expected 'kind counter' or 'kind fifo'")
     kind = m.group(1)
 
     decls: dict[str, tuple[int, list[str]]] = {}
-    transitions: list[tuple[int, str]] = []
-    bounds: list[tuple[int, str, str]] = []
-    init: Optional[tuple[int, str]] = None
+    transitions: list[tuple[int, int, str]] = []
+    bounds: list[tuple[int, int, re.Match]] = []
+    init: Optional[tuple[int, int, str]] = None
 
-    for lineno, body in statements[1:]:
+    for lineno, base, body in statements[1:]:
         m = _NAMES_RE.match(body)
         if m:
             what, names = m.group(1), m.group(2).split()
             if what in decls:
-                raise ParseError(lineno, 1, f"duplicate {what} declaration")
-            dup = _first_duplicate(names)
-            if dup:
-                raise ParseError(lineno, _col_of(body, dup), f"duplicate name {dup!r}")
+                raise ParseError(lineno, base, f"duplicate {what} declaration")
+            if len(set(names)) < len(names):
+                seen = set()
+                for n, col in _words(m, 2, base):
+                    if n in seen:
+                        raise ParseError(lineno, col, f"duplicate name {n!r}")
+                    seen.add(n)
             decls[what] = (lineno, names)
             continue
         if "-->" in body:
-            transitions.append((lineno, body))
+            transitions.append((lineno, base, body))
             continue
         m = _BOUND_RE.match(body) or _INPUT_BOUNDED_RE.match(body)
         if m:
-            bounds.append((lineno, m.group(1), m.group(2)))
+            bounds.append((lineno, base, m))
             continue
         if body.startswith("init"):
             if init is not None:
-                raise ParseError(lineno, 1, "duplicate init statement")
-            init = (lineno, body)
+                raise ParseError(lineno, base, "duplicate init statement")
+            init = (lineno, base, body)
             continue
-        raise ParseError(lineno, 1, f"unrecognized statement: {body!r}")
+        raise ParseError(lineno, base, f"unrecognized statement: {body!r}")
 
     if "states" not in decls:
         raise ParseError(lineno, 1, "missing states declaration")
@@ -151,18 +158,9 @@ def parse_model(text: str, name: str = "model") -> ModelFile:
     return _build_fifo(name, states, decls, transitions, bounds, init)
 
 
-def _first_duplicate(names: list[str]) -> Optional[str]:
-    seen = set()
-    for n in names:
-        if n in seen:
-            return n
-        seen.add(n)
-    return None
-
-
-def _require_state(states: list[str], q: str, lineno: int, body: str) -> None:
+def _require_state(states: list[str], q: str, lineno: int, col: int) -> None:
     if q not in states:
-        raise ParseError(lineno, _col_of(body, q), f"unknown state {q!r}")
+        raise ParseError(lineno, col, f"unknown state {q!r}")
 
 
 def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
@@ -170,51 +168,51 @@ def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
         if bad in decls:
             raise ParseError(decls[bad][0], 1, f"{bad} declaration in a counter model")
     if bounds:
-        raise ParseError(bounds[0][0], 1, "bound clause in a counter model")
+        raise ParseError(bounds[0][0], bounds[0][1], "bound clause in a counter model")
     counters = decls.get("counters", (0, []))[1]
 
     parsed = []
-    for lineno, body in transitions:
+    for lineno, base, body in transitions:
         m = _CTR_TRANS_RE.match(body)
         if not m:
-            raise ParseError(lineno, 1, f"bad counter transition: {body!r}")
+            raise ParseError(lineno, base, f"bad counter transition: {body!r}")
         source, op, counter, noop, zeros, target = m.groups()
-        _require_state(states, source, lineno, body)
-        _require_state(states, target, lineno, body)
+        _require_state(states, source, lineno, base + m.start(1))
+        _require_state(states, target, lineno, base + m.start(6))
         if noop:
             op = OP_NOOP
             counter = None
         elif counter not in counters:
-            raise ParseError(lineno, _col_of(body, counter), f"unknown counter {counter!r}")
+            raise ParseError(lineno, base + m.start(3), f"unknown counter {counter!r}")
         zero_set = []
         if zeros:
-            zero_set = [z.strip() for z in zeros.split(",")]
-            for z in zero_set:
+            for z, col in _words(m, 5, base):
                 if z not in counters:
-                    raise ParseError(lineno, _col_of(body, z), f"unknown counter {z!r}")
+                    raise ParseError(lineno, col, f"unknown counter {z!r}")
+                zero_set.append(z)
         parsed.append(
             CounterTransition(source, op, counter, frozenset(zero_set), target)
         )
 
-    lineno, body = init
+    lineno, base, body = init
     m = _INIT_CTR_RE.match(body)
     if not m:
-        raise ParseError(lineno, 1, f"bad init statement: {body!r}")
+        raise ParseError(lineno, base, f"bad init statement: {body!r}")
     q0, values_text = m.groups()
-    _require_state(states, q0, lineno, body)
+    _require_state(states, q0, lineno, base + m.start(1))
+    # the values, or the end of the statement when there are none
+    col = base + (len(body) if values_text is None else m.start(2))
     if values_text is None or values_text.strip() == "":
         values = tuple(0 for _ in counters)
     else:
         try:
             values = tuple(int(v) for v in values_text.split(","))
         except ValueError:
-            raise ParseError(lineno, _col_of(body, "("), "initial values must be integers") from None
+            raise ParseError(lineno, col, "initial values must be integers") from None
         if any(v < 0 for v in values):
-            raise ParseError(lineno, _col_of(body, "("), "initial values must be non-negative")
+            raise ParseError(lineno, col, "initial values must be non-negative")
     if len(values) != len(counters):
-        raise ParseError(
-            lineno, _col_of(body, "("), f"expected {len(counters)} initial values, got {len(values)}"
-        )
+        raise ParseError(lineno, col, f"expected {len(counters)} initial values, got {len(values)}")
 
     try:
         machine = CounterMachine(
@@ -229,10 +227,17 @@ def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
     return ModelFile("counter", machine, CounterConfig(q0, values))
 
 
-def _parse_bound_words(lineno: int, body_rhs: str) -> list[str]:
-    if not _BOUND_WORDS_RE.match(body_rhs.strip()):
-        raise ParseError(lineno, 1, f"bad bound words: {body_rhs.strip()!r}")
-    return re.findall(r"\((\w+)\)", body_rhs)
+def _bound_words(lineno: int, base: int, m: re.Match) -> list[list[tuple[str, int]]]:
+    """The words of a bound clause's right-hand side (group 2 of ``m``),
+    each as its letters with their columns on the line."""
+    rhs = m.group(2)
+    start = base + m.start(2)
+    if not _BOUND_WORDS_RE.match(rhs):
+        raise ParseError(lineno, start, f"bad bound words: {rhs!r}")
+    return [
+        [(letter, start + w.start(1) + i) for i, letter in enumerate(w.group(1))]
+        for w in re.finditer(r"\((\w+)\)", rhs)
+    ]
 
 
 def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
@@ -246,35 +251,34 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
     alphabet = Alphabet(decls["alphabet"][1])
 
     parsed = []
-    for lineno, body in transitions:
+    for lineno, base, body in transitions:
         m = _FIFO_TRANS_RE.match(body)
         if not m:
-            raise ParseError(lineno, 1, f"bad fifo transition: {body!r}")
+            raise ParseError(lineno, base, f"bad fifo transition: {body!r}")
         source, channel, kind_ch, letter, target = m.groups()
-        _require_state(states, source, lineno, body)
-        _require_state(states, target, lineno, body)
+        _require_state(states, source, lineno, base + m.start(1))
+        _require_state(states, target, lineno, base + m.start(5))
         if channel not in channels:
-            raise ParseError(lineno, _col_of(body, channel), f"unknown channel {channel!r}")
+            raise ParseError(lineno, base + m.start(2), f"unknown channel {channel!r}")
         if letter not in alphabet:
-            raise ParseError(lineno, _col_of(body, letter), f"unknown letter {letter!r}")
+            raise ParseError(lineno, base + m.start(4), f"unknown letter {letter!r}")
         parsed.append(FifoTransition(source, channel, kind_ch, alphabet.id(letter), target))
 
     lang = None
     if bounds:
         seen_channels: dict[str, tuple] = {}
-        for lineno, ch, rhs in bounds:
+        for lineno, base, m in bounds:
+            ch, col = m.group(1), base + m.start(1)
             if ch not in channels:
-                raise ParseError(lineno, 1, f"unknown channel {ch!r}")
+                raise ParseError(lineno, col, f"unknown channel {ch!r}")
             if ch in seen_channels:
-                raise ParseError(lineno, 1, f"duplicate bound clause for channel {ch!r}")
+                raise ParseError(lineno, col, f"duplicate bound clause for channel {ch!r}")
             words = []
-            for w in _parse_bound_words(lineno, rhs):
-                for letter in w:
+            for w in _bound_words(lineno, base, m):
+                for letter, col in w:
                     if letter not in alphabet:
-                        raise ParseError(
-                            lineno, _col_of(rhs, letter), f"unknown letter {letter!r}"
-                        )
-                words.append(tuple(alphabet.id(letter) for letter in w))
+                        raise ParseError(lineno, col, f"unknown letter {letter!r}")
+                words.append(tuple(alphabet.id(letter) for letter, _ in w))
             seen_channels[ch] = tuple(words)
         lang = BoundedLang(
             alphabet,
@@ -282,19 +286,21 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
             tuple(seen_channels[ch] for ch in channels if ch in seen_channels),
         )
 
-    lineno, body = init
+    lineno, base, body = init
     m = _INIT_FIFO_RE.match(body)
     if not m:
-        raise ParseError(lineno, 1, f"bad init statement: {body!r}")
-    q0, contents_text = m.groups()
-    _require_state(states, q0, lineno, body)
+        raise ParseError(lineno, base, f"bad init statement: {body!r}")
+    q0 = m.group(1)
+    _require_state(states, q0, lineno, base + m.start(1))
     contents = [()] * len(channels)
-    for ch, word in _FIFO_CONTENT_RE.findall(contents_text or ""):
+    start = base + m.start(2)
+    for c in _FIFO_CONTENT_RE.finditer(m.group(2)):
+        ch, word = c.groups()
         if ch not in channels:
-            raise ParseError(lineno, _col_of(body, ch), f"unknown channel {ch!r}")
-        for letter in word:
+            raise ParseError(lineno, start + c.start(1), f"unknown channel {ch!r}")
+        for i, letter in enumerate(word):
             if letter not in alphabet:
-                raise ParseError(lineno, _col_of(body, letter), f"unknown letter {letter!r}")
+                raise ParseError(lineno, start + c.start(2) + i, f"unknown letter {letter!r}")
         contents[channels.index(ch)] = tuple(alphabet.id(letter) for letter in word)
 
     try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -239,24 +239,19 @@ def resolve_action_run(
     return solutions[0]
 
 
+def _proj(machine: FifoMachine, labels: Iterable[int], channel: str, kind: str) -> tuple[int, ...]:
+    picked = (machine.transitions[label] for label in labels)
+    return tuple(t.letter for t in picked if t.channel == channel and t.kind == kind)
+
+
 def send_proj(machine: FifoMachine, labels: Iterable[int], channel: str) -> tuple[int, ...]:
     """Word of letters sent on ``channel`` along the label sequence."""
-    out = []
-    for label in labels:
-        t = machine.transitions[label]
-        if t.channel == channel and t.kind == SEND:
-            out.append(t.letter)
-    return tuple(out)
+    return _proj(machine, labels, channel, SEND)
 
 
 def recv_proj(machine: FifoMachine, labels: Iterable[int], channel: str) -> tuple[int, ...]:
     """Word of letters received on ``channel`` along the label sequence."""
-    out = []
-    for label in labels:
-        t = machine.transitions[label]
-        if t.channel == channel and t.kind == RECV:
-            out.append(t.letter)
-    return tuple(out)
+    return _proj(machine, labels, channel, RECV)
 
 
 @dataclass(frozen=True)
@@ -281,14 +276,8 @@ class BoundedLang:
     @property
     def distinct_letter(self) -> bool:
         """True iff no letter occurs twice across all words of all channels."""
-        seen: set[int] = set()
-        for per_channel in self.blocks:
-            for w in per_channel:
-                for lid in w:
-                    if lid in seen:
-                        return False
-                    seen.add(lid)
-        return True
+        letters = [lid for per_channel in self.blocks for w in per_channel for lid in w]
+        return len(letters) == len(set(letters))
 
     def show(self) -> str:
         parts = []
@@ -340,49 +329,37 @@ def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normal
     receives are forced by the channel head, sends by the position DFAs.
     """
     alphabet = machine.alphabet
-    positions_identity: dict[str, tuple[str, int, int]] = {}
-    for ch, per_channel in zip(lang.channels, lang.blocks):
-        for bi, w in enumerate(per_channel):
-            for oi, lid in enumerate(w):
-                positions_identity[alphabet.name(lid)] = (ch, bi, oi)
+    # every letter occurrence, in declaration order: channel, block, offset
+    occurrences = [
+        (ch, bi, oi, lid)
+        for ch, per_channel in zip(lang.channels, lang.blocks)
+        for bi, w in enumerate(per_channel)
+        for oi, lid in enumerate(w)
+    ]
+    letter_map = {name: name for name in alphabet.letters}
     if lang.distinct_letter:
-        letter_map = {name: name for name in alphabet.letters}
-        return Normalization(machine, lang, letter_map, positions_identity)
+        positions = {alphabet.name(lid): (ch, bi, oi) for ch, bi, oi, lid in occurrences}
+        return Normalization(machine, lang, letter_map, positions)
 
-    # Scan occurrences in declaration order: channel, block, offset.
-    occurrences: list[tuple[str, int, int, int]] = []
-    for ch, per_channel in zip(lang.channels, lang.blocks):
-        for bi, w in enumerate(per_channel):
-            for oi, lid in enumerate(w):
-                occurrences.append((ch, bi, oi, lid))
-
-    used = set(alphabet.letters)
-    counters: dict[int, int] = {}
-    new_names: list[str] = []
-    positions: dict[str, tuple[str, int, int]] = {}
-    letter_map: dict[str, str] = {name: name for name in alphabet.letters}
-    occ_name: dict[tuple[str, int, int], str] = {}
+    # The new alphabet extends the old one, so old letter ids stay valid and
+    # the k-th occurrence becomes letter len(alphabet) + k; positions lists
+    # the new names in that order.
+    base = len(alphabet)
+    positions = {}
+    counts: dict[int, int] = {}
     for ch, bi, oi, lid in occurrences:
-        counters[lid] = counters.get(lid, 0) + 1
-        base = f"{alphabet.name(lid)}{counters[lid]}"
-        name = base
-        while name in used:
+        counts[lid] = counts.get(lid, 0) + 1
+        name = f"{alphabet.name(lid)}{counts[lid]}"
+        while name in letter_map:  # an old letter or an earlier new name
             name += "_"
-        used.add(name)
-        new_names.append(name)
-        positions[name] = (ch, bi, oi)
         letter_map[name] = alphabet.name(lid)
-        occ_name[(ch, bi, oi)] = name
-
-    new_alphabet = Alphabet(alphabet.letters + tuple(new_names))
-
-    new_blocks = []
-    for ch, per_channel in zip(lang.channels, lang.blocks):
-        ch_blocks = []
-        for bi, w in enumerate(per_channel):
-            ch_blocks.append(tuple(new_alphabet.id(occ_name[(ch, bi, oi)]) for oi in range(len(w))))
-        new_blocks.append(tuple(ch_blocks))
-    new_lang = BoundedLang(new_alphabet, lang.channels, tuple(new_blocks))
+        positions[name] = (ch, bi, oi)
+    new_alphabet = Alphabet(alphabet.letters + tuple(positions))
+    fresh = iter(range(base, len(new_alphabet)))  # each word becomes a run of new ids
+    new_blocks = tuple(
+        tuple(tuple(next(fresh) for _ in w) for w in per_channel) for per_channel in lang.blocks
+    )
+    new_lang = BoundedLang(new_alphabet, lang.channels, new_blocks)
 
     # Split each transition into one copy per occurrence of its letter on
     # its channel; transitions whose letter never occurs there are kept
@@ -391,25 +368,15 @@ def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normal
     new_transitions = []
     for t in machine.transitions:
         variants = [
-            occ_name[(ch, bi, oi)]
-            for ch, bi, oi, lid in occurrences
-            if ch == t.channel and lid == t.letter
+            replace(t, letter=base + k)
+            for k, (ch, _, _, lid) in enumerate(occurrences)
+            if (ch, lid) == (t.channel, t.letter)
         ]
-        if not variants:
-            new_transitions.append(
-                FifoTransition(t.source, t.channel, t.kind, new_alphabet.id(alphabet.name(t.letter)), t.target)
-            )
-        else:
-            for name in variants:
-                new_transitions.append(
-                    FifoTransition(t.source, t.channel, t.kind, new_alphabet.id(name), t.target)
-                )
-    new_machine = FifoMachine(
-        states=machine.states,
-        channels=machine.channels,
+        new_transitions.extend(variants or [t])
+    new_machine = replace(
+        machine,
         alphabet=new_alphabet,
         transitions=tuple(new_transitions),
-        initial=machine.initial,
         name=f"{machine.name}-normalized",
     )
     return Normalization(new_machine, new_lang, letter_map, positions)
@@ -454,21 +421,19 @@ def _tracker_step(
     """Advance a cyclic position tracker through w_1^* ... w_n^*.
 
     State (i, j) means: blocks before i are complete, j letters of w_i are
-    matched.  At a block boundary (j = 0) any later block may be started;
-    mid-word only the expected next letter is allowed.
+    matched.  The letter at position (k, l) is enabled when it is the next
+    letter of the current word, (k, l) = (i, j), or when it starts a later
+    block at a block boundary, j = l = 0 and k > i; either way the tracker
+    moves to (k, l + 1), back to (k, 0) at the end of w_k.
     """
     hit = posmap.get(lid)
     if hit is None:
         return None
     k, l = hit
-    bi, oi = pos
-    if oi == 0:
-        if l != 0 or k < bi:
-            return None
+    i, j = pos
+    if (k, l) == (i, j) or (j == l == 0 and k > i):
         return (k, (l + 1) % len(blocks[k]))
-    if (k, l) != (bi, oi):
-        return None
-    return (bi, (oi + 1) % len(blocks[bi]))
+    return None
 
 
 def _build_position_dfa(
@@ -508,10 +473,8 @@ def _build_position_dfa(
                 nxt = state  # the untracked direction never moves the DFA
             else:
                 ci = machine.channel_index(ch)
-                blocks = per_channel_blocks[ci]
-                if not blocks:
-                    continue  # empty language: nothing may move on this channel
-                moved = _tracker_step(blocks, posmaps[ci], state[ci], lid)
+                # an empty language has an empty position map: nothing moves
+                moved = _tracker_step(per_channel_blocks[ci], posmaps[ci], state[ci], lid)
                 if moved is None:
                     continue
                 nxt = state[:ci] + (moved,) + state[ci + 1 :]

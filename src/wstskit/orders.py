@@ -36,7 +36,8 @@ class Order:
 
 
 def nat_vec_leq(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Componentwise order on equal-dimension vectors of naturals."""
+    """Componentwise order on equal-dimension vectors of naturals (ω, as
+    ``float("inf")``, compares above every natural)."""
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return all(a <= b for a, b in zip(u, v))

@@ -42,16 +42,11 @@ class Rrt:
     """Tree nodes in creation (breadth-first) order, plus budget facts."""
 
     nodes: list[RrtNode]
-    budget: int
     budget_exhausted: bool
 
     @property
     def complete(self) -> bool:
         return not self.budget_exhausted
-
-    @property
-    def root(self) -> RrtNode:
-        return self.nodes[0]
 
     def ancestor_ids(self, node_id: int) -> list[int]:
         """Strict ancestors of a node, root first."""
@@ -129,7 +124,7 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
             else:
                 child.mark = DEAD
                 child.subsumed_by = subsumer
-    return Rrt(nodes=nodes, budget=budget, budget_exhausted=exhausted)
+    return Rrt(nodes=nodes, budget_exhausted=exhausted)
 
 
 def decide_boundedness(

@@ -354,3 +354,62 @@ def is_cover_monotone_from(states, succs, leq: Callable, x0) -> bool:
                 if not any(leq(x2, y2) for y2 in above[y1]):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Bounded refutation of monotonicity relative to x0, as first written.
+
+
+def ref_check_cover_monotone_bounded(
+    machine: CounterMachine, x0: CounterConfig, value_cap: int, length_cap: int
+) -> tuple[bool, Optional[tuple[CounterConfig, CounterConfig, int, CounterConfig]]]:
+    """The library's ``check_cover_monotone_bounded`` before it shared one
+    bounded search per y1: for every step x1 -> x2 below y1 this re-runs a
+    level-by-level search from y1 (at most ``length_cap`` steps) that stops
+    at the first y2 with x2 <= y2.  Same caps, same result, and the same
+    first violation (y1, x1, label, x2) in canonical order."""
+    if value_cap < 1 or length_cap < 1:
+        raise ValueError("caps must be >= 1")
+    labels = range(len(machine.transitions))
+
+    def steps(x):
+        for label in labels:
+            y = ref_counter_step(machine, x, label)
+            if y is not None:
+                yield label, y
+
+    reached = {x0}
+    queue = deque([x0])
+    while queue:
+        x = queue.popleft()
+        for _, nxt in steps(x):
+            if max(nxt.values, default=0) <= value_cap and nxt not in reached:
+                reached.add(nxt)
+                queue.append(nxt)
+    cover = {
+        CounterConfig(c.control, values)
+        for c in reached
+        for values in iproduct(*(range(v + 1) for v in c.values))
+    }
+    control_rank = {q: i for i, q in enumerate(machine.states)}
+    for y1 in sorted(cover, key=lambda c: (control_rank[c.control], c.values)):
+        for values in iproduct(*(range(v + 1) for v in y1.values)):
+            x1 = CounterConfig(y1.control, values)
+            for label, x2 in steps(x1):
+                frontier = {y1}
+                seen = {y1}
+                found = any(ref_counter_leq(x2, y2) for y2 in frontier)
+                depth = 0
+                while not found and depth < length_cap and frontier:
+                    depth += 1
+                    nxt_frontier = set()
+                    for y in frontier:
+                        for _, y2 in steps(y):
+                            if y2 not in seen:
+                                seen.add(y2)
+                                nxt_frontier.add(y2)
+                    frontier = nxt_frontier
+                    found = any(ref_counter_leq(x2, y2) for y2 in frontier)
+                if not found:
+                    return False, (y1, x1, label, x2)
+    return True, None

@@ -45,7 +45,6 @@ from wstskit.cover import (
     downset_post,
     downset_subset,
     downset_union,
-    vec_leq,
     x0_coverability,
 )
 from wstskit.fifo import (
@@ -227,7 +226,7 @@ def test_criterion_5_m8_decisions_with_certificates(m8):
     assert pos.outcome is Outcome.POSITIVE
     end, stuck = counter_olts(machine).run(pos.witness, x0)
     assert stuck is None
-    assert end.control == "q2" and vec_leq((3,), end.values)
+    assert end.control == "q2" and nat_vec_leq((3,), end.values)
 
     neg = x0_coverability(machine, x0, CounterConfig("q1", (1,)))
     assert neg.outcome is Outcome.NEGATIVE

@@ -170,6 +170,12 @@ def test_budget_exhaustion_exit_code(capsys):
     assert code == 2 and report["verdict"] == "inconclusive" and report["budget"] == 1
     _, out, _ = run(capsys, "check", "boundedness", path("m1"), "--budget", "1")
     assert "budget used: 1 of 1 (exhausted)" in out
+    # a complete tree that decides nothing did not run out of budget
+    code, out, _ = run(capsys, "check", "nonterm-iterable", path("m3"))
+    assert code == 2 and "verdict: INCONCLUSIVE" in out
+    assert "budget used: 4 of 10000\n" in out
+    _, out, _ = run(capsys, "check", "x0-cover", path("m8"), "--target", "q2:(5)", "--budget", "3")
+    assert "budget used: 3 of 3 (exhausted)" in out
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

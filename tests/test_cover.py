@@ -19,6 +19,7 @@ from oracles import (
     bfs_reach,
     covered_oracle,
     downset_members,
+    ref_check_cover_monotone_bounded,
     ref_counter_step,
     ref_ideal_member,
     ref_post_downclosed,
@@ -54,9 +55,9 @@ from wstskit.cover import (
     pre_basis,
     upset_contains,
     upset_normalize,
-    vec_leq,
     x0_coverability,
 )
+from wstskit.orders import nat_vec_leq
 from wstskit.verdict import Outcome
 
 
@@ -70,9 +71,9 @@ def t(src, op, counter, tgt, zero=()):
 
 def test_entry_and_vec_basics():
     assert entry_str(3) == "3" and entry_str(OMEGA) == "ω"
-    assert vec_leq((1, 2), (1, OMEGA))
-    assert not vec_leq((OMEGA,), (5,))
-    assert vec_leq((), ())
+    assert nat_vec_leq((1, 2), (1, OMEGA))
+    assert not nat_vec_leq((OMEGA,), (5,))
+    assert nat_vec_leq((), ())
 
 
 def test_ideal_show_and_membership():
@@ -220,7 +221,7 @@ def test_upset_normalize_minimal_antichain():
         for a in kept:
             for b in kept:
                 if a != b:
-                    assert not (a.control == b.control and vec_leq(a.values, b.values))
+                    assert not (a.control == b.control and nat_vec_leq(a.values, b.values))
         for c in configs:
             assert upset_contains(u, c)
     assert upset_normalize([CounterConfig("q0", (1, 0))]).show() == "↑{q0:(1,0)}"
@@ -412,7 +413,7 @@ def test_x0_coverability_witness_replays(m8):
     for label in v.witness:
         x = ref_counter_step(m, x, label)
         assert x is not None
-    assert x.control == target.control and vec_leq(target.values, x.values)
+    assert x.control == target.control and nat_vec_leq(target.values, x.values)
 
 
 def test_check_cover_monotone_bounded(m8):
@@ -428,6 +429,21 @@ def test_check_cover_monotone_bounded(m8):
     )
     with pytest.raises(ValueError):
         check_cover_monotone_bounded(m, CounterConfig("q0", (0,)), 0, 6)
+
+
+def test_check_cover_monotone_bounded_matches_reference():
+    # one bounded search per y1 must give the answer and the first violation
+    # of the per-step searches it replaced
+    rng = Random(20261018)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        m = random_counter_machine(rng, zero_tests=True, max_states=3, max_transitions=5)
+        x0 = m.initial_config(tuple(rng.randint(0, 1) for _ in m.counters))
+        for caps in ((2, 2), (3, 3)):
+            got = check_cover_monotone_bounded(m, x0, *caps)
+            assert got == ref_check_cover_monotone_bounded(m, x0, *caps), (m, x0, caps)
+            outcomes[got[0]] += 1
+    assert outcomes[False] >= 20 and outcomes[True] >= 20, outcomes
 
 
 def test_machines_without_zero_tests_are_cover_monotone():

@@ -112,10 +112,16 @@ def test_bad_transitions():
     assert "unknown state 'q9'" in str(e) and e.line == 4 and e.col == 18
     assert "unknown counter 'd'" in str(err(base.format("q0 -- inc(d) --> q0")))
     assert "unknown counter 'd'" in str(err(base.format("q0 -- noop [zero: d] --> q0")))
+    e = err(base.format("q0 -- noop --> q"))
+    assert "unknown state 'q'" in str(e) and e.col == 16
+    e = err(base.format("  q0 -- inc(c) --> q9"))  # columns count the indent
+    assert "unknown state 'q9'" in str(e) and e.line == 4 and e.col == 20
     fifo = "kind fifo\nstates q0\nchannels ch\nalphabet a\n{}\ninit q0\n"
     assert "bad fifo transition" in str(err(fifo.format("q0 -- ch*a --> q0")))
     assert "unknown channel 'xx'" in str(err(fifo.format("q0 -- xx!a --> q0")))
     assert "unknown letter 'z'" in str(err(fifo.format("q0 -- ch!z --> q0")))
+    e = err(fifo.format("q0 -- ch!c --> q0"))
+    assert "unknown letter 'c'" in str(e) and e.col == 10
 
 
 def test_bad_bounds():
@@ -123,6 +129,8 @@ def test_bad_bounds():
     assert "unknown channel" in str(err(base.format("bound xx: (ab)")))
     assert "bad bound words" in str(err(base.format("bound ch: ab")))
     assert "unknown letter 'z'" in str(err(base.format("bound ch: (az)")))
+    e = err(base.format("bound ch: (az)"))  # the column of z on the line
+    assert e.line == 6 and e.col == 13
     two = base.format("bound ch: (a)\nbound ch: (b)")
     assert "duplicate bound clause" in str(err(two))
 
@@ -136,6 +144,8 @@ def test_bad_init():
     fifo = "kind fifo\nstates q0\nchannels ch\nalphabet a\ninit {}\n"
     assert "unknown channel" in str(err(fifo.format('q0 xx:"a"')))
     assert "unknown letter" in str(err(fifo.format('q0 ch:"z"')))
+    e = err(fifo.format('q0 ch:"ib"'))
+    assert "unknown letter 'i'" in str(e) and e.col == 13
 
 
 def test_unrecognized_statement():

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from conftest import MODELS
 from gen import random_fifo_machine, random_loop_instance
 from oracles import ref_completable_pairs, ref_fifo_step, ref_run, simulate_iterations
 from wstskit.fifo import (
@@ -29,6 +30,7 @@ from wstskit.fifo import (
     resolve_action_run,
     send_proj,
 )
+from wstskit.cli import main
 from wstskit.olts import fifo_olts
 
 
@@ -329,6 +331,104 @@ def test_normalization_renames_occurrences_apart():
         ("p0", "a2", "p0"),
         ("p0", "b1", "p0"),
     ]
+
+
+def test_normalization_name_clash_and_letters_of_other_channels():
+    m = FifoMachine(
+        ("p0",), ("c", "d"), Alphabet(["a", "a1"]),
+        (
+            FifoTransition("p0", "c", SEND, 0, "p0"),
+            FifoTransition("p0", "d", SEND, 0, "p0"),  # a is only in c's words
+            FifoTransition("p0", "c", RECV, 1, "p0"),  # a1 is in no word
+        ),
+        "p0",
+    )
+    norm = normalize_distinct_letter(m, bounded_lang(m, {"c": ("aa",), "d": ()}))
+    # the first fresh name for a, a1, clashes with a declared letter
+    assert norm.machine.alphabet.letters == ("a", "a1", "a1_", "a2")
+    assert norm.letter_map == {"a": "a", "a1": "a1", "a1_": "a", "a2": "a"}
+    assert norm.positions == {"a1_": ("c", 0, 0), "a2": ("c", 0, 1)}
+    assert norm.lang.blocks == (((2, 3),), ())
+    # transitions whose letter no word of their channel uses are kept verbatim
+    assert norm.machine.transitions == (
+        FifoTransition("p0", "c", SEND, 2, "p0"),
+        FifoTransition("p0", "c", SEND, 3, "p0"),
+        FifoTransition("p0", "d", SEND, 0, "p0"),
+        FifoTransition("p0", "c", RECV, 1, "p0"),
+    )
+
+
+M4_PRODUCT = """\
+# product of m4 with bounds: ch: (ab)
+kind fifo
+states q0_s0_r0 q1_s1_r0 q2_s0_r0 q0_s0_r1 q1_s1_r1 q2_s0_r1
+channels ch
+alphabet a b
+q0_s0_r0 -- ch!a --> q1_s1_r0
+q1_s1_r0 -- ch!b --> q2_s0_r0
+q2_s0_r0 -- ch?a --> q0_s0_r1
+q0_s0_r1 -- ch!a --> q1_s1_r1
+q1_s1_r1 -- ch!b --> q2_s0_r1
+init q0_s0_r0
+"""
+
+MIX_MODEL = """\
+kind fifo
+states p q
+channels c d
+alphabet a b a1
+p -- c!a --> q
+q -- c!b --> p
+q -- d!a --> q
+q -- d!b --> q
+p -- c?a --> p
+p -- c?b --> p
+bound c: (ab)(a)
+bound d: (b)
+init p
+"""
+
+MIX_PRODUCT = """\
+# product of mix with bounds: c: (ab)(a); d: (b)
+# letter a1_ -> a (channel c, word 0, position 0)
+# letter a2 -> a (channel c, word 1, position 0)
+# letter b1 -> b (channel c, word 0, position 1)
+# letter b2 -> b (channel d, word 0, position 0)
+kind fifo
+states p_s0_r0 q_s1_r0 q_s2_r0 p_s0_r1 p_s0_r2 q_s1_r1 q_s2_r1 q_s1_r2 q_s2_r2
+channels c d
+alphabet a b a1 a1_ b1 a2 b2
+p_s0_r0 -- c!a1_ --> q_s1_r0
+p_s0_r0 -- c!a2 --> q_s2_r0
+p_s0_r0 -- c?a1_ --> p_s0_r1
+p_s0_r0 -- c?a2 --> p_s0_r2
+q_s1_r0 -- c!b1 --> p_s0_r0
+q_s1_r0 -- d!b2 --> q_s1_r0
+q_s2_r0 -- d!b2 --> q_s2_r0
+p_s0_r1 -- c!a1_ --> q_s1_r1
+p_s0_r1 -- c!a2 --> q_s2_r1
+p_s0_r1 -- c?b1 --> p_s0_r0
+p_s0_r2 -- c!a1_ --> q_s1_r2
+p_s0_r2 -- c!a2 --> q_s2_r2
+p_s0_r2 -- c?a2 --> p_s0_r2
+q_s1_r1 -- c!b1 --> p_s0_r1
+q_s1_r1 -- d!b2 --> q_s1_r1
+q_s2_r1 -- d!b2 --> q_s2_r1
+q_s1_r2 -- c!b1 --> p_s0_r2
+q_s1_r2 -- d!b2 --> q_s1_r2
+q_s2_r2 -- d!b2 --> q_s2_r2
+init p_s0_r0
+"""
+
+
+def test_product_output_is_pinned(tmp_path, capsys):
+    # the whole `wstskit product` text, distinct-letter (m4) and renamed
+    # (a repeated letter, a name clash, and d!a dropped: a is in c's words only)
+    mix = tmp_path / "mix.model"
+    mix.write_text(MIX_MODEL, encoding="utf-8")
+    for model, expected in ((MODELS / "m4.model", M4_PRODUCT), (mix, MIX_PRODUCT)):
+        assert main(["product", str(model)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_send_dfa_acceptance(m4):
