@@ -139,21 +139,17 @@ def downset_post(machine: CounterMachine, d: DownSet) -> DownSet:
     _check_signature(machine, d)
     out = []
     for ideal in d.ideals:
-        for t in machine.transitions:
-            if t.source != ideal.control:
-                continue
+        for _, zeros, ci, op, target in machine.post_index[ideal.control]:
             bounds = list(ideal.bounds)
-            for c in t.zero_tests:
-                bounds[machine.counter_index(c)] = 0
-            if t.op == OP_INC:
-                ci = machine.counter_index(t.counter)
+            for j in zeros:
+                bounds[j] = 0
+            if op == OP_INC:
                 bounds[ci] = bounds[ci] + 1
-            elif t.op == OP_DEC:
-                ci = machine.counter_index(t.counter)
+            elif op == OP_DEC:
                 if bounds[ci] < 1:
                     continue
                 bounds[ci] = bounds[ci] - 1
-            out.append(Ideal(t.target, tuple(bounds)))
+            out.append(Ideal(target, tuple(bounds)))
     return downset_normalize(out)
 
 

@@ -294,10 +294,14 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
     _require_state(states, q0, lineno, base + m.start(1))
     contents = [()] * len(channels)
     start = base + m.start(2)
+    named = set()
     for c in _FIFO_CONTENT_RE.finditer(m.group(2)):
         ch, word = c.groups()
         if ch not in channels:
             raise ParseError(lineno, start + c.start(1), f"unknown channel {ch!r}")
+        if ch in named:
+            raise ParseError(lineno, start + c.start(1), f"duplicate channel {ch!r} in init")
+        named.add(ch)
         for i, letter in enumerate(word):
             if letter not in alphabet:
                 raise ParseError(lineno, start + c.start(2) + i, f"unknown letter {letter!r}")

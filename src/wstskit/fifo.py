@@ -384,19 +384,23 @@ def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normal
 
 @dataclass
 class Dfa:
-    """Deterministic automaton over machine actions (channel, direction, letter).
+    """Deterministic automaton over machine actions (channel, direction, letter)
+    that tracks one direction, ``tracked`` (SEND or RECV).
 
-    ``delta`` is partial; a missing entry rejects.  Explicit self-loops are
-    stored for the direction the automaton does not track, so stepping is
-    uniform for both the send and the receive automaton.
+    ``delta`` holds the moves of the tracked direction and is partial; a
+    missing entry rejects.  An action of the other direction leaves the
+    state unchanged.
     """
 
     states: tuple[str, ...]
     initial: str
     accepting: frozenset[str]
+    tracked: str
     delta: dict[tuple[str, Action], str]
 
     def step(self, state: str, action: Action) -> str | None:
+        if action[1] != self.tracked:
+            return state
         return self.delta.get((state, action))
 
     def run(self, actions: Iterable[Action]) -> str | None:
@@ -413,12 +417,10 @@ class Dfa:
 
 
 def _tracker_step(
-    blocks: tuple[tuple[int, ...], ...],
-    posmap: dict[int, tuple[int, int]],
-    pos: tuple[int, int],
-    lid: int,
+    blocks: tuple[tuple[int, ...], ...], hit: tuple[int, int], pos: tuple[int, int]
 ) -> tuple[int, int] | None:
-    """Advance a cyclic position tracker through w_1^* ... w_n^*.
+    """Advance a cyclic position tracker through w_1^* ... w_n^* on the
+    letter at position ``hit``.
 
     State (i, j) means: blocks before i are complete, j letters of w_i are
     matched.  The letter at position (k, l) is enabled when it is the next
@@ -426,9 +428,6 @@ def _tracker_step(
     block at a block boundary, j = l = 0 and k > i; either way the tracker
     moves to (k, l + 1), back to (k, 0) at the end of w_k.
     """
-    hit = posmap.get(lid)
-    if hit is None:
-        return None
     k, l = hit
     i, j = pos
     if (k, l) == (i, j) or (j == l == 0 and k > i):
@@ -445,43 +444,31 @@ def _build_position_dfa(
     if missing:
         raise ValueError(f"bounded language misses channels: {missing}")
 
-    per_channel_blocks = [lang.blocks_for(ch) for ch in machine.channels]
-    posmaps: list[dict[int, tuple[int, int]]] = []
-    for blocks in per_channel_blocks:
-        posmap: dict[int, tuple[int, int]] = {}
-        for bi, w in enumerate(blocks):
-            for oi, lid in enumerate(w):
-                posmap[lid] = (bi, oi)
-        posmaps.append(posmap)
+    # per channel: its blocks and its letters, each with the action it
+    # labels and its (block, offset); letter-id order fixes the order in
+    # which states are discovered, and so their names
+    channel_moves = []
+    for ch in machine.channels:
+        blocks = lang.blocks_for(ch)
+        hits = sorted((lid, (bi, oi)) for bi, w in enumerate(blocks) for oi, lid in enumerate(w))
+        channel_moves.append((blocks, [((ch, tracked, lid), hit) for lid, hit in hits]))
 
-    actions: list[Action] = [
-        (ch, kind, lid)
-        for ch in machine.channels
-        for kind in (SEND, RECV)
-        for lid in range(len(machine.alphabet))
-    ]
-
-    initial = ((0, 0),) * len(per_channel_blocks)
+    initial = ((0, 0),) * len(machine.channels)
     names: dict[tuple, str] = {initial: f"{prefix}0"}  # in discovery order
     delta: dict[tuple[str, Action], str] = {}
     queue = deque([initial])
     while queue:
         state = queue.popleft()
-        for a in actions:
-            ch, kind, lid = a
-            if kind != tracked:
-                nxt = state  # the untracked direction never moves the DFA
-            else:
-                ci = machine.channel_index(ch)
-                # an empty language has an empty position map: nothing moves
-                moved = _tracker_step(per_channel_blocks[ci], posmaps[ci], state[ci], lid)
+        for ci, (blocks, moves) in enumerate(channel_moves):
+            for action, hit in moves:
+                moved = _tracker_step(blocks, hit, state[ci])
                 if moved is None:
                     continue
                 nxt = state[:ci] + (moved,) + state[ci + 1 :]
-            if nxt not in names:
-                names[nxt] = f"{prefix}{len(names)}"
-                queue.append(nxt)
-            delta[(names[state], a)] = names[nxt]
+                if nxt not in names:
+                    names[nxt] = f"{prefix}{len(names)}"
+                    queue.append(nxt)
+                delta[(names[state], action)] = names[nxt]
 
     if tracked == SEND:
         accepting = frozenset(
@@ -493,6 +480,7 @@ def _build_position_dfa(
         states=tuple(names.values()),
         initial=names[initial],
         accepting=accepting,
+        tracked=tracked,
         delta=delta,
     )
 
@@ -501,15 +489,15 @@ def build_send_dfa(machine: FifoMachine, lang: BoundedLang) -> Dfa:
     """DFA accepting action sequences whose send projections lie in L_c.
 
     Product over channels of cyclic position trackers; receive actions
-    self-loop.  Accepting states are those with every tracker at a block
-    boundary (each channel's sent word is a complete element of L_c).
+    leave it unchanged.  Accepting states are those with every tracker at
+    a block boundary (each channel's sent word is a complete element of L_c).
     """
     return _build_position_dfa(machine, lang, SEND, "s")
 
 
 def build_recv_dfa(machine: FifoMachine, lang: BoundedLang) -> Dfa:
     """DFA accepting action sequences whose receive projections lie in
-    Pref(L_c); all states accepting, send actions self-loop."""
+    Pref(L_c); all states accepting, send actions leave it unchanged."""
     return _build_position_dfa(machine, lang, RECV, "r")
 
 
@@ -519,47 +507,31 @@ def product_machine(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> FifoM
     Control states are the reachable triples (q, s, r), all of them kept:
     the position DFAs are trim, so every reachable pair (s, r) completes to
     joint acceptance (send the rest of each channel's current word; the
-    receive DFA accepts everywhere and self-loops on sends).
+    receive DFA accepts everywhere and ignores sends).  A triple is named
+    ``q_s_r``; DFA state names have no ``_``, so distinct triples get
+    distinct names.
     """
+    channels = machine.channels
     init = (machine.initial, send_dfa.initial, recv_dfa.initial)
-
-    names: dict[tuple[str, str, str], str] = {}  # the visited triples, in discovery order
-    taken: set[str] = set()
-
-    def name_of(triple: tuple[str, str, str]) -> str:
-        if triple not in names:
-            base = "_".join(triple)
-            name = base
-            k = 2
-            while name in taken:
-                name = f"{base}_{k}"
-                k += 1
-            names[triple] = name
-            taken.add(name)
-        return names[triple]
-
-    name_of(init)
+    names = {init: "_".join(init)}  # the visited triples, in discovery order
     transitions: list[FifoTransition] = []
     queue = deque([init])
     while queue:
         q, s, r = queue.popleft()
-        for t in machine.transitions:
-            if t.source != q:
-                continue
-            action: Action = (t.channel, t.kind, t.letter)
+        for _, ci, send, letter, target in machine.post_index[q]:
+            action: Action = (channels[ci], SEND if send else RECV, letter)
             s2 = send_dfa.step(s, action)
             r2 = recv_dfa.step(r, action)
             if s2 is None or r2 is None:
                 continue
-            triple = (t.target, s2, r2)
+            triple = (target, s2, r2)
             if triple not in names:
+                names[triple] = "_".join(triple)
                 queue.append(triple)
-            transitions.append(
-                FifoTransition(names[q, s, r], t.channel, t.kind, t.letter, name_of(triple))
-            )
+            transitions.append(FifoTransition(names[q, s, r], *action, names[triple]))
     return FifoMachine(
         states=tuple(names.values()),
-        channels=machine.channels,
+        channels=channels,
         alphabet=machine.alphabet,
         transitions=tuple(transitions),
         initial=names[init],

@@ -29,12 +29,3 @@ class AnalysisVerdict:
     @property
     def is_definite(self) -> bool:
         return self.outcome is not Outcome.INCONCLUSIVE
-
-    def __str__(self) -> str:
-        parts = [self.outcome.value]
-        if self.witness is not None:
-            parts.append(f"witness={self.witness}")
-        parts.append(f"budget_used={self.budget_used}")
-        for c in self.caveats:
-            parts.append(f"caveat: {c}")
-        return "; ".join(parts)

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from wstskit.counter import OP_DEC, OP_INC, CounterConfig, CounterMachine
 from wstskit.cover import DownSet
-from wstskit.fifo import RECV, SEND, Dfa, FifoConfig, FifoMachine
+from wstskit.fifo import RECV, SEND, BoundedLang, Dfa, FifoConfig, FifoMachine
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,70 @@ def ref_rrt(machine, x0, step: Callable, leq: Callable, *, max_nodes: int) -> di
 
 
 # ---------------------------------------------------------------------------
-# Bounded-language automata, by backward search over DFA pairs.
+# Bounded-language automata: an explicit transition table over every action,
+# and a backward search over DFA pairs.
+
+
+def ref_position_dfa(
+    machine: FifoMachine, lang: BoundedLang, tracked: str, prefix: str
+) -> tuple[tuple[str, ...], str, frozenset[str], dict]:
+    """The position DFA for ``tracked`` (SEND or RECV) as a full table.
+
+    Explores the per-channel (block, offset) trackers breadth first over
+    every action in channels x {!, ?} x alphabet order, naming states
+    ``prefix<n>`` in discovery order.  Every action of the other direction
+    is stored as a self-loop; a missing entry rejects.  Returns
+    ``(states, initial, accepting, delta)`` with ``delta`` keyed by
+    ``(state, action)``.  The language must be distinct-letter.
+    """
+    per_channel_blocks = [lang.blocks[lang.channels.index(ch)] for ch in machine.channels]
+    posmaps = [
+        {lid: (bi, oi) for bi, w in enumerate(blocks) for oi, lid in enumerate(w)}
+        for blocks in per_channel_blocks
+    ]
+    actions = [
+        (ch, kind, lid)
+        for ch in machine.channels
+        for kind in (SEND, RECV)
+        for lid in range(len(machine.alphabet))
+    ]
+
+    def tracker_step(ci: int, pos: tuple[int, int], lid: int):
+        hit = posmaps[ci].get(lid)
+        if hit is None:
+            return None
+        k, l = hit
+        i, j = pos
+        if (k, l) == (i, j) or (j == l == 0 and k > i):
+            return (k, (l + 1) % len(per_channel_blocks[ci][k]))
+        return None
+
+    initial = ((0, 0),) * len(per_channel_blocks)
+    names = {initial: f"{prefix}0"}
+    delta = {}
+    queue = deque([initial])
+    while queue:
+        state = queue.popleft()
+        for a in actions:
+            ch, kind, lid = a
+            if kind != tracked:
+                nxt = state
+            else:
+                ci = machine.channels.index(ch)
+                moved = tracker_step(ci, state[ci], lid)
+                if moved is None:
+                    continue
+                nxt = state[:ci] + (moved,) + state[ci + 1 :]
+            if nxt not in names:
+                names[nxt] = f"{prefix}{len(names)}"
+                queue.append(nxt)
+            delta[(names[state], a)] = names[nxt]
+
+    if tracked == SEND:
+        accepting = frozenset(name for s, name in names.items() if all(p[1] == 0 for p in s))
+    else:
+        accepting = frozenset(names.values())
+    return tuple(names.values()), names[initial], accepting, delta
 
 
 def ref_completable_pairs(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> set[tuple[str, str]]:
@@ -250,8 +313,8 @@ def ref_completable_pairs(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) ->
     preds: dict[tuple[str, str], set[tuple[str, str]]] = {p: set() for p in pairs}
     for s, r in pairs:
         for a in actions:
-            s2 = send_dfa.delta.get((s, a))
-            r2 = recv_dfa.delta.get((r, a))
+            s2 = send_dfa.step(s, a)
+            r2 = recv_dfa.step(r, a)
             if s2 is not None and r2 is not None:
                 preds[(s2, r2)].add((s, r))
     good = {

@@ -146,6 +146,8 @@ def test_bad_init():
     assert "unknown letter" in str(err(fifo.format('q0 ch:"z"')))
     e = err(fifo.format('q0 ch:"ib"'))
     assert "unknown letter 'i'" in str(e) and e.col == 13
+    e = err(fifo.format('q0 ch:"a" ch:"b"'))  # the second naming is refused, not kept
+    assert "duplicate channel 'ch' in init" in str(e) and e.col == 16
 
 
 def test_unrecognized_statement():

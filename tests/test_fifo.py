@@ -9,7 +9,13 @@ import pytest
 
 from conftest import MODELS
 from gen import random_fifo_machine, random_loop_instance
-from oracles import ref_completable_pairs, ref_fifo_step, ref_run, simulate_iterations
+from oracles import (
+    ref_completable_pairs,
+    ref_fifo_step,
+    ref_position_dfa,
+    ref_run,
+    simulate_iterations,
+)
 from wstskit.fifo import (
     RECV,
     SEND,
@@ -496,12 +502,12 @@ def test_product_matches_expected_path(m3, m4):
     assert m3.machine.states == m4.machine.states  # same underlying triangle
 
 
-def test_every_position_dfa_pair_is_completable():
-    # product_machine keeps every reachable triple because no DFA pair is a
-    # dead end; check that against the backward search on random languages
-    rng = Random(20261101)
-    seen = set()
-    for _ in range(120):
+def random_languages(seed: int, count: int):
+    """``count`` random machines with bounded languages on 1-3 channels,
+    with distinct or repeated letters and some empty channels, each
+    normalized: yields (original machine, language, normalization)."""
+    rng = Random(seed)
+    for _ in range(count):
         m = random_fifo_machine(rng, max_channels=3, letters="abcdef", max_transitions=6)
         pool = list(m.alphabet.letters)
         rng.shuffle(pool)
@@ -516,18 +522,50 @@ def test_every_position_dfa_pair_is_completable():
                 for _ in range(rng.randint(0, 3))
             )
         lang = bounded_lang(m, words)
-        norm = normalize_distinct_letter(m, lang)
+        yield m, lang, normalize_distinct_letter(m, lang)
+
+
+def language_kinds(m: FifoMachine, lang: BoundedLang) -> set[str]:
+    kinds = {"distinct" if lang.distinct_letter else "repeated", f"{len(m.channels)} channels"}
+    if not all(lang.blocks):
+        kinds.add("empty channel")
+    return kinds
+
+
+ALL_LANGUAGE_KINDS = {
+    "distinct", "repeated", "empty channel", "1 channels", "2 channels", "3 channels",
+}
+
+
+def test_every_position_dfa_pair_is_completable():
+    # product_machine keeps every reachable triple because no DFA pair is a
+    # dead end; check that against the backward search on random languages
+    seen = set()
+    for m, lang, norm in random_languages(20261101, 120):
         send = build_send_dfa(norm.machine, norm.lang)
         recv = build_recv_dfa(norm.machine, norm.lang)
         pairs = {(s, r) for s in send.states for r in recv.states}
         assert ref_completable_pairs(norm.machine, send, recv) == pairs, (m, lang.show())
-        seen.add("distinct" if lang.distinct_letter else "repeated")
-        seen.add(f"{len(m.channels)} channels")
-        if not all(words.values()):
-            seen.add("empty channel")
-    assert seen == {
-        "distinct", "repeated", "empty channel", "1 channels", "2 channels", "3 channels",
-    }
+        seen |= language_kinds(m, lang)
+    assert seen == ALL_LANGUAGE_KINDS
+
+
+def test_position_dfas_match_the_explicit_table():
+    # the DFAs store only tracked moves; stepping must agree with the full
+    # table, self-loops included, on every action over the machine's signature
+    seen = set()
+    for m, lang, norm in random_languages(20261018, 150):
+        machine = norm.machine
+        actions = list(iproduct(machine.channels, (SEND, RECV), range(len(machine.alphabet))))
+        for build, tracked, prefix in ((build_send_dfa, SEND, "s"), (build_recv_dfa, RECV, "r")):
+            dfa = build(machine, norm.lang)
+            states, initial, accepting, delta = ref_position_dfa(machine, norm.lang, tracked, prefix)
+            assert (dfa.states, dfa.initial, dfa.accepting) == (states, initial, accepting)
+            for state in states:
+                for a in actions:
+                    assert dfa.step(state, a) == delta.get((state, a)), (lang.show(), state, a)
+        seen |= language_kinds(m, lang)
+    assert seen == ALL_LANGUAGE_KINDS
 
 
 def trace_actions(machine: FifoMachine, depth: int):
