@@ -29,6 +29,7 @@ from .cover import (
     backward_coverability,
     check_cover_monotone_bounded,
     downset_candidates,
+    downset_closed,
     downset_contains,
     downset_normalize,
     downset_of_config,

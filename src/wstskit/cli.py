@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
 from typing import Optional
 
 from .counter import CounterConfig, is_cmrz
-from .cover import DownSet, downset_post, downset_subset, x0_coverability
+from .cover import DownSet, downset_closed, x0_coverability
+# not called here; kept as cli attributes because bench/tracing.py wraps them
+from .cover import downset_post, downset_subset  # noqa: F401
 from .dsl import ModelFile, ParseError, parse_model, parse_target, print_model
 from .fifo import (
     FifoConfig,
@@ -208,7 +211,7 @@ def _cmd_check(parser: _Parser, args) -> int:
             # A certificate from candidate enumeration is closed under post; one
             # from an exhausted forward search is the closure of the reach set
             # and need not be. Label them apart so both stay checkable.
-            if downset_subset(downset_post(mf.machine, cert), cert):
+            if downset_closed(mf.machine, cert):
                 witness = {"invariant": shown}
             else:
                 witness = {"reach_closure": shown}
@@ -282,6 +285,11 @@ def _tree_witness(analysis, tree, olts, verdict):
     }
 
 
+def _natural_key(name: str) -> list:
+    """Sort key that compares digit runs as numbers, so a2 comes before a10."""
+    return [int(part) if i % 2 else part for i, part in enumerate(re.split(r"(\d+)", name))]
+
+
 def _cmd_product(parser: _Parser, args) -> int:
     mf = _load_model(parser, args.model)
     if mf.kind != "fifo":
@@ -301,7 +309,7 @@ def _cmd_product(parser: _Parser, args) -> int:
 
     header = [f"# product of {mf.machine.name} with bounds: {mf.lang.show()}"]
     renames = {new: old for new, old in norm.letter_map.items() if new != old}
-    for new in sorted(renames):
+    for new in sorted(renames, key=_natural_key):
         ch, block, offset = norm.positions[new]
         header.append(
             f"# letter {new} -> {renames[new]} (channel {ch}, word {block}, position {offset})"

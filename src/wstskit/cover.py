@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .counter import (
     OP_DEC,
@@ -127,30 +127,48 @@ def _check_signature(machine: CounterMachine, d: DownSet) -> None:
             raise ValueError(f"ideal dimension {len(i.bounds)} != machine dimension {k}")
 
 
-def downset_post(machine: CounterMachine, d: DownSet) -> DownSet:
-    """Exact one-step image, downward closed.
+def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
+    """Successor ideals of one ideal, per transition from its control state.
 
-    Per ideal and transition from its control state: a zero test first
-    restricts the ideal to the sub-ideal with the tested entries at 0
-    (never empty, the sets are downward closed); then inc adds one to the
-    bound (ω stays ω), dec needs a bound of at least 1 or ω and subtracts
-    one (ω stays ω), otherwise the transition contributes nothing.
+    A zero test first restricts the ideal to the sub-ideal with the tested
+    entries at 0 (never empty, the sets are downward closed); then inc
+    adds one to the bound (ω stays ω), dec needs a bound of at least 1 or
+    ω and subtracts one (ω stays ω), otherwise the transition contributes
+    nothing.
+    """
+    for _, zeros, ci, op, target in machine.post_index[ideal.control]:
+        bounds = list(ideal.bounds)
+        for j in zeros:
+            bounds[j] = 0
+        if op == OP_INC:
+            bounds[ci] = bounds[ci] + 1
+        elif op == OP_DEC:
+            if bounds[ci] < 1:
+                continue
+            bounds[ci] = bounds[ci] - 1
+        yield Ideal(target, tuple(bounds))
+
+
+def downset_post(machine: CounterMachine, d: DownSet) -> DownSet:
+    """Exact one-step image, downward closed: the union of the successor
+    ideals of every ideal of d."""
+    _check_signature(machine, d)
+    return downset_normalize(s for ideal in d.ideals for s in _ideal_post(machine, ideal))
+
+
+def downset_closed(machine: CounterMachine, d: DownSet) -> bool:
+    """Whether d is inductive, post(d) ⊆ d.
+
+    The same answer as ``downset_subset(downset_post(machine, d), d)``, but
+    each successor ideal is tested against d as it is made, and the test
+    stops at the first one outside d, without normalising the image.
     """
     _check_signature(machine, d)
-    out = []
-    for ideal in d.ideals:
-        for _, zeros, ci, op, target in machine.post_index[ideal.control]:
-            bounds = list(ideal.bounds)
-            for j in zeros:
-                bounds[j] = 0
-            if op == OP_INC:
-                bounds[ci] = bounds[ci] + 1
-            elif op == OP_DEC:
-                if bounds[ci] < 1:
-                    continue
-                bounds[ci] = bounds[ci] - 1
-            out.append(Ideal(target, tuple(bounds)))
-    return downset_normalize(out)
+    return all(
+        any(ideal_subset(s, b) for b in d.ideals)
+        for ideal in d.ideals
+        for s in _ideal_post(machine, ideal)
+    )
 
 
 def downset_post_monotone(machine: CounterMachine, d: DownSet) -> DownSet:
@@ -260,28 +278,34 @@ def forward_cover_semiproc(
 
 
 def _antichain_subsets(vectors: list[Vec], max_size: int) -> list[tuple[Vec, ...]]:
-    out: list[tuple[Vec, ...]] = []
-    for size in range(0, max_size + 1):
-        for combo in itertools.combinations(vectors, size):
-            ok = True
-            for a, b in itertools.combinations(combo, 2):
-                if nat_vec_leq(a, b) or nat_vec_leq(b, a):
-                    ok = False
-                    break
-            if ok:
-                out.append(combo)
+    """Every antichain of at most ``max_size`` vectors, by size and then in
+    the order ``itertools.combinations`` lists subsets of that size.
+
+    Antichains are closed under subsets, so each antichain of size s + 1
+    is one of size s grown by a later vector incomparable with all of its
+    members.  Each antichain carries those vectors as a bitmask over
+    positions in ``vectors``; growing by position j keeps the bits above j
+    that are also incomparable with vector j.
+    """
+    later = [0] * len(vectors)  # bit j of later[i]: j > i and the two incomparable
+    for i, a in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            b = vectors[j]
+            if not (nat_vec_leq(a, b) or nat_vec_leq(b, a)):
+                later[i] |= 1 << j
+    out: list[tuple[Vec, ...]] = [()]
+    level: list[tuple[tuple[Vec, ...], int]] = [((), (1 << len(vectors)) - 1)]
+    for _ in range(max_size):
+        grown = []
+        for combo, free in level:
+            while free:
+                low = free & -free
+                free ^= low
+                j = low.bit_length() - 1
+                grown.append((combo + (vectors[j],), free & later[j]))
+        out.extend(combo for combo, _ in grown)
+        level = grown
     return out
-
-
-def _fits_bound(d: DownSet, controls: Sequence[str], bound: int) -> bool:
-    per_control = {q: 0 for q in controls}
-    for i in d.ideals:
-        per_control[i.control] += 1
-        if per_control[i.control] > bound:
-            return False
-        if any(e != OMEGA and e > bound for e in i.bounds):
-            return False
-    return True
 
 
 def downset_candidates(machine: CounterMachine) -> Iterator[DownSet]:
@@ -292,23 +316,25 @@ def downset_candidates(machine: CounterMachine) -> Iterator[DownSet]:
     (ω entries are allowed at every bound).  Per-control vector lists are
     ordered lexicographically with ω last, subsets by size then position,
     and the per-control choices combine in control declaration order.
-    Sets already produced at a smaller bound are skipped.  With no
-    counters every set appears at bound 1, so the enumeration ends there.
+    Sets already produced at a smaller bound are skipped: those whose
+    every per-control choice fits bound B - 1.  With no counters every
+    set appears at bound 1, so the enumeration ends there.
     """
     k = len(machine.counters)
     controls = machine.states
+    # each choice's vectors are already sorted; join them by control name
+    canonical = sorted(range(len(controls)), key=controls.__getitem__)
     for bound in itertools.count(1) if k else (1,):
         entries = list(range(bound + 1)) + [OMEGA]
-        vectors = [tuple(v) for v in itertools.product(entries, repeat=k)]
-        options = _antichain_subsets(vectors, bound)
-        for combo in itertools.product(options, repeat=len(controls)):
-            ideals = [
-                Ideal(q, vec) for q, part in zip(controls, combo) for vec in part
-            ]
-            d = DownSet(tuple(sorted(ideals, key=_ideal_sort_key)))
-            if _fits_bound(d, controls, bound - 1):
+        options = _antichain_subsets(list(itertools.product(entries, repeat=k)), bound)
+        fits_below = [
+            len(part) < bound and all(e == OMEGA or e < bound for v in part for e in v)
+            for part in options
+        ]
+        for combo in itertools.product(zip(options, fits_below), repeat=len(controls)):
+            if all(old for _, old in combo):
                 continue
-            yield d
+            yield DownSet(tuple(Ideal(controls[i], v) for i in canonical for v in combo[i][0]))
 
 
 def noncover_semiproc(
@@ -335,7 +361,7 @@ def noncover_semiproc(
             continue
         if downset_contains(d, y):
             continue
-        if downset_subset(downset_post(machine, d), d):
+        if downset_closed(machine, d):
             return AnalysisVerdict(Outcome.NEGATIVE, d, tested)
     return AnalysisVerdict(Outcome.INCONCLUSIVE, None, tested)
 
@@ -392,7 +418,7 @@ def x0_coverability(
         if (
             downset_contains(d, x0)
             and not downset_contains(d, y)
-            and downset_subset(downset_post(machine, d), d)
+            and downset_closed(machine, d)
         ):
             return AnalysisVerdict(Outcome.NEGATIVE, d, rounds)
     return AnalysisVerdict(

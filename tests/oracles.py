@@ -9,11 +9,12 @@ rather than tautology.
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations, count
 from itertools import product as iproduct
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from wstskit.counter import OP_DEC, OP_INC, CounterConfig, CounterMachine
-from wstskit.cover import DownSet
+from wstskit.cover import OMEGA, DownSet, Ideal
 from wstskit.fifo import RECV, SEND, BoundedLang, Dfa, FifoConfig, FifoMachine
 
 
@@ -369,6 +370,47 @@ def ref_post_downclosed(
         for values in iproduct(*(range(min(v, cap) + 1) for v in y.values)):
             out.add(CounterConfig(y.control, tuple(values)))
     return out
+
+
+def _ref_antichain_subsets(vectors: list, max_size: int) -> list[tuple]:
+    out = []
+    for size in range(0, max_size + 1):
+        for combo in combinations(vectors, size):
+            if not any(
+                all(x <= y for x, y in zip(a, b)) or all(y <= x for x, y in zip(a, b))
+                for a, b in combinations(combo, 2)
+            ):
+                out.append(combo)
+    return out
+
+
+def _ref_fits_bound(d: DownSet, controls: Sequence[str], bound: int) -> bool:
+    per_control = {q: 0 for q in controls}
+    for i in d.ideals:
+        per_control[i.control] += 1
+        if per_control[i.control] > bound:
+            return False
+        if any(e != OMEGA and e > bound for e in i.bounds):
+            return False
+    return True
+
+
+def ref_downset_candidates(machine: CounterMachine) -> Iterator[DownSet]:
+    """The certificate candidates by brute force, in the library's order:
+    every subset of every vector list is tried for being an antichain, and
+    every combination is built and sorted before the smaller-bound test."""
+    k = len(machine.counters)
+    controls = machine.states
+    for bound in count(1) if k else (1,):
+        entries = list(range(bound + 1)) + [OMEGA]
+        vectors = [tuple(v) for v in iproduct(entries, repeat=k)]
+        options = _ref_antichain_subsets(vectors, bound)
+        for combo in iproduct(options, repeat=len(controls)):
+            ideals = [Ideal(q, vec) for q, part in zip(controls, combo) for vec in part]
+            d = DownSet(tuple(sorted(ideals, key=lambda i: (i.control, i.bounds))))
+            if _ref_fits_bound(d, controls, bound - 1):
+                continue
+            yield d
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import islice
 from itertools import product as iproduct
 from pathlib import Path
@@ -21,6 +22,7 @@ from oracles import (
     downset_members,
     ref_check_cover_monotone_bounded,
     ref_counter_step,
+    ref_downset_candidates,
     ref_ideal_member,
     ref_post_downclosed,
 )
@@ -40,6 +42,7 @@ from wstskit.cover import (
     backward_coverability,
     check_cover_monotone_bounded,
     downset_candidates,
+    downset_closed,
     downset_contains,
     downset_normalize,
     downset_of_config,
@@ -147,6 +150,47 @@ def test_downset_post_signature_check(m7):
         downset_post(m7.machine, DownSet((Ideal("nope", (0,)),)))
     with pytest.raises(ValueError):
         downset_post(m7.machine, DownSet((Ideal("q0", (0, 0)),)))
+
+
+def test_downset_closed_signature_check(m7):
+    # the same ValueError as downset_post, on a bad control and a bad dimension
+    for bad in (DownSet((Ideal("nope", (0,)),)), DownSet((Ideal("q0", (0, 0)),))):
+        with pytest.raises(ValueError) as want:
+            downset_post(m7.machine, bad)
+        with pytest.raises(ValueError) as got:
+            downset_closed(m7.machine, bad)
+        assert str(got.value) == str(want.value)
+
+
+def widened_closure(m: CounterMachine, d: DownSet, cap: int = 2) -> DownSet:
+    """Least D above d with post(D) ⊆ D whose finite entries are at most cap:
+    iterate d ∪ post(d), raising entries above cap to ω."""
+    while True:
+        grown = downset_normalize(
+            Ideal(i.control, tuple(OMEGA if e > cap else e for e in i.bounds))
+            for i in downset_union(d, downset_post(m, d)).ideals
+        )
+        if grown == d:
+            return d
+        d = grown
+
+
+def test_downset_closed_agrees_with_post_inclusion():
+    rng = Random(20261018)
+    seen = Counter()
+    for _ in range(300):
+        m = random_counter_machine(rng, max_states=3, zero_tests=True)
+        d = random_downset(rng, m, omega_p=0.3)
+        if rng.random() < 0.4:
+            d = widened_closure(m, d)
+        want = downset_subset(downset_post(m, d), d)
+        # finite entries are at most 3 (or 2 after widening), so a successor
+        # outside d shows up among members with entries at most 5
+        members = downset_members(m, d, 5)
+        assert (ref_post_downclosed(m, members, 5) <= members) == want, (m, d.show())
+        assert downset_closed(m, d) == want, (m, d.show())
+        seen[want] += 1
+    assert seen[True] >= 20 and seen[False] >= 20, seen
 
 
 def test_downset_post_denotation_exact():
@@ -304,6 +348,50 @@ def test_candidate_enumeration_order(m8):
     assert first[75] == DownSet((Ideal("q0", (0,)), Ideal("q2", (OMEGA,))))
 
 
+def candidate_bound(d: DownSet) -> int:
+    """The smallest bound that d fits, which is the bound that lists it."""
+    per_control = Counter(i.control for i in d.ideals)
+    finite = [e for i in d.ideals for e in i.bounds if e != OMEGA]
+    return max([1, *per_control.values(), *finite])
+
+
+# The highest bound compared per counter count: the brute force tries every
+# subset of (bound + 2)^k vectors.
+BRUTE_FORCE_BOUND = {0: 1, 1: 12, 2: 3, 3: 2}
+
+
+def test_candidates_match_brute_force_enumeration():
+    pump = cm(
+        ["q0", "q1", "q2"],
+        ["c"],
+        [t("q0", OP_INC, "c", "q0"), t("q0", OP_INC, "c", "q1"), t("q1", OP_NOOP, None, "q2", ["c"])],
+    )
+    rng = Random(20261019)
+    machines = [pump]
+    # the enumeration reads only the control states and the counter count
+    for k in range(4):
+        for n in range(1, 4):
+            for _ in range(2):
+                # shuffled names, so name order and declaration order differ
+                states = rng.sample(["q0", "q1", "q10", "q2", "p", "r"], n)
+                machines.append(cm(states, [f"c{i}" for i in range(k)], [], states[0]))
+    reached = Counter()
+    for m in machines:
+        k = len(m.counters)
+        ref = ref_downset_candidates(m)
+        compared = 0
+        for d in downset_candidates(m):
+            bound = candidate_bound(d)
+            if compared == 3000 or bound > BRUTE_FORCE_BOUND[k]:
+                break
+            assert d == next(ref), (m.states, k, compared)
+            reached[k] = max(reached[k], bound)
+            compared += 1
+        else:
+            assert next(ref, None) is None  # both end at the same point
+    assert reached[1] >= 4 and reached[2] >= 3, reached
+
+
 def test_noncover_semiproc_finds_m8_certificate(m8):
     m = m8.machine
     v = noncover_semiproc(m, CounterConfig("q0", (0,)), CounterConfig("q1", (1,)))
@@ -401,6 +489,23 @@ def test_x0_coverability_budget():
     v = x0_coverability(pump, CounterConfig("q0", (0,)), CounterConfig("q0", (50,)), budget=20)
     assert v.outcome is Outcome.INCONCLUSIVE and v.budget_used == 20
     assert v.caveats and "round budget" in v.caveats[0]
+
+
+def test_x0_coverability_raising_the_budget_keeps_definite_verdicts():
+    rng = Random(20261020)
+    outcomes = Counter()
+    for _ in range(200):
+        m = random_counter_machine(rng, zero_tests=True)
+        x0 = m.initial_config()
+        y = CounterConfig(rng.choice(m.states), tuple(rng.randint(0, 3) for _ in m.counters))
+        low = x0_coverability(m, x0, y, 200)
+        high = x0_coverability(m, x0, y, 2000)
+        outcomes[low.outcome, high.outcome] += 1
+        if low.outcome is not Outcome.INCONCLUSIVE:
+            assert (high.outcome, high.witness) == (low.outcome, low.witness), (m, y)
+    assert outcomes[Outcome.POSITIVE, Outcome.POSITIVE] >= 20, outcomes
+    assert outcomes[Outcome.NEGATIVE, Outcome.NEGATIVE] >= 20, outcomes
+    assert outcomes[Outcome.INCONCLUSIVE, Outcome.NEGATIVE] >= 1, outcomes
 
 
 def test_x0_coverability_witness_replays(m8):

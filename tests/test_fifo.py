@@ -437,6 +437,21 @@ def test_product_output_is_pinned(tmp_path, capsys):
         assert capsys.readouterr().out == expected
 
 
+def test_product_letter_comments_sort_numbers_as_numbers(tmp_path, capsys):
+    # eleven occurrences of one letter: a10 and a11 come after a9, not after a1
+    model = tmp_path / "eleven.model"
+    model.write_text(
+        "kind fifo\nstates p\nchannels ch\nalphabet a\n"
+        "p -- ch!a --> p\np -- ch?a --> p\nbound ch: (aaaaaaaaaaa)\ninit p\n",
+        encoding="utf-8",
+    )
+    assert main(["product", str(model)]) == 0
+    comments = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# letter")]
+    assert comments == [
+        f"# letter a{i + 1} -> a (channel ch, word 0, position {i})" for i in range(11)
+    ]
+
+
 def test_send_dfa_acceptance(m4):
     m = m4.machine
     dfa = build_send_dfa(m, m4.lang)
