@@ -31,7 +31,7 @@ class CounterTransition:
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CounterConfig:
     control: str
     values: tuple[int, ...]

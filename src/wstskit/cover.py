@@ -26,7 +26,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import partial
+from operator import le
+from typing import Callable, Iterable, Iterator, Optional
 
 from .counter import (
     OP_DEC,
@@ -49,7 +51,7 @@ def entry_str(e) -> str:
     return "ω" if e == OMEGA else str(int(e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ideal:
     """One directed downward-closed block: a control state and entry-wise
     bounds, with ω for an unbounded component."""
@@ -64,7 +66,7 @@ class Ideal:
 def ideal_contains(ideal: Ideal, x: CounterConfig) -> bool:
     if len(ideal.bounds) != len(x.values):
         raise ValueError(f"dimension mismatch: {len(ideal.bounds)} vs {len(x.values)}")
-    return ideal.control == x.control and all(v <= b for v, b in zip(x.values, ideal.bounds))
+    return ideal.control == x.control and all(map(le, x.values, ideal.bounds))
 
 
 def ideal_subset(i1: Ideal, i2: Ideal) -> bool:
@@ -103,6 +105,12 @@ def downset_normalize(ideals: Iterable[Ideal]) -> DownSet:
 
 def downset_contains(d: DownSet, x: CounterConfig) -> bool:
     return any(ideal_contains(i, x) for i in d.ideals)
+
+
+def _covers(d: DownSet, x: CounterConfig) -> bool:
+    """downset_contains for a configuration known to have d's dimension."""
+    control, values = x.control, x.values
+    return any(i.control == control and all(map(le, values, i.bounds)) for i in d.ideals)
 
 
 def downset_subset(d1: DownSet, d2: DownSet) -> bool:
@@ -163,11 +171,20 @@ def downset_closed(machine: CounterMachine, d: DownSet) -> bool:
     each successor ideal is tested against d as it is made, and the test
     stops at the first one outside d, without normalising the image.
     """
+    return _closed(machine, d, partial(_ideal_post, machine))
+
+
+def _closed(
+    machine: CounterMachine, d: DownSet, post: Callable[[Ideal], Iterable[Ideal]]
+) -> bool:
+    """downset_closed with the successor ideals of an ideal read from
+    ``post``; the signature check makes every dimension d's."""
     _check_signature(machine, d)
+    ideals = d.ideals
     return all(
-        any(ideal_subset(s, b) for b in d.ideals)
-        for ideal in d.ideals
-        for s in _ideal_post(machine, ideal)
+        any(s.control == b.control and all(map(le, s.bounds, b.bounds)) for b in ideals)
+        for ideal in ideals
+        for s in post(ideal)
     )
 
 
@@ -331,10 +348,19 @@ def downset_candidates(machine: CounterMachine) -> Iterator[DownSet]:
             len(part) < bound and all(e == OMEGA or e < bound for v in part for e in v)
             for part in options
         ]
-        for combo in itertools.product(zip(options, fits_below), repeat=len(controls)):
-            if all(old for _, old in combo):
+        # the ideals of option j at control i, built on first use
+        parts: list[dict[int, tuple[Ideal, ...]]] = [{} for _ in controls]
+        for combo in itertools.product(range(len(options)), repeat=len(controls)):
+            if all(fits_below[j] for j in combo):
                 continue
-            yield DownSet(tuple(Ideal(controls[i], v) for i in canonical for v in combo[i][0]))
+            ideals: tuple[Ideal, ...] = ()
+            for i in canonical:
+                built, j = parts[i], combo[i]
+                part = built.get(j)
+                if part is None:
+                    part = built[j] = tuple(Ideal(controls[i], v) for v in options[j])
+                ideals += part
+            yield DownSet(ideals)
 
 
 def noncover_semiproc(
@@ -383,11 +409,27 @@ def x0_coverability(
     reached configurations as certificate.  Both definite answers are
     exact facts; the budget bounds the number of rounds, and termination
     within any budget is only guaranteed for systems that are monotone
-    relative to x0.
+    relative to x0.  Raises ValueError when x0 or y has a control state the
+    machine does not declare or a dimension other than its counter count.
     """
+    k = len(machine.counters)
+    for name, x in (("initial", x0), ("target", y)):
+        if x.control not in machine.states:
+            raise ValueError(f"{name} control {x.control!r} not a machine state")
+        if len(x.values) != k:
+            raise ValueError(f"{name} dimension {len(x.values)} != machine dimension {k}")
     parent: dict[CounterConfig, Optional[tuple[CounterConfig, int]]] = {x0: None}
     queue = deque([x0])
     candidates = downset_candidates(machine)
+    # successor ideals per ideal, shared by the candidates' closure tests
+    successors: dict[Ideal, tuple[Ideal, ...]] = {}
+
+    def post(ideal: Ideal) -> tuple[Ideal, ...]:
+        s = successors.get(ideal)
+        if s is None:
+            s = successors[ideal] = tuple(_ideal_post(machine, ideal))
+        return s
+
     rounds = 0
     while rounds < budget:
         rounds += 1
@@ -415,11 +457,7 @@ def x0_coverability(
         d = next(candidates, None)
         if d is None:
             break
-        if (
-            downset_contains(d, x0)
-            and not downset_contains(d, y)
-            and downset_closed(machine, d)
-        ):
+        if _covers(d, x0) and not _covers(d, y) and _closed(machine, d, post):
             return AnalysisVerdict(Outcome.NEGATIVE, d, rounds)
     return AnalysisVerdict(
         Outcome.INCONCLUSIVE,

@@ -89,7 +89,7 @@ class FifoTransition:
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FifoConfig:
     control: str
     contents: tuple[tuple[int, ...], ...]  # indexed by channel declaration order

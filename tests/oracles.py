@@ -14,8 +14,9 @@ from itertools import product as iproduct
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from wstskit.counter import OP_DEC, OP_INC, CounterConfig, CounterMachine
-from wstskit.cover import OMEGA, DownSet, Ideal
+from wstskit.cover import OMEGA, DownSet, Ideal, downset_closed, downset_contains, downset_normalize
 from wstskit.fifo import RECV, SEND, BoundedLang, Dfa, FifoConfig, FifoMachine
+from wstskit.verdict import AnalysisVerdict, Outcome
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +412,43 @@ def ref_downset_candidates(machine: CounterMachine) -> Iterator[DownSet]:
             if _ref_fits_bound(d, controls, bound - 1):
                 continue
             yield d
+
+
+def ref_x0_coverability(
+    machine: CounterMachine, x0: CounterConfig, y: CounterConfig, budget: int
+) -> AnalysisVerdict:
+    """The library's ``x0_coverability`` round loop as first written: one
+    breadth-first step and one brute-force candidate per round, each
+    candidate tested with the public ``downset_contains`` and
+    ``downset_closed``.  The same outcome, witness and rounds."""
+    parent: dict = {x0: None}
+    queue = deque([x0])
+    candidates = ref_downset_candidates(machine)
+    rounds = 0
+    while rounds < budget:
+        rounds += 1
+        if queue:
+            x = queue.popleft()
+            if ref_counter_leq(y, x):
+                labels = []
+                while parent[x] is not None:
+                    x, label = parent[x]
+                    labels.append(label)
+                return AnalysisVerdict(Outcome.POSITIVE, tuple(reversed(labels)), rounds)
+            for label in range(len(machine.transitions)):
+                nxt = ref_counter_step(machine, x, label)
+                if nxt is not None and nxt not in parent:
+                    parent[nxt] = (x, label)
+                    queue.append(nxt)
+        else:
+            certificate = downset_normalize(Ideal(c.control, c.values) for c in parent)
+            return AnalysisVerdict(Outcome.NEGATIVE, certificate, rounds)
+        d = next(candidates, None)
+        if d is None:
+            break
+        if downset_contains(d, x0) and not downset_contains(d, y) and downset_closed(machine, d):
+            return AnalysisVerdict(Outcome.NEGATIVE, d, rounds)
+    return AnalysisVerdict(Outcome.INCONCLUSIVE, None, rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 from collections import Counter
+from contextlib import contextmanager
 from itertools import islice
 from itertools import product as iproduct
 from pathlib import Path
@@ -25,6 +27,7 @@ from oracles import (
     ref_downset_candidates,
     ref_ideal_member,
     ref_post_downclosed,
+    ref_x0_coverability,
 )
 from wstskit.counter import (
     OP_DEC,
@@ -70,6 +73,31 @@ def cm(states, counters, trans, initial="q0"):
 
 def t(src, op, counter, tgt, zero=()):
     return CounterTransition(src, op, counter, frozenset(zero), tgt)
+
+
+# q2:(0) is unreachable from q0:(0), and no inductive down-set separates them
+PUMP = cm(
+    ["q0", "q1", "q2"],
+    ["c"],
+    [t("q0", OP_INC, "c", "q0"), t("q0", OP_INC, "c", "q1"), t("q1", OP_NOOP, None, "q2", ["c"])],
+)
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the test once ``seconds`` have passed, so an
+    enumeration that stops yielding fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_entry_and_vec_basics():
@@ -340,7 +368,8 @@ def test_forward_cover_semiproc_budget_and_fixpoint():
 
 def test_candidate_enumeration_order(m8):
     m = m8.machine
-    first = list(islice(downset_candidates(m), 300))
+    with deadline(10):
+        first = list(islice(downset_candidates(m), 300))
     assert first[0] == DownSet((Ideal("q3", (0,)),))
     assert len(set(first)) == len(first)  # no repeats
     for d in first:
@@ -361,13 +390,8 @@ BRUTE_FORCE_BOUND = {0: 1, 1: 12, 2: 3, 3: 2}
 
 
 def test_candidates_match_brute_force_enumeration():
-    pump = cm(
-        ["q0", "q1", "q2"],
-        ["c"],
-        [t("q0", OP_INC, "c", "q0"), t("q0", OP_INC, "c", "q1"), t("q1", OP_NOOP, None, "q2", ["c"])],
-    )
     rng = Random(20261019)
-    machines = [pump]
+    machines = [PUMP]
     # the enumeration reads only the control states and the counter count
     for k in range(4):
         for n in range(1, 4):
@@ -376,19 +400,20 @@ def test_candidates_match_brute_force_enumeration():
                 states = rng.sample(["q0", "q1", "q10", "q2", "p", "r"], n)
                 machines.append(cm(states, [f"c{i}" for i in range(k)], [], states[0]))
     reached = Counter()
-    for m in machines:
-        k = len(m.counters)
-        ref = ref_downset_candidates(m)
-        compared = 0
-        for d in downset_candidates(m):
-            bound = candidate_bound(d)
-            if compared == 3000 or bound > BRUTE_FORCE_BOUND[k]:
-                break
-            assert d == next(ref), (m.states, k, compared)
-            reached[k] = max(reached[k], bound)
-            compared += 1
-        else:
-            assert next(ref, None) is None  # both end at the same point
+    with deadline(30):
+        for m in machines:
+            k = len(m.counters)
+            ref = ref_downset_candidates(m)
+            compared = 0
+            for d in downset_candidates(m):
+                bound = candidate_bound(d)
+                if compared == 3000 or bound > BRUTE_FORCE_BOUND[k]:
+                    break
+                assert d == next(ref), (m.states, k, compared)
+                reached[k] = max(reached[k], bound)
+                compared += 1
+            else:
+                assert next(ref, None) is None  # both end at the same point
     assert reached[1] >= 4 and reached[2] >= 3, reached
 
 
@@ -506,6 +531,53 @@ def test_x0_coverability_raising_the_budget_keeps_definite_verdicts():
     assert outcomes[Outcome.POSITIVE, Outcome.POSITIVE] >= 20, outcomes
     assert outcomes[Outcome.NEGATIVE, Outcome.NEGATIVE] >= 20, outcomes
     assert outcomes[Outcome.INCONCLUSIVE, Outcome.NEGATIVE] >= 1, outcomes
+
+
+def test_x0_coverability_rejects_configurations_the_machine_lacks(m8):
+    # an undeclared control once answered NOT COVERABLE with a certificate on it
+    m = m8.machine
+    x0, y = CounterConfig("q0", (0,)), CounterConfig("q1", (1,))
+    for bad_x0, bad_y, message in (
+        (CounterConfig("zz", (0,)), y, "initial control 'zz' not a machine state"),
+        (x0, CounterConfig("zz", (0,)), "target control 'zz' not a machine state"),
+        (CounterConfig("q0", (0, 0)), y, "initial dimension 2 != machine dimension 1"),
+        (x0, CounterConfig("q1", ()), "target dimension 0 != machine dimension 1"),
+    ):
+        with pytest.raises(ValueError) as err:
+            x0_coverability(m, bad_x0, bad_y)
+        assert str(err.value) == message
+
+
+def test_x0_coverability_matches_the_reference_loop(m8):
+    # the memoised candidates and successor ideals against the round loop
+    # they replaced: same outcome, witness and rounds
+    grow = cm(
+        ["q0", "q1"],
+        ["c0", "c1"],
+        [t("q0", OP_INC, "c0", "q0"), t("q0", OP_INC, "c1", "q1"),
+         t("q1", OP_INC, "c0", "q1"), t("q1", OP_NOOP, None, "q0")],
+    )
+    q0 = CounterConfig("q0", (0,))
+    cases = [
+        (m8.machine, q0, CounterConfig("q1", (1,))),
+        (m8.machine, q0, CounterConfig("q2", (3,))),
+        (PUMP, q0, CounterConfig("q2", (0,))),
+        (grow, CounterConfig("q0", (0, 0)), CounterConfig("q0", (5, 5))),
+    ]
+    rng = Random(20261021)
+    for _ in range(300):
+        m = random_counter_machine(rng, zero_tests=True)
+        y = CounterConfig(rng.choice(m.states), tuple(rng.randint(0, 3) for _ in m.counters))
+        cases.append((m, m.initial_config(), y))
+    outcomes = Counter()
+    for m, x0, y in cases:
+        got = x0_coverability(m, x0, y, 2000)
+        want = ref_x0_coverability(m, x0, y, 2000)
+        assert (got.outcome, got.witness, got.budget_used) == (
+            want.outcome, want.witness, want.budget_used
+        ), (m, x0, y)
+        outcomes[got.outcome] += 1
+    assert min(outcomes[o] for o in Outcome) >= 5, outcomes
 
 
 def test_x0_coverability_witness_replays(m8):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -19,7 +20,7 @@ from oracles import (
     ref_run,
 )
 from wstskit.counter import OP_INC, OP_NOOP, CounterConfig, CounterMachine, CounterTransition
-from wstskit.fifo import FifoConfig
+from wstskit.fifo import Alphabet, FifoConfig, FifoMachine, FifoTransition
 from wstskit.olts import Olts, counter_olts, fifo_olts
 from wstskit.orders import Order
 from wstskit.rrt import (
@@ -320,3 +321,84 @@ def test_rrt_helpers_on_random_trees():
                 assert a.id in rrt.ancestor_ids(n.id)
                 assert ref_counter_leq(a.state, n.state)
                 assert rrt.path_labels(a.id) + rrt.loop_labels(n.id) == rrt.path_labels(n.id)
+
+
+def random_olts(rng: Random, fifo: bool) -> Olts:
+    """A random machine from a random start, with counter values or channel
+    words up to 10, so that some trees outgrow a budget of 50 nodes."""
+    if fifo:
+        m = random_fifo_machine(rng)
+        words = {ch: "".join(rng.choices("ab", k=rng.randint(0, 10))) for ch in m.channels}
+        return fifo_olts(m, m.initial_config(words))
+    m = random_counter_machine(rng, zero_tests=True)
+    return counter_olts(m, m.initial_config([rng.randint(0, 10) for _ in m.counters]))
+
+
+def tree_verdicts(olts: Olts, budget: int) -> tuple:
+    """Outcome, witness and budget used of the three tree analyses."""
+    rrt = build_rrt(olts, budget)
+    return tuple(
+        (v.outcome, v.witness, v.budget_used)
+        for v in (
+            decide_boundedness(rrt, olts.order),
+            decide_nontermination(rrt, olts.order),
+            decide_nonterm_by_iterable(build_lrrt(olts, budget)),
+        )
+    )
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
+def test_raising_the_tree_budget_keeps_definite_verdicts(fifo):
+    rng = Random(20261022 + fifo)
+    seen = Counter()
+    for _ in range(150):
+        olts = random_olts(rng, fifo)
+        low, high = tree_verdicts(olts, 50), tree_verdicts(olts, 500)
+        for analysis, (was, now) in zip(("boundedness", "termination"), zip(low, high)):
+            seen[analysis, was[0], now[0]] += 1
+            if was[0] is not Outcome.INCONCLUSIVE:
+                assert now[0] is was[0], (analysis, olts.initial, low, high)
+    for analysis in ("boundedness", "termination"):
+        for outcome in (Outcome.POSITIVE, Outcome.NEGATIVE):
+            assert seen[analysis, outcome, outcome] >= 5, seen
+    assert any(was is Outcome.INCONCLUSIVE and now is not was for _, was, now in seen), seen
+
+
+def renamed(machine, rng: Random):
+    """The machine with fresh names for its states, its counters or
+    channels, and its letters, each kept in its declaration order."""
+    fresh = [f"x{i}" for i in range(20)]
+    rng.shuffle(fresh)
+    q = dict(zip(machine.states, fresh))
+    states = tuple(q.values())
+    if isinstance(machine, CounterMachine):
+        c = {name: f"k{i}" for i, name in enumerate(reversed(machine.counters))}
+        trans = tuple(
+            CounterTransition(
+                q[t.source], t.op, c.get(t.counter), frozenset(map(c.get, t.zero_tests)), q[t.target]
+            )
+            for t in machine.transitions
+        )
+        return CounterMachine(states, tuple(map(c.get, machine.counters)), trans, q[machine.initial])
+    ch = {name: f"ch{i}" for i, name in enumerate(reversed(machine.channels))}
+    trans = tuple(
+        FifoTransition(q[t.source], ch[t.channel], t.kind, t.letter, q[t.target])
+        for t in machine.transitions
+    )
+    alphabet = Alphabet(f"L{a}" for a in machine.alphabet.letters)
+    channels = tuple(map(ch.get, machine.channels))
+    return FifoMachine(states, channels, alphabet, trans, q[machine.initial])
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
+def test_renaming_keeps_tree_verdicts_and_witness_ids(fifo):
+    rng = Random(20261023 + fifo)
+    positive = 0
+    for _ in range(150):
+        machine = random_fifo_machine(rng) if fifo else random_counter_machine(rng, zero_tests=True)
+        other = renamed(machine, rng)
+        make = fifo_olts if fifo else counter_olts
+        got, want = tree_verdicts(make(other), 200), tree_verdicts(make(machine), 200)
+        assert got == want, (machine, other)
+        positive += want[0][0] is Outcome.POSITIVE
+    assert positive >= 20, positive
