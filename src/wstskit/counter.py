@@ -12,9 +12,10 @@ share source and operation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+from ._record import FrozenFields, set_field
 
 OP_INC = "inc"
 OP_DEC = "dec"
@@ -22,8 +23,7 @@ OP_NOOP = "noop"
 _OPS = (OP_INC, OP_DEC, OP_NOOP)
 
 
-@dataclass(frozen=True)
-class CounterTransition:
+class CounterTransition(NamedTuple):
     source: str
     op: str
     counter: Optional[str]  # None exactly when op is noop
@@ -31,21 +31,33 @@ class CounterTransition:
     target: str
 
 
-@dataclass(frozen=True, slots=True)
-class CounterConfig:
-    control: str
-    values: tuple[int, ...]
+class CounterConfig(FrozenFields):
+    __slots__ = _fields = ("control", "values")
+
+    def __init__(self, control: str, values: tuple[int, ...]) -> None:
+        set_field(self, "control", control)
+        set_field(self, "values", values)
 
 
-@dataclass(frozen=True)
-class CounterMachine:
-    states: tuple[str, ...]
-    counters: tuple[str, ...]
-    transitions: tuple[CounterTransition, ...]
-    initial: str
-    name: str = "counter-machine"
+class CounterMachine(FrozenFields):
+    """A validated counter machine, frozen so that ``post_index`` can cache
+    its transitions."""
 
-    def __post_init__(self) -> None:
+    _fields = ("states", "counters", "transitions", "initial", "name")
+
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        counters: tuple[str, ...],
+        transitions: tuple[CounterTransition, ...],
+        initial: str,
+        name: str = "counter-machine",
+    ) -> None:
+        set_field(self, "states", states)
+        set_field(self, "counters", counters)
+        set_field(self, "transitions", transitions)
+        set_field(self, "initial", initial)
+        set_field(self, "name", name)
         states = set(self.states)
         counters = set(self.counters)
         if len(states) != len(self.states):

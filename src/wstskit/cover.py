@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from operator import le
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .counter import (
     OP_DEC,
@@ -51,8 +50,7 @@ def entry_str(e) -> str:
     return "ω" if e == OMEGA else str(int(e))
 
 
-@dataclass(frozen=True, slots=True)
-class Ideal:
+class Ideal(NamedTuple):
     """One directed downward-closed block: a control state and entry-wise
     bounds, with ω for an unbounded component."""
 
@@ -77,8 +75,7 @@ def _ideal_sort_key(i: Ideal):
     return (i.control, i.bounds)
 
 
-@dataclass(frozen=True)
-class DownSet:
+class DownSet(NamedTuple):
     """Inclusion-minimal union of ideals, canonically ordered.
 
     Build through :func:`downset_normalize`; the constructor trusts its
@@ -135,6 +132,17 @@ def _check_signature(machine: CounterMachine, d: DownSet) -> None:
             raise ValueError(f"ideal dimension {len(i.bounds)} != machine dimension {k}")
 
 
+def _check_configs(machine: CounterMachine, x0: CounterConfig, y: CounterConfig) -> None:
+    """Raise ValueError unless x0 and y have a declared control state and
+    one value per counter."""
+    k = len(machine.counters)
+    for name, x in (("initial", x0), ("target", y)):
+        if x.control not in machine.states:
+            raise ValueError(f"{name} control {x.control!r} not a machine state")
+        if len(x.values) != k:
+            raise ValueError(f"{name} dimension {len(x.values)} != machine dimension {k}")
+
+
 def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
     """Successor ideals of one ideal, per transition from its control state.
 
@@ -171,15 +179,13 @@ def downset_closed(machine: CounterMachine, d: DownSet) -> bool:
     each successor ideal is tested against d as it is made, and the test
     stops at the first one outside d, without normalising the image.
     """
-    return _closed(machine, d, partial(_ideal_post, machine))
-
-
-def _closed(
-    machine: CounterMachine, d: DownSet, post: Callable[[Ideal], Iterable[Ideal]]
-) -> bool:
-    """downset_closed with the successor ideals of an ideal read from
-    ``post``; the signature check makes every dimension d's."""
     _check_signature(machine, d)
+    return _closed(d, partial(_ideal_post, machine))
+
+
+def _closed(d: DownSet, post: Callable[[Ideal], Iterable[Ideal]]) -> bool:
+    """downset_closed with the successor ideals of an ideal read from
+    ``post``, for a d whose ideals have the machine's controls and dimension."""
     ideals = d.ideals
     return all(
         any(s.control == b.control and all(map(le, s.bounds, b.bounds)) for b in ideals)
@@ -194,8 +200,7 @@ def downset_post_monotone(machine: CounterMachine, d: DownSet) -> DownSet:
     return downset_post(machine, d)
 
 
-@dataclass(frozen=True)
-class UpSet:
+class UpSet(NamedTuple):
     """Upward closure of a minimal antichain of configurations."""
 
     basis: tuple[CounterConfig, ...]
@@ -250,9 +255,11 @@ def backward_coverability(
     Saturates the backward sequence I, I ∪ pre(I), ... to its fixpoint
     (bases compared as canonical antichains; termination is guaranteed by
     the well-ordering of counter vectors) and answers whether x0 lies in
-    the final upward-closed set.
+    the final upward-closed set.  Raises ValueError as
+    :func:`x0_coverability` does on configurations the machine lacks.
     """
     require_no_zero_tests(machine)
+    _check_configs(machine, x0, y)
     basis = upset_normalize([y])
     while True:
         if upset_contains(basis, x0):
@@ -273,8 +280,11 @@ def forward_cover_semiproc(
     it is inconclusive, and on reaching a fixpoint without y it reports
     inconclusive with a caveat saying so (the caller may read that as a
     non-cover for this machine class, but the contract stays one-sided).
+    Raises ValueError as :func:`x0_coverability` does on configurations
+    the machine lacks.
     """
     require_no_zero_tests(machine)
+    _check_configs(machine, x0, y)
     d = downset_of_config(x0)
     steps = 0
     while True:
@@ -377,7 +387,10 @@ def noncover_semiproc(
     once the budget of tested candidates runs out.  The check uses exact
     steps, so zero tests are fine; the flip side is that some unreachable
     targets admit no such invariant at all and stay inconclusive forever.
+    Raises ValueError as :func:`x0_coverability` does on configurations
+    the machine lacks.
     """
+    _check_configs(machine, x0, y)
     tested = 0
     for d in downset_candidates(machine):
         if tested >= enumeration_budget:
@@ -412,12 +425,7 @@ def x0_coverability(
     relative to x0.  Raises ValueError when x0 or y has a control state the
     machine does not declare or a dimension other than its counter count.
     """
-    k = len(machine.counters)
-    for name, x in (("initial", x0), ("target", y)):
-        if x.control not in machine.states:
-            raise ValueError(f"{name} control {x.control!r} not a machine state")
-        if len(x.values) != k:
-            raise ValueError(f"{name} dimension {len(x.values)} != machine dimension {k}")
+    _check_configs(machine, x0, y)
     parent: dict[CounterConfig, Optional[tuple[CounterConfig, int]]] = {x0: None}
     queue = deque([x0])
     candidates = downset_candidates(machine)
@@ -457,7 +465,8 @@ def x0_coverability(
         d = next(candidates, None)
         if d is None:
             break
-        if _covers(d, x0) and not _covers(d, y) and _closed(machine, d, post):
+        # the candidates are built from the machine's controls and dimension
+        if _covers(d, x0) and not _covers(d, y) and _closed(d, post):
             return AnalysisVerdict(Outcome.NEGATIVE, d, rounds)
     return AnalysisVerdict(
         Outcome.INCONCLUSIVE,

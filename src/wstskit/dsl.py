@@ -30,9 +30,9 @@ line; the printer emits the canonical order shown above.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._record import Fields
 from .counter import (
     OP_NOOP,
     CounterConfig,
@@ -55,12 +55,20 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class ModelFile:
-    kind: str  # "counter" or "fifo"
-    machine: Union[CounterMachine, FifoMachine]
-    initial: Union[CounterConfig, FifoConfig]
-    lang: Optional[BoundedLang] = None
+class ModelFile(Fields):
+    _fields = ("kind", "machine", "initial", "lang")
+
+    def __init__(
+        self,
+        kind: str,  # "counter" or "fifo"
+        machine: Union[CounterMachine, FifoMachine],
+        initial: Union[CounterConfig, FifoConfig],
+        lang: Optional[BoundedLang] = None,
+    ) -> None:
+        self.kind = kind
+        self.machine = machine
+        self.initial = initial
+        self.lang = lang
 
 
 def _strip_comment(line: str) -> str:

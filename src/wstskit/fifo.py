@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+from ._record import Fields, FrozenFields, set_field
 
 SEND = "!"
 RECV = "?"
@@ -80,8 +81,7 @@ class Alphabet:
         return ".".join(names)
 
 
-@dataclass(frozen=True)
-class FifoTransition:
+class FifoTransition(NamedTuple):
     source: str
     channel: str
     kind: str  # SEND or RECV
@@ -89,22 +89,39 @@ class FifoTransition:
     target: str
 
 
-@dataclass(frozen=True, slots=True)
-class FifoConfig:
-    control: str
-    contents: tuple[tuple[int, ...], ...]  # indexed by channel declaration order
+class FifoConfig(FrozenFields):
+    __slots__ = _fields = ("control", "contents")
+
+    def __init__(
+        self,
+        control: str,
+        contents: tuple[tuple[int, ...], ...],  # indexed by channel declaration order
+    ) -> None:
+        set_field(self, "control", control)
+        set_field(self, "contents", contents)
 
 
-@dataclass(frozen=True)
-class FifoMachine:
-    states: tuple[str, ...]
-    channels: tuple[str, ...]
-    alphabet: Alphabet
-    transitions: tuple[FifoTransition, ...]
-    initial: str
-    name: str = "fifo-machine"
+class FifoMachine(FrozenFields):
+    """A validated FIFO machine, frozen so that ``post_index`` can cache
+    its transitions."""
 
-    def __post_init__(self) -> None:
+    _fields = ("states", "channels", "alphabet", "transitions", "initial", "name")
+
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        channels: tuple[str, ...],
+        alphabet: Alphabet,
+        transitions: tuple[FifoTransition, ...],
+        initial: str,
+        name: str = "fifo-machine",
+    ) -> None:
+        set_field(self, "states", states)
+        set_field(self, "channels", channels)
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "transitions", transitions)
+        set_field(self, "initial", initial)
+        set_field(self, "name", name)
         states = set(self.states)
         channels = set(self.channels)
         if len(states) != len(self.states):
@@ -254,15 +271,20 @@ def recv_proj(machine: FifoMachine, labels: Iterable[int], channel: str) -> tupl
     return _proj(machine, labels, channel, RECV)
 
 
-@dataclass(frozen=True)
-class BoundedLang:
+class BoundedLang(FrozenFields):
     """Per-channel bounded languages w_1^* ... w_n^* over one alphabet."""
 
-    alphabet: Alphabet
-    channels: tuple[str, ...]
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]  # per channel, per block
+    _fields = ("alphabet", "channels", "blocks")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        channels: tuple[str, ...],
+        blocks: tuple[tuple[tuple[int, ...], ...], ...],  # per channel, per block
+    ) -> None:
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "channels", channels)
+        set_field(self, "blocks", blocks)
         if len(self.channels) != len(self.blocks):
             raise ValueError("one block list per channel required")
         for per_channel in self.blocks:
@@ -302,8 +324,7 @@ def bounded_lang(machine: FifoMachine, words: Mapping[str, Sequence[str]]) -> Bo
     return BoundedLang(machine.alphabet, tuple(channels), tuple(blocks))
 
 
-@dataclass
-class Normalization:
+class Normalization(Fields):
     """Result of distinct-letter normalization.
 
     ``letter_map`` maps every letter name of the new machine back to the
@@ -312,10 +333,19 @@ class Normalization:
     letter, the (channel, block index, offset) occurrence it stands for.
     """
 
-    machine: FifoMachine
-    lang: BoundedLang
-    letter_map: dict[str, str]
-    positions: dict[str, tuple[str, int, int]]
+    _fields = ("machine", "lang", "letter_map", "positions")
+
+    def __init__(
+        self,
+        machine: FifoMachine,
+        lang: BoundedLang,
+        letter_map: dict[str, str],
+        positions: dict[str, tuple[str, int, int]],
+    ) -> None:
+        self.machine = machine
+        self.lang = lang
+        self.letter_map = letter_map
+        self.positions = positions
 
 
 def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normalization:
@@ -368,22 +398,23 @@ def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normal
     new_transitions = []
     for t in machine.transitions:
         variants = [
-            replace(t, letter=base + k)
+            t._replace(letter=base + k)
             for k, (ch, _, _, lid) in enumerate(occurrences)
             if (ch, lid) == (t.channel, t.letter)
         ]
         new_transitions.extend(variants or [t])
-    new_machine = replace(
-        machine,
-        alphabet=new_alphabet,
-        transitions=tuple(new_transitions),
-        name=f"{machine.name}-normalized",
+    new_machine = FifoMachine(
+        machine.states,
+        machine.channels,
+        new_alphabet,
+        tuple(new_transitions),
+        machine.initial,
+        f"{machine.name}-normalized",
     )
     return Normalization(new_machine, new_lang, letter_map, positions)
 
 
-@dataclass
-class Dfa:
+class Dfa(Fields):
     """Deterministic automaton over machine actions (channel, direction, letter)
     that tracks one direction, ``tracked`` (SEND or RECV).
 
@@ -392,11 +423,21 @@ class Dfa:
     state unchanged.
     """
 
-    states: tuple[str, ...]
-    initial: str
-    accepting: frozenset[str]
-    tracked: str
-    delta: dict[tuple[str, Action], str]
+    _fields = ("states", "initial", "accepting", "tracked", "delta")
+
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        initial: str,
+        accepting: frozenset[str],
+        tracked: str,
+        delta: dict[tuple[str, Action], str],
+    ) -> None:
+        self.states = states
+        self.initial = initial
+        self.accepting = accepting
+        self.tracked = tracked
+        self.delta = delta
 
     def step(self, state: str, action: Action) -> str | None:
         if action[1] != self.tracked:

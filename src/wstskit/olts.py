@@ -10,16 +10,14 @@ semantics is written once, in its ``post``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .counter import CounterConfig, CounterMachine, cm_post, counter_config_str
 from .fifo import FifoConfig, FifoMachine, fifo_config_str, fifo_post
 from .orders import COUNTER_ORDER, EXT_PREFIX_ORDER, Order
 
 
-@dataclass(frozen=True)
-class Olts:
+class Olts(NamedTuple):
     """Ordered labelled transition system with explicit plumbing.
 
     ``post(x)`` returns (label, successor) pairs in a deterministic order;
@@ -30,8 +28,8 @@ class Olts:
     post: Callable[[Any], list[tuple[Any, Any]]]
     labels: int
     order: Order
-    state_fmt: Callable[[Any], str] = field(default=str)
-    label_fmt: Callable[[Any], str] = field(default=str)
+    state_fmt: Callable[[Any], str] = str
+    label_fmt: Callable[[Any], str] = str
 
     def step(self, x: Any, label: int) -> Optional[Any]:
         """The successor of x by ``label``, or None when it is disabled.

@@ -8,17 +8,15 @@ always derived from one source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import le
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 
 def _structural_eq(a: Any, b: Any) -> bool:
     return a == b
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(NamedTuple):
     """A decidable quasi-order together with state equality.
 
     ``strictly_less`` is derived from ``leq`` and never supplied
@@ -26,7 +24,7 @@ class Order:
     """
 
     leq: Callable[[Any, Any], bool]
-    eq: Callable[[Any, Any], bool] = field(default=_structural_eq)
+    eq: Callable[[Any, Any], bool] = _structural_eq
 
     def strictly_less(self, x: Any, y: Any) -> bool:
         return self.leq(x, y) and not self.leq(y, x)

@@ -12,10 +12,10 @@ iterable nodes, whose loop is checked to replay concretely with growth.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Any, Iterator, Optional
 
+from ._record import Fields
 from .olts import Olts
 from .orders import Order
 from .verdict import AnalysisVerdict, Outcome
@@ -26,23 +26,36 @@ DEAD = "dead"
 DEFAULT_BUDGET = 10000
 
 
-@dataclass(slots=True)
-class RrtNode:
-    id: int
-    state: Any
-    parent: Optional[int]
-    label: Optional[Any]
-    mark: str = LIVE
-    subsumed_by: Optional[int] = None
-    iterable: bool = False
+class RrtNode(Fields):
+    __slots__ = _fields = ("id", "state", "parent", "label", "mark", "subsumed_by", "iterable")
+
+    def __init__(
+        self,
+        id: int,
+        state: Any,
+        parent: Optional[int],
+        label: Optional[Any],
+        mark: str = LIVE,
+        subsumed_by: Optional[int] = None,
+        iterable: bool = False,
+    ) -> None:
+        self.id = id
+        self.state = state
+        self.parent = parent
+        self.label = label
+        self.mark = mark
+        self.subsumed_by = subsumed_by
+        self.iterable = iterable
 
 
-@dataclass
-class Rrt:
+class Rrt(Fields):
     """Tree nodes in creation (breadth-first) order, plus budget facts."""
 
-    nodes: list[RrtNode]
-    budget_exhausted: bool
+    _fields = ("nodes", "budget_exhausted")
+
+    def __init__(self, nodes: list[RrtNode], budget_exhausted: bool) -> None:
+        self.nodes = nodes
+        self.budget_exhausted = budget_exhausted
 
     @property
     def complete(self) -> bool:

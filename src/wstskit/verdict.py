@@ -9,8 +9,7 @@ definite answer leans on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
 class Outcome(enum.Enum):
@@ -19,12 +18,11 @@ class Outcome(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class AnalysisVerdict:
+class AnalysisVerdict(NamedTuple):
     outcome: Outcome
     witness: Optional[Any] = None
     budget_used: int = 0
-    caveats: tuple[str, ...] = field(default=())
+    caveats: tuple[str, ...] = ()
 
     @property
     def is_definite(self) -> bool:

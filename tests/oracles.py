@@ -1,7 +1,7 @@
 """Slow reference implementations used to cross-check the library.
 
 Everything here recomputes behaviour directly from the machine data
-(dataclass fields only) and deliberately avoids the library's own step,
+(record fields only) and deliberately avoids the library's own step,
 closure, and search routines, so agreement between the two is evidence
 rather than tautology.
 """

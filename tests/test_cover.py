@@ -533,18 +533,43 @@ def test_x0_coverability_raising_the_budget_keeps_definite_verdicts():
     assert outcomes[Outcome.INCONCLUSIVE, Outcome.NEGATIVE] >= 1, outcomes
 
 
+# (x0, y, error) on one-counter machines with controls q0 and q1
+BAD_CONFIGS = (
+    (CounterConfig("zz", (0,)), CounterConfig("q1", (1,)),
+     "initial control 'zz' not a machine state"),
+    (CounterConfig("q0", (0,)), CounterConfig("zz", (0,)),
+     "target control 'zz' not a machine state"),
+    (CounterConfig("q0", (0, 0)), CounterConfig("q1", (1,)),
+     "initial dimension 2 != machine dimension 1"),
+    (CounterConfig("q0", (0,)), CounterConfig("q1", ()),
+     "target dimension 0 != machine dimension 1"),
+)
+
+
 def test_x0_coverability_rejects_configurations_the_machine_lacks(m8):
     # an undeclared control once answered NOT COVERABLE with a certificate on it
-    m = m8.machine
-    x0, y = CounterConfig("q0", (0,)), CounterConfig("q1", (1,))
-    for bad_x0, bad_y, message in (
-        (CounterConfig("zz", (0,)), y, "initial control 'zz' not a machine state"),
-        (x0, CounterConfig("zz", (0,)), "target control 'zz' not a machine state"),
-        (CounterConfig("q0", (0, 0)), y, "initial dimension 2 != machine dimension 1"),
-        (x0, CounterConfig("q1", ()), "target dimension 0 != machine dimension 1"),
+    for bad_x0, bad_y, message in BAD_CONFIGS:
+        with pytest.raises(ValueError) as err:
+            x0_coverability(m8.machine, bad_x0, bad_y)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "procedure", [noncover_semiproc, backward_coverability, forward_cover_semiproc],
+    ids=lambda f: f.__name__,
+)
+def test_cover_procedures_reject_configurations_the_machine_lacks(procedure):
+    # each once answered for a control the machine lacks: noncover_semiproc
+    # NEGATIVE for target zz:(0), backward_coverability True for
+    # x0 = y = zz:(0), forward_cover_semiproc INCONCLUSIVE with a fixpoint
+    # caveat for target zz:(0)
+    two_state = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
+    zz = CounterConfig("zz", (0,))
+    for bad_x0, bad_y, message in BAD_CONFIGS + (
+        (zz, zz, "initial control 'zz' not a machine state"),
     ):
         with pytest.raises(ValueError) as err:
-            x0_coverability(m, bad_x0, bad_y)
+            procedure(two_state, bad_x0, bad_y)
         assert str(err.value) == message
 
 
