@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     check.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                        help="node / round budget (default %(default)s)")
     check.add_argument("--target", metavar="TARGET",
-                       help='coverability target, e.g. q2:(3) or q:"ab"@ch')
+                       help="x0-cover target on a counter machine, e.g. q2:(3) or q1:(1,0)")
     check.add_argument("--init", metavar="STATE", dest="init_state",
                        help="override the initial control state from the file")
     check.add_argument("--assert-strict-monotone", action="store_true",

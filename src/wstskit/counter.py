@@ -116,11 +116,16 @@ def counter_config_str(x: CounterConfig) -> str:
     return f"{x.control}:(" + ",".join(str(v) for v in x.values) + ")"
 
 
-def cm_post(machine: CounterMachine, x: CounterConfig) -> list[tuple[int, CounterConfig]]:
+def cm_post(
+    machine: CounterMachine, x: CounterConfig, seen: dict | None = None
+) -> list[tuple[int, CounterConfig]]:
     """All enabled one-step successors, in transition declaration order.
 
     A transition is disabled by a source control mismatch, a failing zero
-    test (evaluated on the pre-state), or a decrement at zero.
+    test (evaluated on the pre-state), or a decrement at zero.  ``seen``
+    maps ``(control, values)`` to a configuration already built: a
+    successor with a known key is that object, and a new one is stored
+    under its key.  Without ``seen`` every successor is a new object.
     """
     values = x.values
     out = []
@@ -135,7 +140,14 @@ def cm_post(machine: CounterMachine, x: CounterConfig) -> list[tuple[int, Counte
             y = values[:i] + (values[i] - 1,) + values[i + 1 :]
         else:
             y = values[:i] + (values[i] + 1,) + values[i + 1 :]
-        out.append((label, CounterConfig(target, y)))
+        if seen is None:
+            config = CounterConfig(target, y)
+        else:
+            key = (target, y)
+            config = seen.get(key)
+            if config is None:
+                config = seen[key] = CounterConfig(target, y)
+        out.append((label, config))
     return out
 
 

@@ -174,11 +174,16 @@ def fifo_config_str(machine: FifoMachine, x: FifoConfig) -> str:
     return f"{x.control}:(" + "|".join(machine.alphabet.show(w) for w in x.contents) + ")"
 
 
-def fifo_post(machine: FifoMachine, x: FifoConfig) -> list[tuple[int, FifoConfig]]:
+def fifo_post(
+    machine: FifoMachine, x: FifoConfig, seen: dict | None = None
+) -> list[tuple[int, FifoConfig]]:
     """All enabled one-step successors, in transition declaration order.
 
     A send appends to the channel tail; a receive consumes the head letter
-    and is disabled unless the channel starts with that letter.
+    and is disabled unless the channel starts with that letter.  ``seen``
+    maps ``(control, contents)`` to a configuration already built: a
+    successor with a known key is that object, and a new one is stored
+    under its key.  Without ``seen`` every successor is a new object.
     """
     contents = x.contents
     out = []
@@ -190,7 +195,15 @@ def fifo_post(machine: FifoMachine, x: FifoConfig) -> list[tuple[int, FifoConfig
             word = word[1:]
         else:
             continue
-        out.append((label, FifoConfig(target, contents[:ci] + (word,) + contents[ci + 1 :])))
+        after = contents[:ci] + (word,) + contents[ci + 1 :]
+        if seen is None:
+            config = FifoConfig(target, after)
+        else:
+            key = (target, after)
+            config = seen.get(key)
+            if config is None:
+                config = seen[key] = FifoConfig(target, after)
+        out.append((label, config))
     return out
 
 

@@ -6,6 +6,15 @@ the same way: an initial state, a successor enumerator, the number of
 transition labels, and a quasi-ordering on states.  Single steps and runs
 are derived from the successor enumerator, so each machine kind's
 semantics is written once, in its ``post``.
+
+The counter and FIFO systems return one object per distinct
+configuration: each keeps a dict from ``(control, values)`` or
+``(control, contents)`` to the initial configuration or the first
+successor built with that key, and its ``post`` hands that object out
+again for an equal successor.  A tree build meets most configurations
+many times, so this saves building and storing a copy each time.
+Configurations are frozen, so sharing them is safe.  Two systems built
+from one machine share nothing.
 """
 
 from __future__ import annotations
@@ -58,9 +67,10 @@ def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) 
     x0 = initial if initial is not None else machine.initial_config()
     if len(x0.values) != len(machine.counters):
         raise ValueError("initial configuration has a different number of counters")
+    seen = {(x0.control, x0.values): x0}  # one object per distinct configuration
     return Olts(
         initial=x0,
-        post=lambda x: cm_post(machine, x),
+        post=lambda x: cm_post(machine, x, seen),
         labels=len(machine.transitions),
         order=COUNTER_ORDER,
         state_fmt=counter_config_str,
@@ -72,9 +82,10 @@ def fifo_olts(machine: FifoMachine, initial: FifoConfig | None = None) -> Olts:
     x0 = initial if initial is not None else machine.initial_config()
     if len(x0.contents) != len(machine.channels):
         raise ValueError("initial configuration has a different number of channels")
+    seen = {(x0.control, x0.contents): x0}  # one object per distinct configuration
     return Olts(
         initial=x0,
-        post=lambda x: fifo_post(machine, x),
+        post=lambda x: fifo_post(machine, x, seen),
         labels=len(machine.transitions),
         order=EXT_PREFIX_ORDER,
         state_fmt=lambda x: fifo_config_str(machine, x),

@@ -107,23 +107,21 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     leq = olts.order.leq
+    post = olts.post
     nodes = [RrtNode(0, olts.initial, None, None)]
     exhausted = False
-    queue = deque([0])
+    # each queued node travels with the states of its strict ancestors, root
+    # first; siblings share one tuple, so no expansion walks the tree
+    queue = deque([(nodes[0], ())])
     while queue and not exhausted:
-        nid = queue.popleft()
-        node = nodes[nid]
-        succs = olts.post(node.state)
+        node, above = queue.popleft()
+        succs = post(node.state)
         if not succs:
             node.mark = DEAD
             continue
-        ids = []  # the node and its ancestors, reversed below to root first
-        aid = nid
-        while aid is not None:
-            ids.append(aid)
-            aid = nodes[aid].parent
-        ids.reverse()
-        states = [nodes[aid].state for aid in ids]
+        nid = node.id
+        path = above + (node.state,)
+        depths = range(len(path))
         for label, y in succs:
             if len(nodes) >= budget:
                 exhausted = True
@@ -131,12 +129,15 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
             child = RrtNode(len(nodes), y, nid, label)
             nodes.append(child)
             # the first hit scanning from the root: the subsumer closest to it
-            subsumer = next(compress(ids, map(leq, states, repeat(y))), None)
-            if subsumer is None:
-                queue.append(child.id)
+            hit = next(compress(depths, map(leq, path, repeat(y))), None)
+            if hit is None:
+                queue.append((child, path))
             else:
                 child.mark = DEAD
-                child.subsumed_by = subsumer
+                sid = nid
+                for _ in range(len(path) - 1 - hit):
+                    sid = nodes[sid].parent
+                child.subsumed_by = sid
     return Rrt(nodes=nodes, budget_exhausted=exhausted)
 
 

@@ -19,8 +19,16 @@ from oracles import (
     ref_rrt,
     ref_run,
 )
-from wstskit.counter import OP_INC, OP_NOOP, CounterConfig, CounterMachine, CounterTransition
-from wstskit.fifo import Alphabet, FifoConfig, FifoMachine, FifoTransition
+from wstskit.counter import (
+    OP_DEC,
+    OP_INC,
+    OP_NOOP,
+    CounterConfig,
+    CounterMachine,
+    CounterTransition,
+)
+from wstskit.dsl import parse_model
+from wstskit.fifo import SEND, Alphabet, FifoConfig, FifoMachine, FifoTransition
 from wstskit.olts import Olts, counter_olts, fifo_olts
 from wstskit.orders import Order
 from wstskit.rrt import (
@@ -89,15 +97,43 @@ def tree_by_path(rrt: Rrt) -> dict:
     }
 
 
-@pytest.mark.parametrize("name, start", [("m2", "q2"), ("m2", "q0"), ("m1", "q0")])
+# rotate-with-drop: the word rotates letter by letter and an 'a' may be
+# dropped, so branches run deep and subsumers sit far above their nodes
+ROTATE_WITH_DROP = """\
+kind fifo
+states q ra rb
+channels ch
+alphabet a b
+q -- ch?a --> q
+q -- ch?a --> ra
+ra -- ch!a --> q
+q -- ch?b --> rb
+rb -- ch!b --> q
+init q ch:"abaab"
+"""
+
+
+@pytest.mark.parametrize(
+    "name, start",
+    [("m2", "q2"), ("m2", "q0"), ("m1", "q0"), pytest.param("rotate", None, id="rotate-abaab")],
+)
 def test_rrt_matches_textbook_unfolding(name, start):
     # node for node against the definition: states, parents, subsumers, deadlocks
-    machine = load_model(name).machine
-    x0 = FifoConfig(start, tuple(() for _ in machine.channels))
+    if start is None:
+        mf = parse_model(ROTATE_WITH_DROP, name=name)
+        machine, x0 = mf.machine, mf.initial
+    else:
+        machine = load_model(name).machine
+        x0 = FifoConfig(start, tuple(() for _ in machine.channels))
     rrt = build_rrt(fifo_olts(machine, x0), budget=200)
     assert rrt.complete
     want = ref_rrt(machine, x0, ref_fifo_step, ref_ext_prefix_leq, max_nodes=200)
     assert tree_by_path(rrt) == want
+    if start is None:
+        # the subsumer is found by walking up from the parent: pin a deep walk
+        rises = [len(rrt.ancestor_ids(n.id)) - len(rrt.ancestor_ids(n.subsumed_by))
+                 for n in rrt.subsumed_nodes()]
+        assert len(rrt.nodes) == 70 and max(rises) == 10
 
 
 def assert_trees_match_textbook(machines, make_olts, step, leq):
@@ -128,6 +164,72 @@ def test_rrt_matches_textbook_unfolding_on_random_counter_machines():
         for _ in range(200)
     )
     assert_trees_match_textbook(machines, counter_olts, ref_counter_step, ref_counter_leq)
+
+
+def cut_tree_facts(rrt: Rrt) -> list:
+    return [(n.state, n.parent, n.label, n.subsumed_by) for n in rrt.nodes]
+
+
+@pytest.mark.parametrize("kind", ["counter", "fifo"])
+def test_budget_cut_trees_are_prefixes_of_the_complete_tree(kind):
+    # every budget, including those that stop in the middle of a node's children
+    rng = Random(20261101)
+    compared = 0
+    for _ in range(100):
+        if kind == "counter":
+            machine = random_counter_machine(rng, max_states=3, max_transitions=12, zero_tests=True)
+            olts = counter_olts(machine)
+        else:
+            olts = fifo_olts(random_fifo_machine(rng, max_states=3, max_transitions=12))
+        full = build_rrt(olts, budget=300)
+        if not full.complete:
+            continue
+        want = cut_tree_facts(full)
+        for b in range(1, len(want) + 1):
+            cut = build_rrt(olts, budget=b)
+            assert cut_tree_facts(cut) == want[:b], (olts, b)
+            assert cut.budget_exhausted == (b < len(want))
+        compared += len(want) > 5
+    assert compared >= 25
+
+
+@pytest.mark.parametrize("kind", ["counter", "fifo"])
+def test_systems_share_equal_configurations(kind):
+    # both machines reach p:(1,1) / p:("a","b") along two different branches
+    if kind == "counter":
+        machine = cm(
+            ["q", "l", "r", "p"], ["a", "b"],
+            [t("q", OP_INC, "a", "l"), t("l", OP_INC, "b", "p"),
+             t("q", OP_INC, "b", "r"), t("r", OP_INC, "a", "p")],
+            initial="q",
+        )
+        make = counter_olts
+    else:
+        send = [
+            FifoTransition("q", "c1", SEND, 0, "l"), FifoTransition("l", "c2", SEND, 1, "p"),
+            FifoTransition("q", "c2", SEND, 1, "r"), FifoTransition("r", "c1", SEND, 0, "p"),
+        ]
+        machine = FifoMachine(("q", "l", "r", "p"), ("c1", "c2"), Alphabet("ab"), tuple(send), "q")
+        make = fifo_olts
+    olts = make(machine)
+    left, stuck_left = olts.run([0, 1])
+    right, stuck_right = olts.run([2, 3])
+    assert stuck_left is None and stuck_right is None
+    assert left is right
+    # a second system built from the same machine shares no object with the first
+    other = make(machine)
+    again, _ = other.run([0, 1])
+    assert again == left and again is not left
+
+
+def test_tree_holds_one_object_per_distinct_state():
+    # dec-lattice: every decrement order is one branch, so states repeat
+    lattice = cm(["q0"], ["a", "b"], [t("q0", OP_DEC, "a", "q0"), t("q0", OP_DEC, "b", "q0")])
+    rrt = build_rrt(counter_olts(lattice, CounterConfig("q0", (2, 3))))
+    assert rrt.complete and len(rrt.nodes) == 34
+    distinct = {n.state for n in rrt.nodes}
+    assert len(distinct) == 12
+    assert len({id(n.state) for n in rrt.nodes}) == len(distinct)
 
 
 def test_boundedness_verdict_and_caveats(m1):
