@@ -34,13 +34,10 @@ from .cover import (
     downset_normalize,
     downset_of_config,
     downset_post,
-    downset_post_monotone,
     downset_subset,
     downset_union,
-    forward_cover_semiproc,
     ideal_contains,
     ideal_subset,
-    noncover_semiproc,
     pre_basis,
     upset_contains,
     upset_normalize,

@@ -1,9 +1,9 @@
 """Command-line front end: parse a model file, run one analysis, report.
 
 Exit codes: 0 for a definite verdict (either way), 2 for an inconclusive
-verdict (budget ran out), 1 for usage or parse errors.  Reports render as
-human-readable lines or, with --json, as one JSON object with fields
-command, verdict, witness, budget, elapsed_ms, and caveats.
+verdict, 1 for usage or parse errors.  Reports render as human-readable
+lines or, with --json, as one JSON object with fields command, verdict,
+witness, budget, elapsed_ms, and caveats.
 """
 
 from __future__ import annotations
@@ -82,9 +82,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="wstskit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser(
-        "check", parents=[], help="run one analysis on a model file", add_help=True
-    )
+    check = sub.add_parser("check", help="run one analysis on a model file")
     check.add_argument("analysis", choices=ANALYSES)
     check.add_argument("model", help="path to a .model file")
     check.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
@@ -95,8 +93,6 @@ def _build_parser() -> _Parser:
                        help="override the initial control state from the file")
     check.add_argument("--assert-strict-monotone", action="store_true",
                        help="caller vouches for strict compatibility; drops the caveat")
-    check.add_argument("--assert-cover-monotone", action="store_true",
-                       help="caller vouches for monotonicity relative to the initial state")
     check.add_argument("--dot", metavar="PATH", help="write the analysis tree as DOT")
     check.add_argument("--json", action="store_true", help="machine-readable report")
     check.set_defaults(func=_cmd_check)
@@ -193,12 +189,6 @@ def _cmd_check(parser: _Parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         verdict = x0_coverability(mf.machine, initial, y, args.budget)
-        if args.assert_cover_monotone and verdict.caveats:
-            # the caveat hedges about termination without monotonicity
-            # relative to the initial state, which the caller just vouched for
-            verdict = AnalysisVerdict(
-                verdict.outcome, verdict.witness, verdict.budget_used, ()
-            )
         witness = None
         if verdict.outcome is Outcome.POSITIVE:
             witness = {

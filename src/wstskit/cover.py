@@ -6,18 +6,16 @@ vector over ℕ ∪ {ω}); an upward-closed set is the up-closure of a finite
 antichain of configurations.  On top of the algebra sit:
 
   * exact backward coverability for machines without zero tests,
-  * a forward saturation semi-procedure (also zero-test free),
-  * a certificate search for non-coverability that enumerates candidate
-    downward-closed invariants and is sound for arbitrary machines,
-  * a combined decision loop from a fixed initial state that interleaves
-    exact forward search with the certificate search, and
+  * a decision loop from a fixed initial state that interleaves exact
+    forward search with a certificate search, which enumerates candidate
+    downward-closed invariants and is sound for arbitrary machines, and
   * a bounded refutation check for monotonicity relative to one initial
     state.
 
 Zero tests are the fault line: the one-step image of a downward-closed
 set stays exactly computable (a zero test restricts an ideal to its
-member states with the tested entries at 0), but backward and forward
-reasoning that relies on monotonicity breaks, so those operations refuse
+member states with the tested entries at 0), but backward reasoning,
+which relies on monotonicity, breaks, so the backward operations refuse
 machines with zero tests outright.
 """
 
@@ -194,12 +192,6 @@ def _closed(d: DownSet, post: Callable[[Ideal], Iterable[Ideal]]) -> bool:
     )
 
 
-def downset_post_monotone(machine: CounterMachine, d: DownSet) -> DownSet:
-    """One-step image for the monotone fragment; refuses zero tests."""
-    require_no_zero_tests(machine)
-    return downset_post(machine, d)
-
-
 class UpSet(NamedTuple):
     """Upward closure of a minimal antichain of configurations."""
 
@@ -268,40 +260,6 @@ def backward_coverability(
         if bigger == basis:
             return upset_contains(basis, x0)
         basis = bigger
-
-
-def forward_cover_semiproc(
-    machine: CounterMachine, x0: CounterConfig, y: CounterConfig, step_budget: int = 100
-) -> AnalysisVerdict:
-    """Forward saturation for machines without zero tests.
-
-    Grows D from the closure of x0 by D ∪ post(D) and answers positive
-    when y enters D.  The procedure never answers negative: at the budget
-    it is inconclusive, and on reaching a fixpoint without y it reports
-    inconclusive with a caveat saying so (the caller may read that as a
-    non-cover for this machine class, but the contract stays one-sided).
-    Raises ValueError as :func:`x0_coverability` does on configurations
-    the machine lacks.
-    """
-    require_no_zero_tests(machine)
-    _check_configs(machine, x0, y)
-    d = downset_of_config(x0)
-    steps = 0
-    while True:
-        if downset_contains(d, y):
-            return AnalysisVerdict(Outcome.POSITIVE, steps, steps)
-        if steps >= step_budget:
-            return AnalysisVerdict(Outcome.INCONCLUSIVE, None, steps)
-        bigger = downset_union(d, downset_post(machine, d))
-        if bigger == d:
-            return AnalysisVerdict(
-                Outcome.INCONCLUSIVE,
-                None,
-                steps,
-                ("forward saturation reached a fixpoint that excludes the target",),
-            )
-        d = bigger
-        steps += 1
 
 
 def _antichain_subsets(vectors: list[Vec], max_size: int) -> list[tuple[Vec, ...]]:
@@ -373,38 +331,6 @@ def downset_candidates(machine: CounterMachine) -> Iterator[DownSet]:
             yield DownSet(ideals)
 
 
-def noncover_semiproc(
-    machine: CounterMachine,
-    x0: CounterConfig,
-    y: CounterConfig,
-    enumeration_budget: int = 10000,
-) -> AnalysisVerdict:
-    """Certificate search for non-coverability; sound for any machine.
-
-    Enumerates candidate downward-closed sets in the fixed fair order and
-    answers negative on the first D that contains x0, excludes y, and is
-    closed under the exact one-step image; D is the witness.  Inconclusive
-    once the budget of tested candidates runs out.  The check uses exact
-    steps, so zero tests are fine; the flip side is that some unreachable
-    targets admit no such invariant at all and stay inconclusive forever.
-    Raises ValueError as :func:`x0_coverability` does on configurations
-    the machine lacks.
-    """
-    _check_configs(machine, x0, y)
-    tested = 0
-    for d in downset_candidates(machine):
-        if tested >= enumeration_budget:
-            break
-        tested += 1
-        if not downset_contains(d, x0):
-            continue
-        if downset_contains(d, y):
-            continue
-        if downset_closed(machine, d):
-            return AnalysisVerdict(Outcome.NEGATIVE, d, tested)
-    return AnalysisVerdict(Outcome.INCONCLUSIVE, None, tested)
-
-
 def x0_coverability(
     machine: CounterMachine,
     x0: CounterConfig,
@@ -415,8 +341,8 @@ def x0_coverability(
 
     Interleaves, one round each: an exact breadth-first search over the
     reachable configurations (a configuration at or above y is a positive
-    witness; its label run is returned), and the certificate enumeration
-    of :func:`noncover_semiproc` (an inductive invariant separating x0
+    witness; its label run is returned), and a test of the next candidate
+    of :func:`downset_candidates` (an inductive invariant separating x0
     from y is a negative witness).  If the forward search exhausts the
     reachable set first, the answer is negative with the closure of the
     reached configurations as certificate.  Both definite answers are

@@ -369,40 +369,28 @@ def print_model(mf: ModelFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TARGET_CTR_RE = re.compile(r"^(\w+):\(([^()]*)\)$")
-_TARGET_FIFO_RE = re.compile(r'^(\w+):"([^"]*)"@(\w+)$')
+_TARGET_RE = re.compile(r"^(\w+):\(([^()]*)\)$")
 
 
-def parse_target(mf: ModelFile, text: str) -> Union[CounterConfig, FifoConfig]:
-    """Parse a coverability target: ``q:(3)`` or ``q:(1,0)``, or for FIFO
-    machines ``q:"ab"@ch`` (other channels empty)."""
-    if mf.kind == "counter":
-        m = _TARGET_CTR_RE.match(text)
-        if not m:
-            raise ValueError(f"bad target {text!r}: expected form q:(v1,v2)")
-        q, values_text = m.groups()
-        if q not in mf.machine.states:
-            raise ValueError(f"unknown state {q!r} in target")
-        try:
-            values = tuple(int(v) for v in values_text.split(",")) if values_text.strip() else ()
-        except ValueError:
-            raise ValueError("target values must be integers") from None
-        if len(values) != len(mf.machine.counters):
-            raise ValueError(
-                f"target has {len(values)} values, machine has {len(mf.machine.counters)} counters"
-            )
-        if any(v < 0 for v in values):
-            raise ValueError("target values must be non-negative")
-        return CounterConfig(q, values)
-    m = _TARGET_FIFO_RE.match(text)
+def parse_target(mf: ModelFile, text: str) -> CounterConfig:
+    """Parse a coverability target on a counter machine: ``q:(3)`` or
+    ``q:(1,0)``."""
+    if mf.kind != "counter":
+        raise ValueError("targets apply to counter machines only")
+    m = _TARGET_RE.match(text)
     if not m:
-        raise ValueError(f'bad target {text!r}: expected form q:"w"@ch')
-    q, word, ch = m.groups()
-    machine = mf.machine
-    if q not in machine.states:
+        raise ValueError(f"bad target {text!r}: expected form q:(v1,v2)")
+    q, values_text = m.groups()
+    if q not in mf.machine.states:
         raise ValueError(f"unknown state {q!r} in target")
-    if ch not in machine.channels:
-        raise ValueError(f"unknown channel {ch!r} in target")
-    contents = [()] * len(machine.channels)
-    contents[machine.channel_index(ch)] = machine.alphabet.word(word)
-    return FifoConfig(q, tuple(contents))
+    try:
+        values = tuple(int(v) for v in values_text.split(",")) if values_text.strip() else ()
+    except ValueError:
+        raise ValueError("target values must be integers") from None
+    if len(values) != len(mf.machine.counters):
+        raise ValueError(
+            f"target has {len(values)} values, machine has {len(mf.machine.counters)} counters"
+        )
+    if any(v < 0 for v in values):
+        raise ValueError("target values must be non-negative")
+    return CounterConfig(q, values)

@@ -156,11 +156,11 @@ def test_x0_cover_inconclusive(capsys):
     assert report["verdict"] == "inconclusive"
     assert report["budget"] == 3
     assert report["caveats"] and "round budget" in report["caveats"][0]
-    code, report, _ = run_json(
-        capsys, "check", "x0-cover", path("m8"), "--target", "q2:(5)",
-        "--budget", "3", "--assert-cover-monotone",
-    )
-    assert code == 2 and report["caveats"] == []
+    with pytest.raises(SystemExit) as info:
+        main(["check", "x0-cover", path("m8"), "--target", "q2:(5)",
+              "--budget", "3", "--assert-cover-monotone"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --assert-cover-monotone" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exit_code(capsys):

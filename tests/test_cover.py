@@ -50,14 +50,11 @@ from wstskit.cover import (
     downset_normalize,
     downset_of_config,
     downset_post,
-    downset_post_monotone,
     downset_subset,
     downset_union,
     entry_str,
-    forward_cover_semiproc,
     ideal_contains,
     ideal_subset,
-    noncover_semiproc,
     pre_basis,
     upset_contains,
     upset_normalize,
@@ -264,18 +261,11 @@ def test_closure_of_reach_need_not_be_inductive(m7):
     assert not downset_subset(stepped, y)
 
 
-def test_monotone_gate(m7, m8):
-    d = DownSet((Ideal("q0", (0,)),))
-    with pytest.raises(ValueError):
-        downset_post_monotone(m7.machine, d)
+def test_monotone_gate(m8):
     with pytest.raises(ValueError):
         pre_basis(m8.machine, upset_normalize([CounterConfig("q0", (0,))]))
     with pytest.raises(ValueError):
         backward_coverability(
-            m8.machine, CounterConfig("q0", (0,)), CounterConfig("q2", (1,))
-        )
-    with pytest.raises(ValueError):
-        forward_cover_semiproc(
             m8.machine, CounterConfig("q0", (0,)), CounterConfig("q2", (1,))
         )
 
@@ -344,28 +334,6 @@ def test_backward_coverability_agrees_with_search_oracle():
     assert conclusive > 20
 
 
-def test_forward_cover_semiproc_positive():
-    pump = cm(["q0"], ["c"], [t("q0", OP_INC, "c", "q0")])
-    v = forward_cover_semiproc(pump, CounterConfig("q0", (0,)), CounterConfig("q0", (5,)))
-    assert v.outcome is Outcome.POSITIVE and v.witness == 5
-
-
-def test_forward_cover_semiproc_budget_and_fixpoint():
-    pump = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q0")])
-    out = forward_cover_semiproc(
-        pump, CounterConfig("q0", (0,)), CounterConfig("q1", (0,)), step_budget=7
-    )
-    assert out.outcome is Outcome.INCONCLUSIVE and out.budget_used == 7
-    assert not out.caveats  # plain budget exhaustion
-
-    line = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
-    fix = forward_cover_semiproc(
-        line, CounterConfig("q0", (0,)), CounterConfig("q1", (2,))
-    )
-    assert fix.outcome is Outcome.INCONCLUSIVE
-    assert fix.caveats and "fixpoint" in fix.caveats[0]
-
-
 def test_candidate_enumeration_order(m8):
     m = m8.machine
     with deadline(10):
@@ -417,25 +385,28 @@ def test_candidates_match_brute_force_enumeration():
     assert reached[1] >= 4 and reached[2] >= 3, reached
 
 
-def test_noncover_semiproc_finds_m8_certificate(m8):
-    m = m8.machine
-    v = noncover_semiproc(m, CounterConfig("q0", (0,)), CounterConfig("q1", (1,)))
-    assert v.outcome is Outcome.NEGATIVE
-    assert v.witness == DownSet((Ideal("q0", (0,)), Ideal("q2", (OMEGA,))))
-    assert v.budget_used == 76
-    # certificates stay closed under repeated stepping
-    d = v.witness
-    for _ in range(5):
-        d = downset_post(m, d)
-        assert downset_subset(d, v.witness)
+def separating_candidates(machine, x0, y, count):
+    """The certificates among the first ``count`` candidates: those that
+    contain x0, exclude y and are inductive.  This is the non-coverability
+    semi-procedure that x0_coverability interleaves with its forward
+    search, run on its own."""
+    return [
+        d
+        for d in islice(downset_candidates(machine), count)
+        if downset_contains(d, x0)
+        and not downset_contains(d, y)
+        and downset_closed(machine, d)
+    ]
 
 
 def test_noncover_semiproc_budget_and_coverable_target(m8):
+    # the certificate search: 10 rounds are too few for the certificate of
+    # test_x0_coverability_m8, and a coverable target has no certificate
     m = m8.machine
-    small = noncover_semiproc(m, CounterConfig("q0", (0,)), CounterConfig("q1", (1,)), 10)
+    x0 = CounterConfig("q0", (0,))
+    small = x0_coverability(m, x0, CounterConfig("q1", (1,)), 10)
     assert small.outcome is Outcome.INCONCLUSIVE and small.budget_used == 10
-    cov = noncover_semiproc(m, CounterConfig("q0", (0,)), CounterConfig("q2", (1,)), 500)
-    assert cov.outcome is Outcome.INCONCLUSIVE  # target is coverable; no invariant exists
+    assert separating_candidates(m, x0, CounterConfig("q2", (1,)), 500) == []
 
 
 def test_noncover_semiproc_ends_on_machines_without_counters():
@@ -445,16 +416,15 @@ def test_noncover_semiproc_ends_on_machines_without_counters():
     script = textwrap.dedent(
         """
         from wstskit.counter import CounterConfig, CounterMachine, CounterTransition
-        from wstskit.cover import downset_candidates, noncover_semiproc
+        from wstskit.cover import downset_candidates, x0_coverability
 
         def noop(src, tgt):
             return CounterTransition(src, "noop", None, frozenset(), tgt)
 
         m = CounterMachine(("q0", "q1"), (), (noop("q0", "q1"),), "q0")
-        v = noncover_semiproc(m, CounterConfig("q0", ()), CounterConfig("q1", ()), 50)
-        print(v.outcome.value, v.budget_used, len(list(downset_candidates(m))))
+        print(len(list(downset_candidates(m))))
         m = CounterMachine(("q0", "q1", "q2"), (), (noop("q0", "q1"),), "q0")
-        v = noncover_semiproc(m, CounterConfig("q0", ()), CounterConfig("q2", ()), 50)
+        v = x0_coverability(m, CounterConfig("q0", ()), CounterConfig("q2", ()), 50)
         print(v.outcome.value, v.budget_used, [i.control for i in v.witness.ideals])
         """
     )
@@ -467,23 +437,20 @@ def test_noncover_semiproc_ends_on_machines_without_counters():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    # q1 is reachable: all 2^2 - 1 candidates are tested, none separates
-    assert proc.stdout.splitlines() == [
-        "inconclusive 3 3",
-        "negative 6 ['q0', 'q1']",
-    ]
+    # two controls give 2^2 - 1 candidates; q2 is unreachable
+    assert proc.stdout.splitlines() == ["3", "negative 3 ['q0', 'q1']"]
 
 
 def test_noncover_semiproc_can_miss_unreachable_targets(m7):
     # (q2,0) is unreachable, but any candidate containing the initial
     # closure steps to (q2,0) through the sub-ideal at the zero test,
-    # so no inductive certificate exists and the search stays inconclusive
+    # so no inductive certificate exists and the certificate search finds
+    # none (x0_coverability answers from its drained forward search)
     m = m7.machine
     reach, complete = bfs_reach(m, m.initial_config(), ref_counter_step, max_nodes=50)
     assert complete
     assert all(c.control != "q2" for c in reach)
-    v = noncover_semiproc(m, m.initial_config(), CounterConfig("q2", (0,)), 400)
-    assert v.outcome is Outcome.INCONCLUSIVE
+    assert separating_candidates(m, m.initial_config(), CounterConfig("q2", (0,)), 400) == []
 
 
 def test_x0_coverability_m8(m8):
@@ -497,6 +464,11 @@ def test_x0_coverability_m8(m8):
     assert neg.outcome is Outcome.NEGATIVE
     assert neg.witness == DownSet((Ideal("q0", (0,)), Ideal("q2", (OMEGA,))))
     assert neg.budget_used == 76
+    # certificates stay closed under repeated stepping
+    d = neg.witness
+    for _ in range(5):
+        d = downset_post(m, d)
+        assert downset_subset(d, neg.witness)
 
 
 def test_x0_coverability_finite_reach(m6):
@@ -507,6 +479,11 @@ def test_x0_coverability_finite_reach(m6):
     assert blocked.outcome is Outcome.NEGATIVE
     # forward search drained: certificate is the closure of the reach set
     assert blocked.witness == DownSet((Ideal("q0", (1,)),))
+    # finite reach with no configuration at or above the target
+    line = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
+    v = x0_coverability(line, CounterConfig("q0", (0,)), CounterConfig("q1", (2,)))
+    assert v.outcome is Outcome.NEGATIVE
+    assert v.witness == DownSet((Ideal("q0", (0,)), Ideal("q1", (1,))))
 
 
 def test_x0_coverability_budget():
@@ -555,14 +532,11 @@ def test_x0_coverability_rejects_configurations_the_machine_lacks(m8):
 
 
 @pytest.mark.parametrize(
-    "procedure", [noncover_semiproc, backward_coverability, forward_cover_semiproc],
-    ids=lambda f: f.__name__,
+    "procedure", [backward_coverability], ids=lambda f: f.__name__,
 )
 def test_cover_procedures_reject_configurations_the_machine_lacks(procedure):
-    # each once answered for a control the machine lacks: noncover_semiproc
-    # NEGATIVE for target zz:(0), backward_coverability True for
-    # x0 = y = zz:(0), forward_cover_semiproc INCONCLUSIVE with a fixpoint
-    # caveat for target zz:(0)
+    # backward_coverability once answered True for x0 = y = zz:(0), a
+    # control the machine lacks
     two_state = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
     zz = CounterConfig("zz", (0,))
     for bad_x0, bad_y, message in BAD_CONFIGS + (
