@@ -1,15 +1,17 @@
 """Value equality and a field-by-field repr for the package's plain classes.
 
-Most immutable records (transitions, ideals, verdicts) are
-``typing.NamedTuple`` types.  The configurations are plain slotted classes
-instead: the tree build reads their fields millions of times, and the
-interpreter reads a slot about four times faster than a named-tuple field.
-Classes that validate their arguments, cache a derived index, or are
-mutated are plain classes too.  Each plain class names its attributes in
-``_fields`` (two or more) and gets equality (same class, equal fields) and
-``repr`` from :class:`Fields`.  None of them uses :mod:`dataclasses`: its
-import (which pulls in :mod:`inspect`) and its per-class code generation
-would cost every CLI run more than the analysis of a small model.
+The read-only records (transitions, ideals, verdicts, trees, DFAs, parsed
+model files) are ``typing.NamedTuple`` types.  The configurations are
+plain slotted classes instead: the tree build reads their fields millions
+of times, and the interpreter reads a slot about four times faster than a
+named-tuple field.  Classes that validate their arguments or cache a
+derived index (the machines, ``BoundedLang``, ``Alphabet``) are plain
+classes too, as is ``RrtNode``, the one mutable record.  Each plain class
+names its attributes in ``_fields`` (one or more) and gets equality (same
+class, equal fields) and ``repr`` from :class:`Fields`.  None of them uses
+:mod:`dataclasses`: its import (which pulls in :mod:`inspect`) and its
+per-class code generation would cost every CLI run more than the analysis
+of a small model.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class Fields:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        # the field values as one tuple, read in C
+        # the field values as one tuple (a lone field's value), read in C
         cls._astuple = attrgetter(*cls._fields) if cls._fields else None
 
     def __eq__(self, other):

@@ -17,7 +17,7 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._record import Fields, FrozenFields, set_field
+from ._record import FrozenFields, set_field
 
 SEND = "!"
 RECV = "?"
@@ -26,36 +26,25 @@ RECV = "?"
 Action = tuple[str, str, int]
 
 
-class Alphabet:
+class Alphabet(FrozenFields):
     """Interned letter table; words are tuples of integer letter ids."""
 
+    _fields = ("letters",)
+
     def __init__(self, letters: Iterable[str]):
-        self._letters = tuple(letters)
-        if len(set(self._letters)) != len(self._letters):
+        set_field(self, "letters", tuple(letters))
+        if len(set(self.letters)) != len(self.letters):
             raise ValueError("duplicate letters in alphabet")
-        for name in self._letters:
+        for name in self.letters:
             if not name:
                 raise ValueError("empty letter name")
-        self._ids = {a: i for i, a in enumerate(self._letters)}
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        return self._letters
+        set_field(self, "_ids", {a: i for i, a in enumerate(self.letters)})
 
     def __len__(self) -> int:
-        return len(self._letters)
+        return len(self.letters)
 
     def __contains__(self, name: str) -> bool:
         return name in self._ids
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self._letters == other._letters
-
-    def __hash__(self) -> int:
-        return hash(self._letters)
-
-    def __repr__(self) -> str:
-        return f"Alphabet({list(self._letters)!r})"
 
     def id(self, name: str) -> int:
         try:
@@ -64,7 +53,7 @@ class Alphabet:
             raise ValueError(f"unknown letter {name!r}") from None
 
     def name(self, lid: int) -> str:
-        return self._letters[lid]
+        return self.letters[lid]
 
     def word(self, text: str | Iterable[str]) -> tuple[int, ...]:
         """Intern a word; a plain string is read one character per letter."""
@@ -141,6 +130,8 @@ class FifoMachine(FrozenFields):
                 raise ValueError(f"transition {i} uses an unknown letter id")
 
     def channel_index(self, ch: str) -> int:
+        if ch not in self.channels:
+            raise ValueError(f"unknown channel {ch!r}")
         return self.channels.index(ch)
 
     @cached_property
@@ -156,7 +147,7 @@ class FifoMachine(FrozenFields):
         return index
 
     def initial_config(
-        self, contents: Mapping[str, str | Sequence[int]] | None = None
+        self, contents: Mapping[str, str | Sequence[str]] | None = None
     ) -> FifoConfig:
         per_channel = [()] * len(self.channels)
         if contents:
@@ -337,7 +328,7 @@ def bounded_lang(machine: FifoMachine, words: Mapping[str, Sequence[str]]) -> Bo
     return BoundedLang(machine.alphabet, tuple(channels), tuple(blocks))
 
 
-class Normalization(Fields):
+class Normalization(NamedTuple):
     """Result of distinct-letter normalization.
 
     ``letter_map`` maps every letter name of the new machine back to the
@@ -346,19 +337,10 @@ class Normalization(Fields):
     letter, the (channel, block index, offset) occurrence it stands for.
     """
 
-    _fields = ("machine", "lang", "letter_map", "positions")
-
-    def __init__(
-        self,
-        machine: FifoMachine,
-        lang: BoundedLang,
-        letter_map: dict[str, str],
-        positions: dict[str, tuple[str, int, int]],
-    ) -> None:
-        self.machine = machine
-        self.lang = lang
-        self.letter_map = letter_map
-        self.positions = positions
+    machine: FifoMachine
+    lang: BoundedLang
+    letter_map: dict[str, str]
+    positions: dict[str, tuple[str, int, int]]
 
 
 def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normalization:
@@ -427,7 +409,7 @@ def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normal
     return Normalization(new_machine, new_lang, letter_map, positions)
 
 
-class Dfa(Fields):
+class Dfa(NamedTuple):
     """Deterministic automaton over machine actions (channel, direction, letter)
     that tracks one direction, ``tracked`` (SEND or RECV).
 
@@ -436,21 +418,11 @@ class Dfa(Fields):
     state unchanged.
     """
 
-    _fields = ("states", "initial", "accepting", "tracked", "delta")
-
-    def __init__(
-        self,
-        states: tuple[str, ...],
-        initial: str,
-        accepting: frozenset[str],
-        tracked: str,
-        delta: dict[tuple[str, Action], str],
-    ) -> None:
-        self.states = states
-        self.initial = initial
-        self.accepting = accepting
-        self.tracked = tracked
-        self.delta = delta
+    states: tuple[str, ...]
+    initial: str
+    accepting: frozenset[str]
+    tracked: str
+    delta: dict[tuple[str, Action], str]
 
     def step(self, state: str, action: Action) -> str | None:
         if action[1] != self.tracked:

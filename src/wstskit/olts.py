@@ -64,30 +64,22 @@ class Olts(NamedTuple):
 
 
 def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) -> Olts:
-    x0 = initial if initial is not None else machine.initial_config()
-    if len(x0.values) != len(machine.counters):
-        raise ValueError("initial configuration has a different number of counters")
-    seen = {(x0.control, x0.values): x0}  # one object per distinct configuration
-    return Olts(
-        initial=x0,
-        post=lambda x: cm_post(machine, x, seen),
-        labels=len(machine.transitions),
-        order=COUNTER_ORDER,
-        state_fmt=counter_config_str,
-        label_fmt=machine.describe_transition,
-    )
+    return _machine_olts(machine, initial, "values", "counters", cm_post, COUNTER_ORDER,
+                         counter_config_str)
 
 
 def fifo_olts(machine: FifoMachine, initial: FifoConfig | None = None) -> Olts:
+    return _machine_olts(machine, initial, "contents", "channels", fifo_post, EXT_PREFIX_ORDER,
+                         lambda x: fifo_config_str(machine, x))
+
+
+def _machine_olts(machine, initial, field, signature, post, order, state_fmt) -> Olts:
+    """The system of a machine from ``initial`` (default: its initial
+    configuration), whose ``field`` has one entry per ``signature`` name."""
     x0 = initial if initial is not None else machine.initial_config()
-    if len(x0.contents) != len(machine.channels):
-        raise ValueError("initial configuration has a different number of channels")
-    seen = {(x0.control, x0.contents): x0}  # one object per distinct configuration
-    return Olts(
-        initial=x0,
-        post=lambda x: fifo_post(machine, x, seen),
-        labels=len(machine.transitions),
-        order=EXT_PREFIX_ORDER,
-        state_fmt=lambda x: fifo_config_str(machine, x),
-        label_fmt=machine.describe_transition,
-    )
+    data = getattr(x0, field)
+    if len(data) != len(getattr(machine, signature)):
+        raise ValueError(f"initial configuration has a different number of {signature}")
+    seen = {(x0.control, data): x0}  # one object per distinct configuration
+    return Olts(x0, lambda x: post(machine, x, seen), len(machine.transitions), order,
+                state_fmt, machine.describe_transition)

@@ -8,12 +8,8 @@ always derived from one source of truth.
 
 from __future__ import annotations
 
-from operator import le
+from operator import eq, le
 from typing import Any, Callable, NamedTuple, Sequence
-
-
-def _structural_eq(a: Any, b: Any) -> bool:
-    return a == b
 
 
 class Order(NamedTuple):
@@ -24,7 +20,7 @@ class Order(NamedTuple):
     """
 
     leq: Callable[[Any, Any], bool]
-    eq: Callable[[Any, Any], bool] = _structural_eq
+    eq: Callable[[Any, Any], bool] = eq  # operator.eq
 
     def strictly_less(self, x: Any, y: Any) -> bool:
         return self.leq(x, y) and not self.leq(y, x)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import compress, repeat
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from ._record import Fields
 from .olts import Olts
@@ -48,14 +48,11 @@ class RrtNode(Fields):
         self.iterable = iterable
 
 
-class Rrt(Fields):
+class Rrt(NamedTuple):
     """Tree nodes in creation (breadth-first) order, plus budget facts."""
 
-    _fields = ("nodes", "budget_exhausted")
-
-    def __init__(self, nodes: list[RrtNode], budget_exhausted: bool) -> None:
-        self.nodes = nodes
-        self.budget_exhausted = budget_exhausted
+    nodes: list[RrtNode]
+    budget_exhausted: bool
 
     @property
     def complete(self) -> bool:
@@ -63,21 +60,23 @@ class Rrt(Fields):
 
     def ancestor_ids(self, node_id: int) -> list[int]:
         """Strict ancestors of a node, root first."""
+        nodes = self.nodes  # a local reads faster than a named-tuple field
         chain = []
-        cur = self.nodes[node_id].parent
+        cur = nodes[node_id].parent
         while cur is not None:
             chain.append(cur)
-            cur = self.nodes[cur].parent
+            cur = nodes[cur].parent
         chain.reverse()
         return chain
 
     def path_labels(self, node_id: int) -> list[Any]:
         """Transition labels along the path from the root to the node."""
+        nodes = self.nodes
         labels = []
-        cur = self.nodes[node_id]
+        cur = nodes[node_id]
         while cur.parent is not None:
             labels.append(cur.label)
-            cur = self.nodes[cur.parent]
+            cur = nodes[cur.parent]
         labels.reverse()
         return labels
 
@@ -158,8 +157,9 @@ def decide_boundedness(
     Raises ValueError if the subsumption pairs reveal the ordering is not
     antisymmetric: the bounded verdict needs a partial order.
     """
+    nodes = rrt.nodes
     for n in rrt.subsumed_nodes():
-        a = rrt.nodes[n.subsumed_by]
+        a = nodes[n.subsumed_by]
         if order.leq(n.state, a.state) and not order.eq(a.state, n.state):
             raise ValueError(
                 "ordering is not antisymmetric on observed states; "
@@ -168,7 +168,7 @@ def decide_boundedness(
     witness = None
     for n in rrt.subsumed_nodes():
         for aid in rrt.ancestor_ids(n.id):
-            if order.strictly_less(rrt.nodes[aid].state, n.state):
+            if order.strictly_less(nodes[aid].state, n.state):
                 witness = (aid, n.id)
                 break
         if witness is not None:

@@ -194,6 +194,17 @@ def test_olts_rejects_initial_config_of_other_signature(m2):
     assert fifo_olts(m, FifoConfig("q0", ((),))).initial == m.initial_config()
 
 
+def test_initial_config_takes_letter_names(m2):
+    m = m2.machine
+    want = FifoConfig("q0", (m.alphabet.word("ca"),))
+    assert m.initial_config({"ch": "ca"}) == want
+    assert m.initial_config({"ch": ["c", "a"]}) == want
+    with pytest.raises(ValueError, match="unknown letter 0"):
+        m.initial_config({"ch": (0, 1)})  # letter ids are not names
+    with pytest.raises(ValueError, match="unknown channel 'zz'"):
+        m.initial_config({"zz": "a"})
+
+
 def test_describe_and_config_str(m2):
     m = m2.machine
     assert m.describe_transition(0) == "!a"
