@@ -56,19 +56,6 @@ _WORDS = {
     "x0-cover": {Outcome.POSITIVE: "coverable", Outcome.NEGATIVE: "not-coverable"},
 }
 
-_HUMAN = {
-    "unbounded": "UNBOUNDED",
-    "bounded": "BOUNDED",
-    "non-terminating": "NON-TERMINATING",
-    "terminating": "TERMINATING",
-    "cmrz": "CMRZ",
-    "not-cmrz": "NOT CMRZ",
-    "coverable": "COVERABLE",
-    "not-coverable": "NOT COVERABLE",
-    "inconclusive": "INCONCLUSIVE",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on errors; the report contract reserves
     2 for inconclusive verdicts, so usage errors are remapped to 1."""
@@ -229,7 +216,7 @@ def _cmd_check(parser: _Parser, args) -> int:
         print(f"analysis: {args.analysis}")
         for note in notes:
             print(f"note: {note}")
-        print(f"verdict: {_HUMAN[word]}")
+        print(f"verdict: {word.upper().replace('NOT-', 'NOT ')}")
         if witness is not None:
             print(f"witness: {json.dumps(witness, ensure_ascii=False)}")
         if verdict.outcome is Outcome.INCONCLUSIVE:

@@ -79,6 +79,8 @@ class CounterMachine(FrozenFields):
                 raise ValueError(f"transition {i} zero-tests undeclared counters")
 
     def counter_index(self, c: str) -> int:
+        if c not in self.counters:
+            raise ValueError(f"unknown counter {c!r}")
         return self.counters.index(c)
 
     @cached_property
@@ -176,18 +178,12 @@ def is_cmrz(machine: CounterMachine) -> tuple[bool, list[int] | None]:
     zero-testing transition and ending at the offending operation.
     """
     reachable = control_reachable(machine, machine.initial)
-    best: list[int] | None = None
-
-    def consider(candidate: list[int]) -> None:
-        nonlocal best
-        if best is None or len(candidate) < len(best):
-            best = candidate
-
+    violations: list[list[int]] = []
     for ti, t in enumerate(machine.transitions):
         if not t.zero_tests or t.source not in reachable:
             continue
         if t.op != OP_NOOP and t.counter in t.zero_tests:
-            consider([ti])
+            violations.append([ti])
             continue
         # BFS over the control graph from target(t) for the nearest
         # transition operating on a tested counter (cycles included).
@@ -206,7 +202,8 @@ def is_cmrz(machine: CounterMachine) -> tuple[bool, list[int] | None]:
                     seen.add(u.target)
                     queue.append((u.target, path + [ui]))
         if found is not None:
-            consider(found)
+            violations.append(found)
+    best = min(violations, key=len, default=None)
     return best is None, best
 
 

@@ -30,7 +30,7 @@ line; the printer emits the canonical order shown above.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Union
+from typing import Container, NamedTuple, Optional, Union
 
 from .counter import (
     OP_NOOP,
@@ -86,8 +86,7 @@ _CTR_TRANS_RE = re.compile(
     r"(?:\[\s*zero\s*:\s*(\w+(?:\s*,\s*\w+)*)\s*\])?\s*-->\s*(\w+)$"
 )
 _FIFO_TRANS_RE = re.compile(r"^(\w+)\s*--\s*(\w+)\s*([!?])\s*(\w+)\s*-->\s*(\w+)$")
-_BOUND_RE = re.compile(r"^bound\s+(\w+)\s*:\s*(.+)$")
-_INPUT_BOUNDED_RE = re.compile(r"^input_bounded\s+(\w+)\s*:\s*(.+)$")
+_BOUND_RE = re.compile(r"^(?:bound|input_bounded)\s+(\w+)\s*:\s*(.+)$")
 _BOUND_WORDS_RE = re.compile(r"^(?:\(\w+\)\s*\*?\s*)+$")
 _INIT_CTR_RE = re.compile(r"^init\s+(\w+)\s*(?:\(\s*([^()]*)\s*\))?$")
 _INIT_FIFO_RE = re.compile(r'^init\s+(\w+)((?:\s+\w+\s*:\s*"[^"]*")*)\s*$')
@@ -134,7 +133,7 @@ def parse_model(text: str, name: str = "model") -> ModelFile:
         if "-->" in body:
             transitions.append((lineno, base, body))
             continue
-        m = _BOUND_RE.match(body) or _INPUT_BOUNDED_RE.match(body)
+        m = _BOUND_RE.match(body)
         if m:
             bounds.append((lineno, base, m))
             continue
@@ -156,9 +155,17 @@ def parse_model(text: str, name: str = "model") -> ModelFile:
     return _build_fifo(name, states, decls, transitions, bounds, init)
 
 
-def _require_state(states: list[str], q: str, lineno: int, col: int) -> None:
-    if q not in states:
-        raise ParseError(lineno, col, f"unknown state {q!r}")
+def _require(names: Container[str], name: str, what: str, lineno: int, col: int) -> None:
+    if name not in names:
+        raise ParseError(lineno, col, f"unknown {what} {name!r}")
+
+
+def _machine(cls, *fields):
+    """Build a machine, reporting its validation error as a parse error."""
+    try:
+        return cls(*fields)
+    except ValueError as exc:
+        raise ParseError(1, 1, str(exc)) from None
 
 
 def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
@@ -175,18 +182,17 @@ def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
         if not m:
             raise ParseError(lineno, base, f"bad counter transition: {body!r}")
         source, op, counter, noop, zeros, target = m.groups()
-        _require_state(states, source, lineno, base + m.start(1))
-        _require_state(states, target, lineno, base + m.start(6))
+        _require(states, source, "state", lineno, base + m.start(1))
+        _require(states, target, "state", lineno, base + m.start(6))
         if noop:
             op = OP_NOOP
             counter = None
-        elif counter not in counters:
-            raise ParseError(lineno, base + m.start(3), f"unknown counter {counter!r}")
+        else:
+            _require(counters, counter, "counter", lineno, base + m.start(3))
         zero_set = []
         if zeros:
             for z, col in _words(m, 5, base):
-                if z not in counters:
-                    raise ParseError(lineno, col, f"unknown counter {z!r}")
+                _require(counters, z, "counter", lineno, col)
                 zero_set.append(z)
         parsed.append(
             CounterTransition(source, op, counter, frozenset(zero_set), target)
@@ -197,7 +203,7 @@ def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
     if not m:
         raise ParseError(lineno, base, f"bad init statement: {body!r}")
     q0, values_text = m.groups()
-    _require_state(states, q0, lineno, base + m.start(1))
+    _require(states, q0, "state", lineno, base + m.start(1))
     # the values, or the end of the statement when there are none
     col = base + (len(body) if values_text is None else m.start(2))
     if values_text is None or values_text.strip() == "":
@@ -212,16 +218,7 @@ def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
     if len(values) != len(counters):
         raise ParseError(lineno, col, f"expected {len(counters)} initial values, got {len(values)}")
 
-    try:
-        machine = CounterMachine(
-            states=tuple(states),
-            counters=tuple(counters),
-            transitions=tuple(parsed),
-            initial=q0,
-            name=name,
-        )
-    except ValueError as exc:
-        raise ParseError(1, 1, str(exc)) from None
+    machine = _machine(CounterMachine, tuple(states), tuple(counters), tuple(parsed), q0, name)
     return ModelFile("counter", machine, CounterConfig(q0, values))
 
 
@@ -241,10 +238,9 @@ def _bound_words(lineno: int, base: int, m: re.Match) -> list[list[tuple[str, in
 def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
     if "counters" in decls:
         raise ParseError(decls["counters"][0], 1, "counters declaration in a fifo model")
-    if "channels" not in decls:
-        raise ParseError(1, 1, "missing channels declaration")
-    if "alphabet" not in decls:
-        raise ParseError(1, 1, "missing alphabet declaration")
+    for what in ("channels", "alphabet"):
+        if what not in decls:
+            raise ParseError(1, 1, f"missing {what} declaration")
     channels = decls["channels"][1]
     alphabet = Alphabet(decls["alphabet"][1])
 
@@ -254,12 +250,10 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
         if not m:
             raise ParseError(lineno, base, f"bad fifo transition: {body!r}")
         source, channel, kind_ch, letter, target = m.groups()
-        _require_state(states, source, lineno, base + m.start(1))
-        _require_state(states, target, lineno, base + m.start(5))
-        if channel not in channels:
-            raise ParseError(lineno, base + m.start(2), f"unknown channel {channel!r}")
-        if letter not in alphabet:
-            raise ParseError(lineno, base + m.start(4), f"unknown letter {letter!r}")
+        _require(states, source, "state", lineno, base + m.start(1))
+        _require(states, target, "state", lineno, base + m.start(5))
+        _require(channels, channel, "channel", lineno, base + m.start(2))
+        _require(alphabet, letter, "letter", lineno, base + m.start(4))
         parsed.append(FifoTransition(source, channel, kind_ch, alphabet.id(letter), target))
 
     lang = None
@@ -267,15 +261,13 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
         seen_channels: dict[str, tuple] = {}
         for lineno, base, m in bounds:
             ch, col = m.group(1), base + m.start(1)
-            if ch not in channels:
-                raise ParseError(lineno, col, f"unknown channel {ch!r}")
+            _require(channels, ch, "channel", lineno, col)
             if ch in seen_channels:
                 raise ParseError(lineno, col, f"duplicate bound clause for channel {ch!r}")
             words = []
             for w in _bound_words(lineno, base, m):
                 for letter, col in w:
-                    if letter not in alphabet:
-                        raise ParseError(lineno, col, f"unknown letter {letter!r}")
+                    _require(alphabet, letter, "letter", lineno, col)
                 words.append(tuple(alphabet.id(letter) for letter, _ in w))
             seen_channels[ch] = tuple(words)
         lang = BoundedLang(
@@ -289,33 +281,23 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
     if not m:
         raise ParseError(lineno, base, f"bad init statement: {body!r}")
     q0 = m.group(1)
-    _require_state(states, q0, lineno, base + m.start(1))
+    _require(states, q0, "state", lineno, base + m.start(1))
     contents = [()] * len(channels)
     start = base + m.start(2)
     named = set()
     for c in _FIFO_CONTENT_RE.finditer(m.group(2)):
         ch, word = c.groups()
-        if ch not in channels:
-            raise ParseError(lineno, start + c.start(1), f"unknown channel {ch!r}")
+        _require(channels, ch, "channel", lineno, start + c.start(1))
         if ch in named:
             raise ParseError(lineno, start + c.start(1), f"duplicate channel {ch!r} in init")
         named.add(ch)
         for i, letter in enumerate(word):
-            if letter not in alphabet:
-                raise ParseError(lineno, start + c.start(2) + i, f"unknown letter {letter!r}")
+            _require(alphabet, letter, "letter", lineno, start + c.start(2) + i)
         contents[channels.index(ch)] = tuple(alphabet.id(letter) for letter in word)
 
-    try:
-        machine = FifoMachine(
-            states=tuple(states),
-            channels=tuple(channels),
-            alphabet=alphabet,
-            transitions=tuple(parsed),
-            initial=q0,
-            name=name,
-        )
-    except ValueError as exc:
-        raise ParseError(1, 1, str(exc)) from None
+    machine = _machine(
+        FifoMachine, tuple(states), tuple(channels), alphabet, tuple(parsed), q0, name
+    )
     return ModelFile("fifo", machine, FifoConfig(q0, tuple(contents)), lang)
 
 
@@ -327,12 +309,8 @@ def print_model(mf: ModelFile) -> str:
     if mf.kind == "counter":
         if machine.counters:
             lines.append("counters " + " ".join(machine.counters))
-        for t in machine.transitions:
-            op = "noop" if t.counter is None else f"{t.op}({t.counter})"
-            zero = ""
-            if t.zero_tests:
-                zero = " [zero: " + ",".join(sorted(t.zero_tests)) + "]"
-            lines.append(f"{t.source} -- {op}{zero} --> {t.target}")
+        for label, t in enumerate(machine.transitions):
+            lines.append(f"{t.source} -- {machine.describe_transition(label)} --> {t.target}")
         if machine.counters:
             values = ",".join(str(v) for v in mf.initial.values)
             lines.append(f"init {mf.initial.control} ({values})")

@@ -57,8 +57,6 @@ class Alphabet(FrozenFields):
 
     def word(self, text: str | Iterable[str]) -> tuple[int, ...]:
         """Intern a word; a plain string is read one character per letter."""
-        if isinstance(text, str):
-            return tuple(self.id(ch) for ch in text)
         return tuple(self.id(a) for a in text)
 
     def show(self, word: Sequence[int]) -> str:
@@ -207,9 +205,10 @@ def resolve_action_run(
     """Resolve an action-string run like ``"!c !b ?c"`` to transition labels.
 
     The channel may be omitted on single-channel machines.  Resolution
-    simulates the machine with backtracking and requires exactly one
-    transition sequence that executes the whole action string; zero or
-    several complete resolutions are errors.
+    requires exactly one transition sequence that executes the whole action
+    string; zero or several are errors.  One forward pass over the actions,
+    with no backtracking, keeps per reached configuration the number of
+    label sequences that reach it, capped at 2, and the first of them.
     """
     if isinstance(actions, str):
         tokens = actions.split()
@@ -227,37 +226,23 @@ def resolve_action_run(
             ch = machine.channels[0]
         parsed.append((ch, kind, machine.alphabet.id(letter)))
 
-    if not parsed:
-        return []
     spelled = [(t.channel, t.kind, t.letter) for t in machine.transitions]
-
-    def moves(x: FifoConfig, i: int):
-        return ((lab, y) for lab, y in fifo_post(machine, x) if spelled[lab] == parsed[i])
-
-    # depth-first, one pending-moves iterator per chosen prefix, so long runs
-    # need no recursion; stops once two complete resolutions are known
-    solutions: list[list[int]] = []
-    chosen: list[int] = []
-    stack = [moves(x0, 0)]
-    while stack and len(solutions) < 2:
-        move = next(stack[-1], None)
-        if move is None:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        label, y = move
-        chosen.append(label)
-        if len(chosen) == len(parsed):
-            solutions.append(list(chosen))
-            chosen.pop()
-        else:
-            stack.append(moves(y, len(chosen)))
-    if not solutions:
+    reached: dict[FifoConfig, tuple[int, list[int]]] = {x0: (1, [])}
+    for action in parsed:
+        after: dict[FifoConfig, tuple[int, list[int]]] = {}
+        for x, (count, labels) in reached.items():
+            for label, y in fifo_post(machine, x):
+                if spelled[label] != action:
+                    continue
+                seen, first = after.setdefault(y, (0, labels + [label]))
+                after[y] = (min(seen + count, 2), first)
+        reached = after
+    resolutions = sum(count for count, _ in reached.values())
+    if not resolutions:
         raise ValueError("action run is not executable")
-    if len(solutions) > 1:
+    if resolutions > 1:
         raise ValueError("action run is ambiguous; pass transition labels instead")
-    return solutions[0]
+    return next(iter(reached.values()))[1]
 
 
 def _proj(machine: FifoMachine, labels: Iterable[int], channel: str, kind: str) -> tuple[int, ...]:
@@ -297,6 +282,8 @@ class BoundedLang(FrozenFields):
                     raise ValueError("bounded-language words must be non-empty")
 
     def blocks_for(self, channel: str) -> tuple[tuple[int, ...], ...]:
+        if channel not in self.channels:
+            raise ValueError(f"unknown channel {channel!r}")
         return self.blocks[self.channels.index(channel)]
 
     @property

@@ -71,21 +71,15 @@ class Rrt(NamedTuple):
 
     def path_labels(self, node_id: int) -> list[Any]:
         """Transition labels along the path from the root to the node."""
-        nodes = self.nodes
-        labels = []
-        cur = nodes[node_id]
-        while cur.parent is not None:
-            labels.append(cur.label)
-            cur = nodes[cur.parent]
-        labels.reverse()
-        return labels
+        path = (self.ancestor_ids(node_id) + [node_id])[1:]
+        return [self.nodes[i].label for i in path]
 
     def loop_labels(self, node_id: int) -> list[Any]:
         """Labels of the path from a subsumed node's subsumer down to it."""
         node = self.nodes[node_id]
         if node.subsumed_by is None:
             raise ValueError(f"node {node_id} is not subsumed")
-        skip = len(self.path_labels(node.subsumed_by))
+        skip = len(self.ancestor_ids(node.subsumed_by))
         return self.path_labels(node_id)[skip:]
 
     def subsumed_nodes(self) -> Iterator[RrtNode]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 
@@ -283,3 +285,36 @@ def test_module_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["verdict"] == "non-terminating"
+
+
+def _readme_block(heading: str) -> list[str]:
+    """The lines of the first fenced block after ``heading`` in README.md."""
+    text = (MODELS.parent / "README.md").read_text(encoding="utf-8")
+    after = text[text.index(heading):]
+    start = after.index("```")
+    body = after[after.index("\n", start) + 1:]
+    return body[: body.index("```")].splitlines()
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(MODELS.parent)
+    commands = [line for line in _readme_block("## Command line") if line.startswith("wstskit ")]
+    assert commands
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        if "-o" in argv:
+            i = argv.index("-o") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv) == 0, line
+        capsys.readouterr()
+
+
+def test_readme_sample_output(monkeypatch, capsys):
+    monkeypatch.chdir(MODELS.parent)
+    code, out, _ = run(capsys, "check", "boundedness", "models/m1.model")
+    assert code == 0
+
+    def mask(lines):
+        return [re.sub(r"^elapsed: .*", "elapsed: ...", line) for line in lines]
+
+    assert mask(out.splitlines()) == mask(_readme_block("Sample output:"))

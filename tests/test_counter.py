@@ -51,6 +51,12 @@ def test_validation_rejects_bad_machines():
         mk(["q0"], ["c"], [t("q0", OP_NOOP, None, "q0", zero=["d"])], "q0")
 
 
+def test_counter_index_names_the_unknown_counter(m8):
+    assert m8.machine.counter_index("c") == 0
+    with pytest.raises(ValueError, match="^unknown counter 'zz'$"):
+        m8.machine.counter_index("zz")
+
+
 def test_initial_config_shapes():
     m = mk(["q0"], ["a", "b"], [], "q0")
     assert m.initial_config() == CounterConfig("q0", (0, 0))

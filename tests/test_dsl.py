@@ -150,6 +150,34 @@ def test_bad_init():
     assert "duplicate channel 'ch' in init" in str(e) and e.col == 16
 
 
+_CTR = "kind counter\nstates q0 q1\ncounters c\n{}\ninit q0\n"
+_FIFO = "kind fifo\nstates q0\nchannels ch\nalphabet a b\n{}\ninit q0\n"
+_FIFO_INIT = "kind fifo\nstates q0\nchannels ch\nalphabet a b\n{}\n"
+
+# every site that refuses an undeclared name: text, message, line, column
+UNKNOWN_NAME_SITES = {
+    "transition source": (_CTR.format("  q9 -- inc(c) --> q0"), "unknown state 'q9'", 4, 3),
+    "transition target": (_CTR.format("q0 -- inc(c) --> q9"), "unknown state 'q9'", 4, 18),
+    "counter": (_CTR.format("q0 --  inc(d) --> q1"), "unknown counter 'd'", 4, 12),
+    "zero test": (_CTR.format("q0 -- noop [zero: c, d] --> q1"), "unknown counter 'd'", 4, 22),
+    "fifo channel": (_FIFO.format("q0 -- xx!a --> q0"), "unknown channel 'xx'", 5, 7),
+    "fifo letter": (_FIFO.format("q0 -- ch ! z --> q0"), "unknown letter 'z'", 5, 12),
+    "bound channel": (_FIFO.format(" bound xx: (ab)"), "unknown channel 'xx'", 5, 8),
+    "bound letter": (_FIFO.format("bound ch: (ab)(az)"), "unknown letter 'z'", 5, 17),
+    "init state": ("kind counter\nstates q0\ncounters c\ninit  q9 (0)\n", "unknown state 'q9'", 4, 7),
+    "init channel": (_FIFO_INIT.format('init q0 ch:"a" xx:"b"'), "unknown channel 'xx'", 5, 16),
+    "init letter": (_FIFO_INIT.format('init q0 ch:"abz"'), "unknown letter 'z'", 5, 15),
+}
+
+
+@pytest.mark.parametrize("site", sorted(UNKNOWN_NAME_SITES))
+def test_unknown_name_sites(site):
+    text, message, line, col = UNKNOWN_NAME_SITES[site]
+    e = err(text)
+    assert str(e) == f"line {line}, col {col}: {message}"
+    assert (e.line, e.col) == (line, col)
+
+
 def test_unrecognized_statement():
     e = err("kind counter\nstates q0\nwat is this\ninit q0\n")
     assert "unrecognized statement" in str(e) and e.line == 3

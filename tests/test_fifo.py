@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import product as iproduct
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import wstskit
 from conftest import MODELS
 from gen import random_fifo_machine, random_loop_instance
 from oracles import (
@@ -252,6 +258,38 @@ def test_resolve_action_run_long_run_needs_no_recursion(m1):
         resolve_action_run(m1.machine, m1.initial, "!a " * 4999 + "!b !a")
 
 
+def test_resolve_action_run_is_polynomial_on_ambiguous_dead_ends():
+    # Two self-loops spell !a, so 40 sends have 2^40 resolutions.  A
+    # resolver that enumerates them never ends, so the calls run in a
+    # child process that the timeout stops instead of hanging the suite.
+    script = textwrap.dedent(
+        """
+        from wstskit.fifo import Alphabet, FifoMachine, FifoTransition, resolve_action_run
+
+        loop = FifoTransition("q0", "ch", "!", 0, "q0")
+        m = FifoMachine(("q0",), ("ch",), Alphabet("ab"), (loop, loop), "q0")
+        for actions in ("!a " * 40 + "?b", "!a " * 40):
+            try:
+                resolve_action_run(m, m.initial_config(), actions)
+            except ValueError as exc:
+                print(exc)
+        """
+    )
+    src = str(Path(wstskit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "action run is not executable",
+        "action run is ambiguous; pass transition labels instead",
+    ]
+
+
 def brute_resolutions(machine, x0, actions):
     """Every label sequence whose transitions spell the actions and replay."""
     per_action = []
@@ -309,6 +347,8 @@ def test_bounded_lang_shapes(m4):
         bounded_lang(m4.machine, {"nope": ("a",)})
     with pytest.raises(ValueError):
         BoundedLang(m4.machine.alphabet, ("ch",), (((),),))  # empty word
+    with pytest.raises(ValueError, match="^unknown channel 'zz'$"):
+        lang.blocks_for("zz")
 
 
 def test_normalization_identity(m4):
