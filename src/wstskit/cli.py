@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .counter import CounterConfig, is_cmrz
-from .cover import DownSet, downset_closed, x0_coverability
+from .cover import downset_closed, x0_coverability
 # not called here; kept as cli attributes because bench/tracing.py wraps them
 from .cover import downset_post, downset_subset  # noqa: F401
 from .dsl import ModelFile, ParseError, parse_model, parse_target, print_model
@@ -44,17 +44,16 @@ EXIT_DEFINITE = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 
-ANALYSES = ("boundedness", "termination", "nonterm-iterable", "cmrz", "x0-cover")
-TREE_ANALYSES = ("boundedness", "termination", "nonterm-iterable")
-
-# Human/JSON wording per analysis and outcome.
+# Each analysis with its JSON words for Outcome.POSITIVE and NEGATIVE, tree analyses first.
 _WORDS = {
-    "boundedness": {Outcome.POSITIVE: "unbounded", Outcome.NEGATIVE: "bounded"},
-    "termination": {Outcome.POSITIVE: "non-terminating", Outcome.NEGATIVE: "terminating"},
-    "nonterm-iterable": {Outcome.POSITIVE: "non-terminating", Outcome.NEGATIVE: "terminating"},
-    "cmrz": {Outcome.POSITIVE: "cmrz", Outcome.NEGATIVE: "not-cmrz"},
-    "x0-cover": {Outcome.POSITIVE: "coverable", Outcome.NEGATIVE: "not-coverable"},
+    "boundedness": ("unbounded", "bounded"),
+    "termination": ("non-terminating", "terminating"),
+    "nonterm-iterable": ("non-terminating", "terminating"),
+    "cmrz": ("cmrz", "not-cmrz"),
+    "x0-cover": ("coverable", "not-coverable"),
 }
+ANALYSES = tuple(_WORDS)
+TREE_ANALYSES = ANALYSES[:3]
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on errors; the report contract reserves
@@ -125,7 +124,7 @@ def _cmd_check(parser: _Parser, args) -> int:
     mf = _load_model(parser, args.model)
     if args.budget < 1:
         parser.error("--budget must be >= 1")
-    if args.analysis in ("cmrz", "x0-cover") and mf.kind != "counter":
+    if args.analysis not in TREE_ANALYSES and mf.kind != "counter":
         parser.error(f"analysis {args.analysis!r} applies to counter machines only")
     if args.analysis == "x0-cover" and not args.target:
         parser.error("x0-cover needs --target")
@@ -182,7 +181,7 @@ def _cmd_check(parser: _Parser, args) -> int:
                 "run": [mf.machine.describe_transition(i) for i in verdict.witness],
                 "labels": list(verdict.witness),
             }
-        elif isinstance(verdict.witness, DownSet):
+        elif verdict.outcome is Outcome.NEGATIVE:
             cert = verdict.witness
             shown = [i.show() for i in cert.ideals]
             # A certificate from candidate enumeration is closed under post; one
@@ -200,7 +199,7 @@ def _cmd_check(parser: _Parser, args) -> int:
         else:
             _write_file(parser, args.dot, export_dot(tree, olts.state_fmt, olts.label_fmt))
 
-    word = _WORDS[args.analysis].get(verdict.outcome, "inconclusive")
+    word = dict(zip(Outcome, _WORDS[args.analysis])).get(verdict.outcome, "inconclusive")
     report = {
         "command": f"check {args.analysis} {args.model}",
         "verdict": word,
@@ -237,29 +236,24 @@ def _tree_witness(analysis, tree, olts, verdict):
     if verdict.witness is None:
         return None
     fmt = olts.state_fmt
-    if analysis == "boundedness":
-        aid, nid = verdict.witness
+    if analysis == "nonterm-iterable":
+        nid, loop = verdict.witness
         return {
-            "ancestor_node": aid,
             "node": nid,
-            "ancestor_state": fmt(tree.nodes[aid].state),
             "state": fmt(tree.nodes[nid].state),
+            "loop": [olts.label_fmt(l) for l in loop],
         }
-    if analysis == "termination":
-        aid, nid = verdict.witness
-        return {
-            "subsumer_node": aid,
-            "node": nid,
-            "subsumer_state": fmt(tree.nodes[aid].state),
-            "state": fmt(tree.nodes[nid].state),
-            "loop": [olts.label_fmt(l) for l in tree.loop_labels(nid)],
-        }
-    nid, loop = verdict.witness
-    return {
+    aid, nid = verdict.witness
+    key = "ancestor" if analysis == "boundedness" else "subsumer"
+    witness = {
+        f"{key}_node": aid,
         "node": nid,
+        f"{key}_state": fmt(tree.nodes[aid].state),
         "state": fmt(tree.nodes[nid].state),
-        "loop": [olts.label_fmt(l) for l in loop],
     }
+    if analysis == "termination":
+        witness["loop"] = [olts.label_fmt(l) for l in tree.loop_labels(nid)]
+    return witness
 
 
 def _natural_key(name: str) -> list:

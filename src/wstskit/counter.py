@@ -159,10 +159,10 @@ def control_reachable(machine: CounterMachine, start: str) -> set[str]:
     queue = deque([start])
     while queue:
         q = queue.popleft()
-        for t in machine.transitions:
-            if t.source == q and t.target not in seen:
-                seen.add(t.target)
-                queue.append(t.target)
+        for *_, target in machine.post_index[q]:
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
     return seen
 
 
@@ -187,20 +187,19 @@ def is_cmrz(machine: CounterMachine) -> tuple[bool, list[int] | None]:
             continue
         # BFS over the control graph from target(t) for the nearest
         # transition operating on a tested counter (cycles included).
+        tested = {machine.counter_index(c) for c in t.zero_tests}
         seen = {t.target}
         queue: deque[tuple[str, list[int]]] = deque([(t.target, [])])
         found: list[int] | None = None
         while queue and found is None:
             q, path = queue.popleft()
-            for ui, u in enumerate(machine.transitions):
-                if u.source != q:
-                    continue
-                if u.op != OP_NOOP and u.counter in t.zero_tests:
+            for ui, _, i, _, target in machine.post_index[q]:
+                if i in tested:  # a noop has no counter index
                     found = [ti] + path + [ui]
                     break
-                if u.target not in seen:
-                    seen.add(u.target)
-                    queue.append((u.target, path + [ui]))
+                if target not in seen:
+                    seen.add(target)
+                    queue.append((target, path + [ui]))
         if found is not None:
             violations.append(found)
     best = min(violations, key=len, default=None)

@@ -349,8 +349,11 @@ def x0_coverability(
     exact facts; the budget bounds the number of rounds, and termination
     within any budget is only guaranteed for systems that are monotone
     relative to x0.  Raises ValueError when x0 or y has a control state the
-    machine does not declare or a dimension other than its counter count.
+    machine does not declare or a dimension other than its counter count,
+    and when the budget is below 1.
     """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     _check_configs(machine, x0, y)
     parent: dict[CounterConfig, Optional[tuple[CounterConfig, int]]] = {x0: None}
     queue = deque([x0])

@@ -44,6 +44,7 @@ from .fifo import (
     FifoConfig,
     FifoMachine,
     FifoTransition,
+    bounded_lang,
 )
 
 
@@ -256,25 +257,17 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
         _require(alphabet, letter, "letter", lineno, base + m.start(4))
         parsed.append(FifoTransition(source, channel, kind_ch, alphabet.id(letter), target))
 
-    lang = None
-    if bounds:
-        seen_channels: dict[str, tuple] = {}
-        for lineno, base, m in bounds:
-            ch, col = m.group(1), base + m.start(1)
-            _require(channels, ch, "channel", lineno, col)
-            if ch in seen_channels:
-                raise ParseError(lineno, col, f"duplicate bound clause for channel {ch!r}")
-            words = []
-            for w in _bound_words(lineno, base, m):
-                for letter, col in w:
-                    _require(alphabet, letter, "letter", lineno, col)
-                words.append(tuple(alphabet.id(letter) for letter, _ in w))
-            seen_channels[ch] = tuple(words)
-        lang = BoundedLang(
-            alphabet,
-            tuple(ch for ch in channels if ch in seen_channels),
-            tuple(seen_channels[ch] for ch in channels if ch in seen_channels),
-        )
+    bound_words: dict[str, list[list[str]]] = {}
+    for lineno, base, m in bounds:
+        ch, col = m.group(1), base + m.start(1)
+        _require(channels, ch, "channel", lineno, col)
+        if ch in bound_words:
+            raise ParseError(lineno, col, f"duplicate bound clause for channel {ch!r}")
+        bound_words[ch] = []
+        for w in _bound_words(lineno, base, m):
+            for letter, col in w:
+                _require(alphabet, letter, "letter", lineno, col)
+            bound_words[ch].append([letter for letter, _ in w])
 
     lineno, base, body = init
     m = _INIT_FIFO_RE.match(body)
@@ -298,6 +291,7 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
     machine = _machine(
         FifoMachine, tuple(states), tuple(channels), alphabet, tuple(parsed), q0, name
     )
+    lang = bounded_lang(machine, bound_words) if bound_words else None
     return ModelFile("fifo", machine, FifoConfig(q0, tuple(contents)), lang)
 
 

@@ -167,18 +167,11 @@ def decide_boundedness(
                 break
         if witness is not None:
             break
-    used = len(rrt.nodes)
-    if witness is not None:
-        caveats = ()
-        if not strict_asserted:
-            caveats = (
-                "unboundedness assumes strict compatibility: transitions fired "
-                "from a strictly larger state reach a strictly larger state",
-            )
-        return AnalysisVerdict(Outcome.POSITIVE, witness, used, caveats)
-    if rrt.complete:
-        return AnalysisVerdict(Outcome.NEGATIVE, None, used)
-    return AnalysisVerdict(Outcome.INCONCLUSIVE, None, used)
+    caveat = None if strict_asserted else (
+        "unboundedness assumes strict compatibility: transitions fired "
+        "from a strictly larger state reach a strictly larger state"
+    )
+    return _tree_verdict(rrt, witness, caveat)
 
 
 def decide_nontermination(
@@ -203,17 +196,20 @@ def decide_nontermination(
         if order.eq(rrt.nodes[n.subsumed_by].state, n.state):
             eq_witness = (n.subsumed_by, n.id)
             break
-    used = len(rrt.nodes)
     if eq_witness is not None:
-        return AnalysisVerdict(Outcome.POSITIVE, eq_witness, used)
-    if any_witness is not None:
-        caveats = ()
-        if not monotone_asserted:
-            caveats = (
-                "non-termination assumes compatibility: the loop stays "
-                "fireable from the larger state it reaches",
-            )
-        return AnalysisVerdict(Outcome.POSITIVE, any_witness, used, caveats)
+        return _tree_verdict(rrt, eq_witness, None)
+    caveat = None if monotone_asserted else (
+        "non-termination assumes compatibility: the loop stays "
+        "fireable from the larger state it reaches"
+    )
+    return _tree_verdict(rrt, any_witness, caveat)
+
+
+def _tree_verdict(rrt: Rrt, witness: Any, caveat: Optional[str]) -> AnalysisVerdict:
+    """Positive on a witness, negative on a complete tree, else inconclusive."""
+    used = len(rrt.nodes)
+    if witness is not None:
+        return AnalysisVerdict(Outcome.POSITIVE, witness, used, () if caveat is None else (caveat,))
     if rrt.complete:
         return AnalysisVerdict(Outcome.NEGATIVE, None, used)
     return AnalysisVerdict(Outcome.INCONCLUSIVE, None, used)

@@ -23,6 +23,7 @@ def random_counter_machine(
     max_counters: int = 2,
     max_transitions: int = 8,
     zero_tests: bool = False,
+    zero_p: float = 0.3,
 ) -> CounterMachine:
     states = tuple(f"q{i}" for i in range(rng.randint(1, max_states)))
     counters = tuple(f"c{i}" for i in range(rng.randint(1, max_counters)))
@@ -31,7 +32,7 @@ def random_counter_machine(
         op = rng.choice((OP_INC, OP_DEC, OP_NOOP))
         counter = None if op == OP_NOOP else rng.choice(counters)
         tested = frozenset()
-        if zero_tests and rng.random() < 0.3:
+        if zero_tests and rng.random() < zero_p:
             tested = frozenset(rng.sample(counters, rng.randint(1, len(counters))))
         trans.append(
             CounterTransition(rng.choice(states), op, counter, tested, rng.choice(states))
@@ -121,3 +122,37 @@ def random_downset(
         )
         ideals.append(Ideal(rng.choice(machine.states), bounds))
     return downset_normalize(ideals)
+
+
+def renamed(machine, rng: Random):
+    """The machine with fresh names for its states, its counters or
+    channels, and its letters, each kept in its declaration order."""
+    fresh = [f"x{i}" for i in range(20)]
+    rng.shuffle(fresh)
+    q = dict(zip(machine.states, fresh))
+    states = tuple(q.values())
+    if isinstance(machine, CounterMachine):
+        c = {name: f"k{i}" for i, name in enumerate(reversed(machine.counters))}
+        trans = tuple(
+            CounterTransition(
+                q[t.source], t.op, c.get(t.counter), frozenset(map(c.get, t.zero_tests)), q[t.target]
+            )
+            for t in machine.transitions
+        )
+        return CounterMachine(states, tuple(map(c.get, machine.counters)), trans, q[machine.initial])
+    ch = {name: f"ch{i}" for i, name in enumerate(reversed(machine.channels))}
+    trans = tuple(
+        FifoTransition(q[t.source], ch[t.channel], t.kind, t.letter, q[t.target])
+        for t in machine.transitions
+    )
+    alphabet = Alphabet(f"L{a}" for a in machine.alphabet.letters)
+    channels = tuple(map(ch.get, machine.channels))
+    return FifoMachine(states, channels, alphabet, trans, q[machine.initial])
+
+
+def shuffled(machine, rng: Random):
+    """The machine with its transitions declared in a random order."""
+    trans = list(machine.transitions)
+    rng.shuffle(trans)
+    fields = {f: getattr(machine, f) for f in machine._fields}
+    return type(machine)(**{**fields, "transitions": tuple(trans)})

@@ -13,7 +13,7 @@ from itertools import combinations, count
 from itertools import product as iproduct
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from wstskit.counter import OP_DEC, OP_INC, CounterConfig, CounterMachine
+from wstskit.counter import OP_DEC, OP_INC, OP_NOOP, CounterConfig, CounterMachine
 from wstskit.cover import OMEGA, DownSet, Ideal, downset_closed, downset_contains, downset_normalize
 from wstskit.fifo import RECV, SEND, BoundedLang, Dfa, FifoConfig, FifoMachine
 from wstskit.verdict import AnalysisVerdict, Outcome
@@ -104,6 +104,53 @@ def simulate_iterations(
         x = y
         done += 1
     return done, x
+
+
+# ---------------------------------------------------------------------------
+# The restricted zero-test class, re-derived by scanning every transition.
+
+
+def _ref_control_reachable(machine: CounterMachine, start: str) -> set[str]:
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        q = queue.popleft()
+        for t in machine.transitions:
+            if t.source == q and t.target not in seen:
+                seen.add(t.target)
+                queue.append(t.target)
+    return seen
+
+
+def ref_is_cmrz(machine: CounterMachine) -> tuple[bool, list[int] | None]:
+    """``is_cmrz`` as it read when it scanned ``machine.transitions`` for
+    the transitions leaving each control state it visits."""
+    reachable = _ref_control_reachable(machine, machine.initial)
+    violations: list[list[int]] = []
+    for ti, t in enumerate(machine.transitions):
+        if not t.zero_tests or t.source not in reachable:
+            continue
+        if t.op != OP_NOOP and t.counter in t.zero_tests:
+            violations.append([ti])
+            continue
+        seen = {t.target}
+        queue: deque[tuple[str, list[int]]] = deque([(t.target, [])])
+        found: list[int] | None = None
+        while queue and found is None:
+            q, path = queue.popleft()
+            for ui, u in enumerate(machine.transitions):
+                if u.source != q:
+                    continue
+                if u.op != OP_NOOP and u.counter in t.zero_tests:
+                    found = [ti] + path + [ui]
+                    break
+                if u.target not in seen:
+                    seen.add(u.target)
+                    queue.append((u.target, path + [ui]))
+        if found is not None:
+            violations.append(found)
+    best = min(violations, key=len, default=None)
+    return best is None, best
 
 
 # ---------------------------------------------------------------------------

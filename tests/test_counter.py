@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from gen import random_counter_machine
-from oracles import ref_counter_step, ref_run
+from oracles import ref_counter_step, ref_is_cmrz, ref_run
 from wstskit.counter import (
     OP_DEC,
     OP_INC,
@@ -223,6 +223,19 @@ def test_is_cmrz_on_corpus(m7, m8):
     assert is_cmrz(m7.machine) == (True, None)
     ok, witness = is_cmrz(m8.machine)
     assert not ok and witness == [0, 1]
+
+
+def test_is_cmrz_matches_the_transition_scan_on_random_machines():
+    rng = Random(20261024)
+    violations = 0
+    for _ in range(1000):
+        m = random_counter_machine(
+            rng, max_states=5, max_counters=3, max_transitions=10, zero_tests=True, zero_p=0.4
+        )
+        got = is_cmrz(m)
+        assert got == ref_is_cmrz(m), m
+        violations += not got[0]
+    assert violations >= 400, violations
 
 
 def test_require_no_zero_tests_message():

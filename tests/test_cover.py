@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 import wstskit
-from gen import random_counter_machine, random_downset
+from gen import random_counter_machine, random_downset, renamed, shuffled
 from oracles import (
     bfs_reach,
     covered_oracle,
@@ -491,15 +491,26 @@ def test_x0_coverability_budget():
     v = x0_coverability(pump, CounterConfig("q0", (0,)), CounterConfig("q0", (50,)), budget=20)
     assert v.outcome is Outcome.INCONCLUSIVE and v.budget_used == 20
     assert v.caveats and "round budget" in v.caveats[0]
+    # a budget below 1 once answered INCONCLUSIVE after 0 rounds
+    for low in (0, -4):
+        with pytest.raises(ValueError) as err:
+            x0_coverability(pump, CounterConfig("q0", (0,)), CounterConfig("q0", (50,)), budget=low)
+        assert str(err.value) == "budget must be >= 1"
+
+
+def random_cover_instance(rng: Random):
+    """A random zero-test counter machine and a random target on it."""
+    m = random_counter_machine(rng, zero_tests=True)
+    y = CounterConfig(rng.choice(m.states), tuple(rng.randint(0, 3) for _ in m.counters))
+    return m, y
 
 
 def test_x0_coverability_raising_the_budget_keeps_definite_verdicts():
     rng = Random(20261020)
     outcomes = Counter()
     for _ in range(200):
-        m = random_counter_machine(rng, zero_tests=True)
+        m, y = random_cover_instance(rng)
         x0 = m.initial_config()
-        y = CounterConfig(rng.choice(m.states), tuple(rng.randint(0, 3) for _ in m.counters))
         low = x0_coverability(m, x0, y, 200)
         high = x0_coverability(m, x0, y, 2000)
         outcomes[low.outcome, high.outcome] += 1
@@ -508,6 +519,43 @@ def test_x0_coverability_raising_the_budget_keeps_definite_verdicts():
     assert outcomes[Outcome.POSITIVE, Outcome.POSITIVE] >= 20, outcomes
     assert outcomes[Outcome.NEGATIVE, Outcome.NEGATIVE] >= 20, outcomes
     assert outcomes[Outcome.INCONCLUSIVE, Outcome.NEGATIVE] >= 1, outcomes
+
+
+def test_x0_coverability_ignores_state_and_counter_names():
+    rng = Random(20261026)
+    outcomes = Counter()
+    for _ in range(200):
+        m, y = random_cover_instance(rng)
+        other = renamed(m, rng)
+        # both keep their states and counters in declaration order
+        q = dict(zip(m.states, other.states))
+        back = dict(zip(other.states, m.states))
+        want = x0_coverability(m, m.initial_config(), y, 300)
+        got = x0_coverability(other, other.initial_config(), CounterConfig(q[y.control], y.values), 300)
+        assert (got.outcome, got.budget_used) == (want.outcome, want.budget_used), (m, y)
+        if want.outcome is Outcome.POSITIVE:
+            assert got.witness == want.witness, (m, y)
+        elif want.outcome is Outcome.NEGATIVE:
+            mapped = downset_normalize(Ideal(back[i.control], i.bounds) for i in got.witness.ideals)
+            assert mapped == want.witness, (m, y)
+        outcomes[want.outcome] += 1
+    assert outcomes[Outcome.POSITIVE] >= 20 and outcomes[Outcome.NEGATIVE] >= 20, outcomes
+
+
+def test_x0_coverability_reordering_transitions_keeps_definite_verdicts():
+    # the search order changes with the declaration order, so a verdict
+    # may turn inconclusive within the budget, but never into the other one
+    rng = Random(20261027)
+    outcomes = Counter()
+    for _ in range(200):
+        m, y = random_cover_instance(rng)
+        other = shuffled(m, rng)
+        was = x0_coverability(m, m.initial_config(), y, 300).outcome
+        now = x0_coverability(other, other.initial_config(), y, 300).outcome
+        assert Outcome.INCONCLUSIVE in (was, now) or was is now, (m, other, y)
+        outcomes[was, now] += 1
+    for outcome in (Outcome.POSITIVE, Outcome.NEGATIVE):
+        assert outcomes[outcome, outcome] >= 20, outcomes
 
 
 # (x0, y, error) on one-counter machines with controls q0 and q1
@@ -565,8 +613,7 @@ def test_x0_coverability_matches_the_reference_loop(m8):
     ]
     rng = Random(20261021)
     for _ in range(300):
-        m = random_counter_machine(rng, zero_tests=True)
-        y = CounterConfig(rng.choice(m.states), tuple(rng.randint(0, 3) for _ in m.counters))
+        m, y = random_cover_instance(rng)
         cases.append((m, m.initial_config(), y))
     outcomes = Counter()
     for m, x0, y in cases:

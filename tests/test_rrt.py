@@ -8,7 +8,13 @@ from random import Random
 import pytest
 
 from conftest import load_model
-from gen import random_cmrz_machine, random_counter_machine, random_fifo_machine
+from gen import (
+    random_cmrz_machine,
+    random_counter_machine,
+    random_fifo_machine,
+    renamed,
+    shuffled,
+)
 from oracles import (
     bfs_reach,
     has_infinite_run,
@@ -425,15 +431,21 @@ def test_rrt_helpers_on_random_trees():
                 assert rrt.path_labels(a.id) + rrt.loop_labels(n.id) == rrt.path_labels(n.id)
 
 
-def random_olts(rng: Random, fifo: bool) -> Olts:
-    """A random machine from a random start, with counter values or channel
-    words up to 10, so that some trees outgrow a budget of 50 nodes."""
+def random_start(rng: Random, fifo: bool):
+    """A random machine and a random start, with counter values or channel
+    words up to 10, so that some trees outgrow a budget of 50 nodes; with
+    the function that builds their system."""
     if fifo:
         m = random_fifo_machine(rng)
         words = {ch: "".join(rng.choices("ab", k=rng.randint(0, 10))) for ch in m.channels}
-        return fifo_olts(m, m.initial_config(words))
+        return fifo_olts, m, m.initial_config(words)
     m = random_counter_machine(rng, zero_tests=True)
-    return counter_olts(m, m.initial_config([rng.randint(0, 10) for _ in m.counters]))
+    return counter_olts, m, m.initial_config([rng.randint(0, 10) for _ in m.counters])
+
+
+def random_olts(rng: Random, fifo: bool) -> Olts:
+    make, m, x0 = random_start(rng, fifo)
+    return make(m, x0)
 
 
 def tree_verdicts(olts: Olts, budget: int) -> tuple:
@@ -466,32 +478,6 @@ def test_raising_the_tree_budget_keeps_definite_verdicts(fifo):
     assert any(was is Outcome.INCONCLUSIVE and now is not was for _, was, now in seen), seen
 
 
-def renamed(machine, rng: Random):
-    """The machine with fresh names for its states, its counters or
-    channels, and its letters, each kept in its declaration order."""
-    fresh = [f"x{i}" for i in range(20)]
-    rng.shuffle(fresh)
-    q = dict(zip(machine.states, fresh))
-    states = tuple(q.values())
-    if isinstance(machine, CounterMachine):
-        c = {name: f"k{i}" for i, name in enumerate(reversed(machine.counters))}
-        trans = tuple(
-            CounterTransition(
-                q[t.source], t.op, c.get(t.counter), frozenset(map(c.get, t.zero_tests)), q[t.target]
-            )
-            for t in machine.transitions
-        )
-        return CounterMachine(states, tuple(map(c.get, machine.counters)), trans, q[machine.initial])
-    ch = {name: f"ch{i}" for i, name in enumerate(reversed(machine.channels))}
-    trans = tuple(
-        FifoTransition(q[t.source], ch[t.channel], t.kind, t.letter, q[t.target])
-        for t in machine.transitions
-    )
-    alphabet = Alphabet(f"L{a}" for a in machine.alphabet.letters)
-    channels = tuple(map(ch.get, machine.channels))
-    return FifoMachine(states, channels, alphabet, trans, q[machine.initial])
-
-
 @pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
 def test_renaming_keeps_tree_verdicts_and_witness_ids(fifo):
     rng = Random(20261023 + fifo)
@@ -504,3 +490,35 @@ def test_renaming_keeps_tree_verdicts_and_witness_ids(fifo):
         assert got == want, (machine, other)
         positive += want[0][0] is Outcome.POSITIVE
     assert positive >= 20, positive
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
+def test_reordering_transitions_keeps_definite_verdicts(fifo):
+    # Sibling order does not change the full tree, only where a budget cuts
+    # it: a cut tree may turn inconclusive, but no definite verdict turns
+    # into the other one, and a complete tree stays the same size.
+    rng = Random(20261025 + fifo)
+    seen = Counter()
+    for _ in range(200):
+        make, machine, x0 = random_start(rng, fifo)
+        other = shuffled(machine, rng)
+        for budget in (50, 300):
+            got = []
+            for m in (machine, other):
+                olts = make(m, x0)
+                rrt = build_rrt(olts, budget)
+                outcomes = tuple(
+                    v.outcome
+                    for v in (decide_boundedness(rrt, olts.order), decide_nontermination(rrt, olts.order))
+                )
+                got.append((rrt.complete, len(rrt.nodes), outcomes))
+            (complete, size, want), (other_complete, other_size, outcomes) = got
+            assert complete == other_complete, (machine, other, budget)
+            if complete:
+                assert (other_size, outcomes) == (size, want), (machine, other)
+            for was, now in zip(want, outcomes):
+                seen[complete, was, now] += 1
+                assert Outcome.INCONCLUSIVE in (was, now) or was is now, (machine, other, budget)
+    for outcome in (Outcome.POSITIVE, Outcome.NEGATIVE):
+        assert seen[True, outcome, outcome] >= 20, seen
+    assert sum(n for (complete, _, _), n in seen.items() if not complete) >= 20, seen
