@@ -1,9 +1,10 @@
 """Command-line front end: parse a model file, run one analysis, report.
 
 Exit codes: 0 for a definite verdict (either way), 2 for an inconclusive
-verdict, 1 for usage or parse errors.  Reports render as human-readable
-lines or, with --json, as one JSON object with fields command, verdict,
-witness, budget, elapsed_ms, and caveats.
+verdict, 1 for usage or parse errors.  Each analysis builds one report
+record (verdict, witness, notes); both forms render that record, as
+human-readable lines or, with --json, as one JSON object with fields
+command, verdict, witness, budget, elapsed_ms, and caveats.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .counter import CounterConfig, is_cmrz
 from .cover import downset_closed, x0_coverability
@@ -120,6 +121,16 @@ def _override_init(parser: _Parser, mf: ModelFile, state: Optional[str]):
     return FifoConfig(state, mf.initial.contents)
 
 
+class _Report(NamedTuple):
+    """One analysis's answer, built once and read by both report forms."""
+
+    verdict: AnalysisVerdict
+    witness: Optional[dict]
+    notes: tuple[str, ...] = ()
+    exhausted: bool = False  # the budget ran out (read on an inconclusive answer)
+    dot: tuple = ()  # export_dot's arguments: the tree and its two formatters
+
+
 def _cmd_check(parser: _Parser, args) -> int:
     mf = _load_model(parser, args.model)
     if args.budget < 1:
@@ -131,129 +142,117 @@ def _cmd_check(parser: _Parser, args) -> int:
     if args.target and args.analysis != "x0-cover":
         print("note: --target is ignored by this analysis", file=sys.stderr)
     initial = _override_init(parser, mf, args.init_state)
-
-    started = time.perf_counter()
-    tree = None
-    olts = None
-    notes = []
-    if args.analysis in TREE_ANALYSES:
-        olts = (
-            counter_olts(mf.machine, initial)
-            if mf.kind == "counter"
-            else fifo_olts(mf.machine, initial)
-        )
-        asserted = args.assert_strict_monotone
-        if mf.kind == "counter":
-            restricted, _ = is_cmrz(mf.machine)
-            notes.append(f"restricted zero-test class: {'yes' if restricted else 'no'}")
-            # the restricted class replays loops verbatim, so growth is strict
-            asserted = asserted or restricted
-        if args.analysis == "nonterm-iterable":
-            tree = build_lrrt(olts, args.budget)
-            verdict = decide_nonterm_by_iterable(tree)
-        else:
-            tree = build_rrt(olts, args.budget)
-            if args.analysis == "boundedness":
-                verdict = decide_boundedness(tree, olts.order, strict_asserted=asserted)
-            else:
-                verdict = decide_nontermination(tree, olts.order, monotone_asserted=asserted)
-        witness = _tree_witness(args.analysis, tree, olts, verdict)
-    elif args.analysis == "cmrz":
-        ok, path_witness = is_cmrz(mf.machine)
-        verdict = AnalysisVerdict(
-            Outcome.POSITIVE if ok else Outcome.NEGATIVE, path_witness, 0
-        )
-        witness = None
-        if path_witness is not None:
-            witness = {
-                "transitions": list(path_witness),
-                "path": [mf.machine.describe_transition(i) for i in path_witness],
-            }
-    else:  # x0-cover
+    if args.analysis == "x0-cover":
         try:
-            y = parse_target(mf, args.target)
+            target = parse_target(mf, args.target)
         except ValueError as exc:
             parser.error(str(exc))
-        verdict = x0_coverability(mf.machine, initial, y, args.budget)
-        witness = None
-        if verdict.outcome is Outcome.POSITIVE:
-            witness = {
-                "run": [mf.machine.describe_transition(i) for i in verdict.witness],
-                "labels": list(verdict.witness),
-            }
-        elif verdict.outcome is Outcome.NEGATIVE:
-            cert = verdict.witness
-            shown = [i.show() for i in cert.ideals]
-            # A certificate from candidate enumeration is closed under post; one
-            # from an exhausted forward search is the closure of the reach set
-            # and need not be. Label them apart so both stay checkable.
-            if downset_closed(mf.machine, cert):
-                witness = {"invariant": shown}
-            else:
-                witness = {"reach_closure": shown}
+    if args.dot and args.analysis not in TREE_ANALYSES:
+        print("note: --dot applies to tree analyses only; ignored", file=sys.stderr)
+
+    started = time.perf_counter()
+    if args.analysis in TREE_ANALYSES:
+        report = _tree_report(args.analysis, mf, initial, args.budget, args.assert_strict_monotone)
+    elif args.analysis == "cmrz":
+        report = _cmrz_report(mf)
+    else:
+        report = _cover_report(mf, initial, target, args.budget)
     elapsed_ms = (time.perf_counter() - started) * 1000
 
-    if args.dot:
-        if tree is None:
-            print("note: --dot applies to tree analyses only; ignored", file=sys.stderr)
-        else:
-            _write_file(parser, args.dot, export_dot(tree, olts.state_fmt, olts.label_fmt))
+    if args.dot and report.dot:
+        _write_file(parser, args.dot, export_dot(*report.dot))
 
+    verdict = report.verdict
     word = dict(zip(Outcome, _WORDS[args.analysis])).get(verdict.outcome, "inconclusive")
-    report = {
-        "command": f"check {args.analysis} {args.model}",
-        "verdict": word,
-        "witness": witness,
-        "budget": verdict.budget_used,
-        "elapsed_ms": round(elapsed_ms, 3),
-        "caveats": list(verdict.caveats),
-    }
     if args.json:
-        print(json.dumps(report, ensure_ascii=False))
+        print(json.dumps({
+            "command": f"check {args.analysis} {args.model}",
+            "verdict": word,
+            "witness": report.witness,
+            "budget": verdict.budget_used,
+            "elapsed_ms": round(elapsed_ms, 3),
+            "caveats": list(verdict.caveats),
+        }, ensure_ascii=False))
     else:
         print(f"machine: {mf.machine.name} ({mf.kind})")
         print(f"analysis: {args.analysis}")
-        for note in notes:
+        for note in report.notes:
             print(f"note: {note}")
         print(f"verdict: {word.upper().replace('NOT-', 'NOT ')}")
-        if witness is not None:
-            print(f"witness: {json.dumps(witness, ensure_ascii=False)}")
-        if verdict.outcome is Outcome.INCONCLUSIVE:
-            exhausted = (
-                tree.budget_exhausted if tree is not None else verdict.budget_used >= args.budget
-            )
-            mark = " (exhausted)" if exhausted else ""
-            print(f"budget used: {verdict.budget_used} of {args.budget}{mark}")
-        else:
+        if report.witness is not None:
+            print(f"witness: {json.dumps(report.witness, ensure_ascii=False)}")
+        if verdict.is_definite:
             print(f"budget used: {verdict.budget_used}")
+        else:
+            mark = " (exhausted)" if report.exhausted else ""
+            print(f"budget used: {verdict.budget_used} of {args.budget}{mark}")
         print(f"elapsed: {elapsed_ms:.1f} ms")
         for caveat in verdict.caveats:
             print(f"caveat: {caveat}")
     return EXIT_DEFINITE if verdict.is_definite else EXIT_INCONCLUSIVE
 
 
-def _tree_witness(analysis, tree, olts, verdict):
-    if verdict.witness is None:
-        return None
-    fmt = olts.state_fmt
+def _tree_report(analysis, mf, initial, budget, asserted) -> _Report:
+    olts = (counter_olts if mf.kind == "counter" else fifo_olts)(mf.machine, initial)
+    notes = ()
+    if mf.kind == "counter":
+        restricted, _ = is_cmrz(mf.machine)
+        notes = (f"restricted zero-test class: {'yes' if restricted else 'no'}",)
+        # the restricted class replays loops verbatim, so growth is strict
+        asserted = asserted or restricted
     if analysis == "nonterm-iterable":
-        nid, loop = verdict.witness
-        return {
-            "node": nid,
-            "state": fmt(tree.nodes[nid].state),
-            "loop": [olts.label_fmt(l) for l in loop],
-        }
-    aid, nid = verdict.witness
-    key = "ancestor" if analysis == "boundedness" else "subsumer"
-    witness = {
-        f"{key}_node": aid,
-        "node": nid,
-        f"{key}_state": fmt(tree.nodes[aid].state),
-        "state": fmt(tree.nodes[nid].state),
+        tree = build_lrrt(olts, budget)
+        verdict = decide_nonterm_by_iterable(tree)
+    else:
+        tree = build_rrt(olts, budget)
+        if analysis == "boundedness":
+            verdict = decide_boundedness(tree, olts.order, strict_asserted=asserted)
+        else:
+            verdict = decide_nontermination(tree, olts.order, monotone_asserted=asserted)
+    witness = None
+    if verdict.witness is not None:
+        fmt = olts.state_fmt
+        if analysis == "nonterm-iterable":
+            nid, loop = verdict.witness
+            witness = {"node": nid, "state": fmt(tree.nodes[nid].state)}
+        else:
+            aid, nid = verdict.witness
+            key = "ancestor" if analysis == "boundedness" else "subsumer"
+            witness = {f"{key}_node": aid, "node": nid, f"{key}_state": fmt(tree.nodes[aid].state),
+                       "state": fmt(tree.nodes[nid].state)}
+            loop = tree.loop_labels(nid)
+        # both non-termination witnesses name the loop that repeats
+        if analysis != "boundedness":
+            witness["loop"] = [olts.label_fmt(l) for l in loop]
+    return _Report(verdict, witness, notes, tree.budget_exhausted,
+                   (tree, olts.state_fmt, olts.label_fmt))
+
+
+def _cmrz_report(mf: ModelFile) -> _Report:
+    ok, path = is_cmrz(mf.machine)
+    witness = None if path is None else {
+        "transitions": list(path),
+        "path": [mf.machine.describe_transition(i) for i in path],
     }
-    if analysis == "termination":
-        witness["loop"] = [olts.label_fmt(l) for l in tree.loop_labels(nid)]
-    return witness
+    return _Report(AnalysisVerdict(Outcome.POSITIVE if ok else Outcome.NEGATIVE), witness)
+
+
+def _cover_report(mf: ModelFile, initial, target, budget: int) -> _Report:
+    verdict = x0_coverability(mf.machine, initial, target, budget)
+    witness = None
+    if verdict.outcome is Outcome.POSITIVE:
+        witness = {
+            "run": [mf.machine.describe_transition(i) for i in verdict.witness],
+            "labels": list(verdict.witness),
+        }
+    elif verdict.outcome is Outcome.NEGATIVE:
+        cert = verdict.witness
+        # A certificate from candidate enumeration is closed under post; one
+        # from an exhausted forward search is the closure of the reach set
+        # and need not be. Label them apart so both stay checkable.
+        key = "invariant" if downset_closed(mf.machine, cert) else "reach_closure"
+        witness = {key: [i.show() for i in cert.ideals]}
+    return _Report(verdict, witness, exhausted=verdict.budget_used >= budget)
 
 
 def _natural_key(name: str) -> list:

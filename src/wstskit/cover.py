@@ -385,7 +385,7 @@ def x0_coverability(
                 if nxt not in parent:
                     parent[nxt] = (x, label)
                     queue.append(nxt)
-        elif parent:
+        else:
             # forward search complete: the reached set is exactly Post*
             certificate = downset_normalize(
                 Ideal(c.control, tuple(c.values)) for c in parent

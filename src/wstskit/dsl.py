@@ -30,6 +30,7 @@ line; the printer emits the canonical order shown above.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Container, NamedTuple, Optional, Union
 
 from .counter import (
@@ -156,6 +157,23 @@ def parse_model(text: str, name: str = "model") -> ModelFile:
     return _build_fifo(name, states, decls, transitions, bounds, init)
 
 
+def _int_values(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, or a ValueError naming
+    ``what``.  A plain decimal fails only for having more digits than
+    ``int`` converts (``sys.get_int_max_str_digits()``), so its message
+    names that limit."""
+    values = []
+    for value in text.split(","):
+        try:
+            values.append(int(value))
+        except ValueError:
+            if re.fullmatch(r"\s*[+-]?\d+\s*", value):
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"{what} values must have at most {limit} digits") from None
+            raise ValueError(f"{what} values must be integers") from None
+    return tuple(values)
+
+
 def _require(names: Container[str], name: str, what: str, lineno: int, col: int) -> None:
     if name not in names:
         raise ParseError(lineno, col, f"unknown {what} {name!r}")
@@ -211,9 +229,9 @@ def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
         values = tuple(0 for _ in counters)
     else:
         try:
-            values = tuple(int(v) for v in values_text.split(","))
-        except ValueError:
-            raise ParseError(lineno, col, "initial values must be integers") from None
+            values = _int_values(values_text, "initial")
+        except ValueError as exc:
+            raise ParseError(lineno, col, str(exc)) from None
         if any(v < 0 for v in values):
             raise ParseError(lineno, col, "initial values must be non-negative")
     if len(values) != len(counters):
@@ -345,10 +363,7 @@ def parse_target(mf: ModelFile, text: str) -> CounterConfig:
     q, values_text = m.groups()
     if q not in mf.machine.states:
         raise ValueError(f"unknown state {q!r} in target")
-    try:
-        values = tuple(int(v) for v in values_text.split(",")) if values_text.strip() else ()
-    except ValueError:
-        raise ValueError("target values must be integers") from None
+    values = _int_values(values_text, "target") if values_text.strip() else ()
     if len(values) != len(mf.machine.counters):
         raise ValueError(
             f"target has {len(values)} values, machine has {len(mf.machine.counters)} counters"

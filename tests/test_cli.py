@@ -198,6 +198,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert fails("check", "boundedness", str(bad)) == 1
 
 
+def test_target_beyond_the_int_digit_limit_exits_one(capsys):
+    limit = sys.get_int_max_str_digits()
+    target = f"q2:({'7' * (limit + 1)})"
+    assert fails("check", "x0-cover", path("m8"), "--target", target) == 1
+    message = f"error: target values must have at most {limit} digits\n"
+    assert capsys.readouterr().err.endswith(message)
+
+
 def test_non_utf8_model_exits_one(tmp_path, capsys):
     latin = tmp_path / "latin.model"
     latin.write_bytes("# caf\xe9\n".encode("latin-1") + (MODELS / "m1.model").read_bytes())

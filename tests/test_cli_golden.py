@@ -101,6 +101,38 @@ def test_cli_report_unchanged(case, tmp_path):
     assert run_case(case["argv"], tmp_path) == case
 
 
+def report_twins() -> list[tuple[dict, dict]]:
+    """Each recorded human ``check`` case with its ``--json`` twin."""
+    recorded = {tuple(case["argv"]): case for case in RECORDED}
+    return [
+        (case, recorded[argv + ("--json",)])
+        for argv, case in recorded.items()
+        if argv + ("--json",) in recorded
+    ]
+
+
+TWINS = report_twins()
+
+
+@pytest.mark.parametrize("human, twin", TWINS, ids=[" ".join(h["argv"]) for h, _ in TWINS])
+def test_report_forms_agree(human, twin):
+    """Both forms render one report: the human lines say what the JSON says."""
+    report = json.loads(twin["stdout"])
+    lines = human["stdout"].splitlines()
+
+    def field(name):
+        return [line[len(name) + 2:] for line in lines if line.startswith(f"{name}: ")]
+
+    assert field("verdict") == [report["verdict"].upper().replace("NOT-", "NOT ")]
+    witness = report["witness"]
+    shown = [] if witness is None else [json.dumps(witness, ensure_ascii=False)]
+    assert field("witness") == shown
+    [budget] = field("budget used")
+    assert int(budget.split()[0]) == report["budget"]
+    assert field("caveat") == report["caveats"]
+    assert (human["code"], human["stderr"]) == (twin["code"], twin["stderr"])
+
+
 if __name__ == "__main__":
     import tempfile
 

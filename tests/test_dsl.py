@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from conftest import load_model
@@ -203,6 +205,19 @@ def test_parse_target_counter(m8):
         parse_target(m8, "q2:(-1)")
     with pytest.raises(ValueError, match="^target values must be integers$"):
         parse_target(m8, "q2:(x)")
+
+
+def test_values_beyond_the_int_digit_limit(m8):
+    # int() refuses a decimal with more digits than its limit; the message
+    # names that limit instead of calling the value a non-integer
+    limit = sys.get_int_max_str_digits()
+    long = "7" * (limit + 1)
+    e = err(f"kind counter\nstates q0\ncounters c d\ninit q0 (0, -{long})\n")
+    assert str(e) == f"line 4, col 10: initial values must have at most {limit} digits"
+    with pytest.raises(ValueError, match=f"^target values must have at most {limit} digits$"):
+        parse_target(m8, f"q2:({long})")
+    # one digit fewer is still a value (a large one)
+    assert parse_target(m8, f"q2:({long[1:]})").values == (int(long[1:]),)
 
 
 def test_parse_target_fifo(m2):
