@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
 
 def _load_model(parser: _Parser, path: str) -> ModelFile:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {path}: {exc}")
     try:

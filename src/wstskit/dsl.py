@@ -1,8 +1,8 @@
 """Model-file syntax for counter and FIFO machines.
 
 A model file is line-oriented: a kind line, declarations, transitions,
-optional per-channel bound clauses, and an initial state.  Comments run
-from ``#`` to the end of the line.  Example::
+optional per-channel bound clauses, and an initial state.  A line ends at
+its first ``#``; the rest is a comment.  Example::
 
     kind counter
     states q0 q1 q2
@@ -24,7 +24,12 @@ Bound clauses list the words of a per-channel language w1* w2* ...; the
 spelling ``input_bounded ch: (ab)* (c)*`` is accepted as a synonym of
 ``bound ch: (ab)(c)``.  Letters inside word parentheses are single
 characters.  Parsing is lenient about statement order after the kind
-line; the printer emits the canonical order shown above.
+line; the printer emits the canonical order shown above.  A missing
+declaration or init statement is reported on the kind line.  The values
+of ``init`` and of a coverability target (``parse_target``) follow one
+rule: comma-separated non-negative integers, one per counter; ``init``
+without values starts every counter at 0.  The command line reads model
+files as UTF-8 and drops a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -63,18 +68,6 @@ class ModelFile(NamedTuple):
     lang: Optional[BoundedLang] = None
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_quote = False
-    for ch in line:
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch == "#" and not in_quote:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
 def _words(m: re.Match, group: int, base: int) -> list[tuple[str, int]]:
     """The words of a match group, each with its column on the line."""
     start = base + m.start(group)
@@ -95,75 +88,83 @@ _INIT_FIFO_RE = re.compile(r'^init\s+(\w+)((?:\s+\w+\s*:\s*"[^"]*")*)\s*$')
 _FIFO_CONTENT_RE = re.compile(r'(\w+)\s*:\s*"([^"]*)"')
 
 
+# the statements each kind needs and the ones it refuses, by first word
+_KIND_RULES = {
+    "counter": (("states", "init"), ("channels", "alphabet", "bound")),
+    "fifo": (("states", "init", "channels", "alphabet"), ("counters",)),
+}
+
+
+def _noun(key: str) -> str:
+    """A statement as messages name it: ``states declaration``, ``init statement``."""
+    return f"{key} " + {"init": "statement", "bound": "clause"}.get(key, "declaration")
+
+
 def parse_model(text: str, name: str = "model") -> ModelFile:
     # (line, base, body): base is the column of the body's first character
     # on the line as written, so base + offset is a column there
     statements: list[tuple[int, int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw.partition("#")[0]
         body = line.strip()
         if body:
             statements.append((lineno, len(line) - len(line.lstrip()) + 1, body))
     if not statements:
         raise ParseError(1, 1, "empty model: expected a kind line")
 
-    lineno, base, head = statements[0]
+    kind_line, base, head = statements[0]
     m = _KIND_RE.match(head)
     if not m:
-        raise ParseError(lineno, base, "expected 'kind counter' or 'kind fifo'")
+        raise ParseError(kind_line, base, "expected 'kind counter' or 'kind fifo'")
     kind = m.group(1)
 
-    decls: dict[str, tuple[int, list[str]]] = {}
-    transitions: list[tuple[int, int, str]] = []
-    bounds: list[tuple[int, int, re.Match]] = []
-    init: Optional[tuple[int, int, str]] = None
-
+    # the statements under their first word, transitions under "-->"
+    found: dict[str, list[tuple[int, int, str]]] = {"-->": [], "bound": []}
     for lineno, base, body in statements[1:]:
-        m = _NAMES_RE.match(body)
-        if m:
-            what, names = m.group(1), m.group(2).split()
-            if what in decls:
-                raise ParseError(lineno, base, f"duplicate {what} declaration")
+        if m := _NAMES_RE.match(body):
+            key, names = m.group(1), m.group(2).split()
             if len(set(names)) < len(names):
                 seen = set()
                 for n, col in _words(m, 2, base):
                     if n in seen:
                         raise ParseError(lineno, col, f"duplicate name {n!r}")
                     seen.add(n)
-            decls[what] = (lineno, names)
-            continue
-        if "-->" in body:
-            transitions.append((lineno, base, body))
-            continue
-        m = _BOUND_RE.match(body)
-        if m:
-            bounds.append((lineno, base, m))
-            continue
-        if body.startswith("init"):
-            if init is not None:
-                raise ParseError(lineno, base, "duplicate init statement")
-            init = (lineno, base, body)
-            continue
-        raise ParseError(lineno, base, f"unrecognized statement: {body!r}")
+        elif "-->" in body:
+            key = "-->"
+        elif _BOUND_RE.match(body):
+            key = "bound"
+        elif body.startswith("init"):
+            key = "init"
+        else:
+            raise ParseError(lineno, base, f"unrecognized statement: {body!r}")
+        if key in found and key not in ("-->", "bound"):
+            raise ParseError(lineno, base, f"duplicate {_noun(key)}")
+        found.setdefault(key, []).append((lineno, base, body))
 
-    if "states" not in decls:
-        raise ParseError(lineno, 1, "missing states declaration")
-    if init is None:
-        raise ParseError(lineno, 1, "missing init statement")
-    states = decls["states"][1]
-
-    if kind == "counter":
-        return _build_counter(name, states, decls, transitions, bounds, init)
-    return _build_fifo(name, states, decls, transitions, bounds, init)
+    needs, refuses = _KIND_RULES[kind]
+    for key in needs:
+        if key not in found:
+            raise ParseError(kind_line, 1, f"missing {_noun(key)}")
+    for key in refuses:
+        if found.get(key):
+            lineno, base, _ = found[key][0]
+            raise ParseError(lineno, base, f"{_noun(key)} in a {kind} model")
+    build = _build_counter if kind == "counter" else _build_fifo
+    return build(name, _names(found, "states"), found)
 
 
-def _int_values(text: str, what: str) -> tuple[int, ...]:
-    """The comma-separated integers of ``text``, or a ValueError naming
-    ``what``.  A plain decimal fails only for having more digits than
-    ``int`` converts (``sys.get_int_max_str_digits()``), so its message
-    names that limit."""
+def _names(found: dict, key: str) -> list[str]:
+    """The names a declaration lists, or none when it is absent."""
+    return found[key][0][2].split()[1:] if key in found else []
+
+
+def _counter_values(text: str, count: int, what: str) -> tuple[int, ...]:
+    """The comma-separated values of ``text``, one non-negative integer
+    per counter, or a ValueError naming ``what``.  A plain decimal fails
+    ``int`` only for having more digits than it converts
+    (``sys.get_int_max_str_digits()``), so its message names that limit."""
     values = []
-    for value in text.split(","):
+    for value in text.split(",") if text.strip() else ():
         try:
             values.append(int(value))
         except ValueError:
@@ -171,6 +172,10 @@ def _int_values(text: str, what: str) -> tuple[int, ...]:
                 limit = sys.get_int_max_str_digits()
                 raise ValueError(f"{what} values must have at most {limit} digits") from None
             raise ValueError(f"{what} values must be integers") from None
+    if any(v < 0 for v in values):
+        raise ValueError(f"{what} values must be non-negative")
+    if len(values) != count:
+        raise ValueError(f"expected {count} {what} values, got {len(values)}")
     return tuple(values)
 
 
@@ -187,16 +192,10 @@ def _machine(cls, *fields):
         raise ParseError(1, 1, str(exc)) from None
 
 
-def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
-    for bad in ("channels", "alphabet"):
-        if bad in decls:
-            raise ParseError(decls[bad][0], 1, f"{bad} declaration in a counter model")
-    if bounds:
-        raise ParseError(bounds[0][0], bounds[0][1], "bound clause in a counter model")
-    counters = decls.get("counters", (0, []))[1]
-
+def _build_counter(name, states, found) -> ModelFile:
+    counters = _names(found, "counters")
     parsed = []
-    for lineno, base, body in transitions:
+    for lineno, base, body in found["-->"]:
         m = _CTR_TRANS_RE.match(body)
         if not m:
             raise ParseError(lineno, base, f"bad counter transition: {body!r}")
@@ -217,25 +216,18 @@ def _build_counter(name, states, decls, transitions, bounds, init) -> ModelFile:
             CounterTransition(source, op, counter, frozenset(zero_set), target)
         )
 
-    lineno, base, body = init
+    lineno, base, body = found["init"][0]
     m = _INIT_CTR_RE.match(body)
     if not m:
         raise ParseError(lineno, base, f"bad init statement: {body!r}")
     q0, values_text = m.groups()
     _require(states, q0, "state", lineno, base + m.start(1))
-    # the values, or the end of the statement when there are none
-    col = base + (len(body) if values_text is None else m.start(2))
-    if values_text is None or values_text.strip() == "":
-        values = tuple(0 for _ in counters)
-    else:
+    values = (0,) * len(counters)
+    if values_text:  # no values, or a blank list, start every counter at 0
         try:
-            values = _int_values(values_text, "initial")
+            values = _counter_values(values_text, len(counters), "initial")
         except ValueError as exc:
-            raise ParseError(lineno, col, str(exc)) from None
-        if any(v < 0 for v in values):
-            raise ParseError(lineno, col, "initial values must be non-negative")
-    if len(values) != len(counters):
-        raise ParseError(lineno, col, f"expected {len(counters)} initial values, got {len(values)}")
+            raise ParseError(lineno, base + m.start(2), str(exc)) from None
 
     machine = _machine(CounterMachine, tuple(states), tuple(counters), tuple(parsed), q0, name)
     return ModelFile("counter", machine, CounterConfig(q0, values))
@@ -254,17 +246,11 @@ def _bound_words(lineno: int, base: int, m: re.Match) -> list[list[tuple[str, in
     ]
 
 
-def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
-    if "counters" in decls:
-        raise ParseError(decls["counters"][0], 1, "counters declaration in a fifo model")
-    for what in ("channels", "alphabet"):
-        if what not in decls:
-            raise ParseError(1, 1, f"missing {what} declaration")
-    channels = decls["channels"][1]
-    alphabet = Alphabet(decls["alphabet"][1])
-
+def _build_fifo(name, states, found) -> ModelFile:
+    channels = _names(found, "channels")
+    alphabet = Alphabet(_names(found, "alphabet"))
     parsed = []
-    for lineno, base, body in transitions:
+    for lineno, base, body in found["-->"]:
         m = _FIFO_TRANS_RE.match(body)
         if not m:
             raise ParseError(lineno, base, f"bad fifo transition: {body!r}")
@@ -276,7 +262,8 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
         parsed.append(FifoTransition(source, channel, kind_ch, alphabet.id(letter), target))
 
     bound_words: dict[str, list[list[str]]] = {}
-    for lineno, base, m in bounds:
+    for lineno, base, body in found["bound"]:
+        m = _BOUND_RE.match(body)
         ch, col = m.group(1), base + m.start(1)
         _require(channels, ch, "channel", lineno, col)
         if ch in bound_words:
@@ -287,7 +274,7 @@ def _build_fifo(name, states, decls, transitions, bounds, init) -> ModelFile:
                 _require(alphabet, letter, "letter", lineno, col)
             bound_words[ch].append([letter for letter, _ in w])
 
-    lineno, base, body = init
+    lineno, base, body = found["init"][0]
     m = _INIT_FIFO_RE.match(body)
     if not m:
         raise ParseError(lineno, base, f"bad init statement: {body!r}")
@@ -363,11 +350,4 @@ def parse_target(mf: ModelFile, text: str) -> CounterConfig:
     q, values_text = m.groups()
     if q not in mf.machine.states:
         raise ValueError(f"unknown state {q!r} in target")
-    values = _int_values(values_text, "target") if values_text.strip() else ()
-    if len(values) != len(mf.machine.counters):
-        raise ValueError(
-            f"target has {len(values)} values, machine has {len(mf.machine.counters)} counters"
-        )
-    if any(v < 0 for v in values):
-        raise ValueError("target values must be non-negative")
-    return CounterConfig(q, values)
+    return CounterConfig(q, _counter_values(values_text, len(mf.machine.counters), "target"))

@@ -213,6 +213,20 @@ def test_non_utf8_model_exits_one(tmp_path, capsys):
     assert f"cannot read {latin}" in capsys.readouterr().err
 
 
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    # editors on Windows often start UTF-8 files with a byte-order mark
+    text = (MODELS / "m7.model").read_bytes()
+    reports = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        model = tmp_path / f"mark{len(mark)}" / "m7.model"
+        model.parent.mkdir()
+        model.write_bytes(mark + text)
+        code, out, err = run(capsys, "check", "termination", str(model))
+        assert code == 0 and err == ""
+        reports.append([line for line in out.splitlines() if not line.startswith("elapsed: ")])
+    assert reports[0] == reports[1]
+
+
 def test_unwritable_dot_path_exits_one(tmp_path, capsys):
     dot = tmp_path / "missing-dir" / "tree.dot"
     assert fails("check", "termination", path("m1"), "--dot", str(dot)) == 1

@@ -88,23 +88,10 @@ def test_empty_model():
     assert "empty model" in str(e)
 
 
-def test_duplicate_and_missing_declarations():
+def test_duplicate_declarations():
     assert "duplicate states" in str(err("kind counter\nstates q0\nstates q1\ninit q0\n"))
     assert "duplicate name" in str(err("kind counter\nstates q0 q0\ninit q0\n"))
-    assert "missing states" in str(err("kind counter\ninit q0\n"))
-    assert "missing init" in str(err("kind counter\nstates q0\n"))
     assert "duplicate init" in str(err("kind counter\nstates q0\ninit q0\ninit q0\n"))
-    assert "missing channels" in str(err("kind fifo\nstates q0\nalphabet a\ninit q0\n"))
-    assert "missing alphabet" in str(err("kind fifo\nstates q0\nchannels ch\ninit q0\n"))
-
-
-def test_kind_mismatched_declarations():
-    e = err("kind counter\nstates q0\nchannels ch\ninit q0\n")
-    assert "channels declaration in a counter model" in str(e) and e.line == 3
-    e = err("kind fifo\nstates q0\nchannels ch\nalphabet a\ncounters c\ninit q0\n")
-    assert "counters declaration in a fifo model" in str(e)
-    e = err("kind counter\nstates q0\ncounters c\nbound ch: (a)\ninit q0\n")
-    assert "bound clause in a counter model" in str(e)
 
 
 def test_bad_transitions():
@@ -180,6 +167,52 @@ def test_unknown_name_sites(site):
     assert (e.line, e.col) == (line, col)
 
 
+# every site that refuses a model for a statement its kind needs or
+# refuses: text, message, line, column.  A missing statement is reported
+# on the kind line.
+KIND_RULE_SITES = {
+    "missing states": ("kind counter\ninit q0\n", "missing states declaration", 1, 1),
+    "missing init": ("kind counter\nstates q0\n", "missing init statement", 1, 1),
+    "missing init after a transition": (
+        "kind counter\nstates q0\ncounters c\nq0 -- inc(c) --> q0\n",
+        "missing init statement", 1, 1,
+    ),
+    "missing channels, kind on line 2": (
+        "# a fifo model\nkind fifo\nstates q0\nalphabet a\ninit q0\n",
+        "missing channels declaration", 2, 1,
+    ),
+    "missing alphabet": (
+        "kind fifo\nstates q0\nchannels ch\ninit q0\n", "missing alphabet declaration", 1, 1
+    ),
+    "channels in a counter model": (
+        "kind counter\nstates q0\nchannels ch\ninit q0\n",
+        "channels declaration in a counter model", 3, 1,
+    ),
+    "alphabet in a counter model": (
+        "kind counter\nstates q0\n  alphabet a\ninit q0\n",
+        "alphabet declaration in a counter model", 3, 3,
+    ),
+    "bound in a counter model": (
+        _CTR.format(" bound ch: (a)"), "bound clause in a counter model", 4, 2
+    ),
+    "counters in a fifo model": (
+        _FIFO_INIT.format("counters c\ninit q0"), "counters declaration in a fifo model", 5, 1
+    ),
+    # a line ends at its first #, also inside quotes
+    "# inside quotes": (
+        _FIFO_INIT.format('init q0 ch:"a#b"'), "bad init statement: 'init q0 ch:\"a'", 5, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(KIND_RULE_SITES))
+def test_kind_rule_sites(site):
+    text, message, line, col = KIND_RULE_SITES[site]
+    e = err(text)
+    assert str(e) == f"line {line}, col {col}: {message}"
+    assert (e.line, e.col) == (line, col)
+
+
 def test_unrecognized_statement():
     e = err("kind counter\nstates q0\nwat is this\ninit q0\n")
     assert "unrecognized statement" in str(e) and e.line == 3
@@ -199,9 +232,11 @@ def test_parse_target_counter(m8):
         parse_target(m8, "q2:3")
     with pytest.raises(ValueError):
         parse_target(m8, "zz:(3)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected 1 target values, got 2$"):
         parse_target(m8, "q2:(3,1)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected 1 target values, got 0$"):
+        parse_target(m8, "q2:( )")
+    with pytest.raises(ValueError, match="^target values must be non-negative$"):
         parse_target(m8, "q2:(-1)")
     with pytest.raises(ValueError, match="^target values must be integers$"):
         parse_target(m8, "q2:(x)")
