@@ -93,6 +93,8 @@ _KIND_RULES = {
     "counter": (("states", "init"), ("channels", "alphabet", "bound")),
     "fifo": (("states", "init", "channels", "alphabet"), ("counters",)),
 }
+# the statements that may appear more than once: transitions, bound clauses
+_REPEATED = ("-->", "bound")
 
 
 def _noun(key: str) -> str:
@@ -119,7 +121,7 @@ def parse_model(text: str, name: str = "model") -> ModelFile:
     kind = m.group(1)
 
     # the statements under their first word, transitions under "-->"
-    found: dict[str, list[tuple[int, int, str]]] = {"-->": [], "bound": []}
+    found: dict[str, list[tuple[int, int, str]]] = {k: [] for k in _REPEATED}
     for lineno, base, body in statements[1:]:
         if m := _NAMES_RE.match(body):
             key, names = m.group(1), m.group(2).split()
@@ -137,7 +139,7 @@ def parse_model(text: str, name: str = "model") -> ModelFile:
             key = "init"
         else:
             raise ParseError(lineno, base, f"unrecognized statement: {body!r}")
-        if key in found and key not in ("-->", "bound"):
+        if key in found and key not in _REPEATED:
             raise ParseError(lineno, base, f"duplicate {_noun(key)}")
         found.setdefault(key, []).append((lineno, base, body))
 
