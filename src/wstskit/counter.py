@@ -125,9 +125,10 @@ def cm_post(
 
     A transition is disabled by a source control mismatch, a failing zero
     test (evaluated on the pre-state), or a decrement at zero.  ``seen``
-    maps ``(control, values)`` to a configuration already built: a
-    successor with a known key is that object, and a new one is stored
-    under its key.  Without ``seen`` every successor is a new object.
+    maps each control of the machine to a dict from ``values`` to a
+    configuration already built: a successor with known data is that
+    object, and a new one is stored there.  Without ``seen`` every
+    successor is a new object.
     """
     values = x.values
     out = []
@@ -145,10 +146,10 @@ def cm_post(
         if seen is None:
             config = CounterConfig(target, y)
         else:
-            key = (target, y)
-            config = seen.get(key)
+            known = seen[target]
+            config = known.get(y)
             if config is None:
-                config = seen[key] = CounterConfig(target, y)
+                config = known[y] = CounterConfig(target, y)
         out.append((label, config))
     return out
 

@@ -27,7 +27,8 @@ characters.  Parsing is lenient about statement order after the kind
 line; the printer emits the canonical order shown above.  A missing
 declaration or init statement is reported on the kind line.  The values
 of ``init`` and of a coverability target (``parse_target``) follow one
-rule: comma-separated non-negative integers, one per counter; ``init``
+rule: comma-separated non-negative integers in ASCII decimal digits,
+one per counter, each with optional whitespace around it; ``init``
 without values starts every counter at 0.  The command line reads model
 files as UTF-8 and drops a leading byte-order mark.
 """
@@ -160,20 +161,25 @@ def _names(found: dict, key: str) -> list[str]:
     return found[key][0][2].split()[1:] if key in found else []
 
 
+_VALUE_RE = re.compile(r"\s*(-?\d+)\s*", re.ASCII)
+
+
 def _counter_values(text: str, count: int, what: str) -> tuple[int, ...]:
     """The comma-separated values of ``text``, one non-negative integer
-    per counter, or a ValueError naming ``what``.  A plain decimal fails
-    ``int`` only for having more digits than it converts
+    per counter, or a ValueError naming ``what``.  A value is ASCII decimal
+    digits, optionally signed with ``-`` and surrounded by whitespace; one
+    that ``int`` does not convert has more digits than it allows
     (``sys.get_int_max_str_digits()``), so its message names that limit."""
     values = []
     for value in text.split(",") if text.strip() else ():
+        m = _VALUE_RE.fullmatch(value)
+        if m is None:
+            raise ValueError(f"{what} values must be integers")
         try:
-            values.append(int(value))
+            values.append(int(m.group(1)))
         except ValueError:
-            if re.fullmatch(r"\s*[+-]?\d+\s*", value):
-                limit = sys.get_int_max_str_digits()
-                raise ValueError(f"{what} values must have at most {limit} digits") from None
-            raise ValueError(f"{what} values must be integers") from None
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"{what} values must have at most {limit} digits") from None
     if any(v < 0 for v in values):
         raise ValueError(f"{what} values must be non-negative")
     if len(values) != count:
@@ -303,7 +309,10 @@ def _build_fifo(name, states, found) -> ModelFile:
 
 
 def print_model(mf: ModelFile) -> str:
-    """Canonical text for a model, parseable back to an equal ModelFile."""
+    """Canonical text for a model, parseable back to an equal ModelFile.
+
+    Raises ValueError when FIFO init contents or a bound word hold a letter
+    whose name is more than one character: no model text spells it."""
     lines = [f"kind {mf.kind}"]
     machine = mf.machine
     lines.append("states " + " ".join(machine.states))
@@ -325,17 +334,26 @@ def print_model(mf: ModelFile) -> str:
             lines.append(f"{t.source} -- {t.channel}{t.kind}{letter} --> {t.target}")
         if mf.lang is not None:
             for ch, words in zip(mf.lang.channels, mf.lang.blocks):
-                body = "".join(
-                    "(" + "".join(machine.alphabet.name(l) for l in w) + ")" for w in words
-                )
+                body = "".join("(" + _word_text(machine.alphabet, ch, w) + ")" for w in words)
                 lines.append(f"bound {ch}: {body}")
         init_line = f"init {mf.initial.control}"
         for ch, word in zip(machine.channels, mf.initial.contents):
             if word:
-                text = "".join(machine.alphabet.name(l) for l in word)
-                init_line += f' {ch}:"{text}"'
+                init_line += f' {ch}:"{_word_text(machine.alphabet, ch, word)}"'
         lines.append(init_line)
     return "\n".join(lines) + "\n"
+
+
+def _word_text(alphabet: Alphabet, ch: str, word: tuple[int, ...]) -> str:
+    """A word of channel ``ch`` as model text, one character per letter;
+    a ValueError when a letter's name is longer, since the text would
+    parse back as other letters."""
+    names = [alphabet.name(letter) for letter in word]
+    for name in names:
+        if len(name) != 1:
+            raise ValueError(f"cannot print letter {name!r} in a word of channel {ch!r}: "
+                             "letters in words are written as one character")
+    return "".join(names)
 
 
 _TARGET_RE = re.compile(r"^(\w+):\(([^()]*)\)$")

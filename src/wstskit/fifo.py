@@ -170,9 +170,10 @@ def fifo_post(
 
     A send appends to the channel tail; a receive consumes the head letter
     and is disabled unless the channel starts with that letter.  ``seen``
-    maps ``(control, contents)`` to a configuration already built: a
-    successor with a known key is that object, and a new one is stored
-    under its key.  Without ``seen`` every successor is a new object.
+    maps each control of the machine to a dict from ``contents`` to a
+    configuration already built: a successor with known data is that
+    object, and a new one is stored there.  Without ``seen`` every
+    successor is a new object.
     """
     contents = x.contents
     out = []
@@ -188,10 +189,10 @@ def fifo_post(
         if seen is None:
             config = FifoConfig(target, after)
         else:
-            key = (target, after)
-            config = seen.get(key)
+            known = seen[target]
+            config = known.get(after)
             if config is None:
-                config = seen[key] = FifoConfig(target, after)
+                config = known[after] = FifoConfig(target, after)
         out.append((label, config))
     return out
 

@@ -8,13 +8,14 @@ are derived from the successor enumerator, so each machine kind's
 semantics is written once, in its ``post``.
 
 The counter and FIFO systems return one object per distinct
-configuration: each keeps a dict from ``(control, values)`` or
-``(control, contents)`` to the initial configuration or the first
-successor built with that key, and its ``post`` hands that object out
+configuration: each keeps a dict from each control to a dict from
+``values`` or ``contents`` to the initial configuration or the first
+successor built with that data, and its ``post`` hands that object out
 again for an equal successor.  A tree build meets most configurations
-many times, so this saves building and storing a copy each time.
-Configurations are frozen, so sharing them is safe.  Two systems built
-from one machine share nothing.
+many times, so this saves building and storing a copy each time, and
+lets the build reuse the successor list of a state object it expands
+again.  Configurations are frozen, so sharing them is safe.  Two systems
+built from one machine share nothing.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def _machine_olts(machine, initial, field, signature, post, order, state_fmt) ->
     data = getattr(x0, field)
     if len(data) != len(getattr(machine, signature)):
         raise ValueError(f"initial configuration has a different number of {signature}")
-    seen = {(x0.control, data): x0}  # one object per distinct configuration
+    # one object per distinct configuration, by control then data; the initial
+    # control need not be declared (it then has no transitions)
+    seen = {q: {} for q in machine.states}
+    seen.setdefault(x0.control, {})[data] = x0
     return Olts(x0, lambda x: post(machine, x, seen), len(machine.transitions), order,
                 state_fmt, machine.describe_transition)

@@ -96,6 +96,12 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
     no subsumer.  When creating one more node would exceed the budget,
     construction stops and ``budget_exhausted`` is set; marks already
     assigned remain valid for the partial tree.
+
+    ``olts.post`` must depend on its state alone: the successor list of a
+    state object is computed on its first and second expansion and reused
+    from the third on.  Systems that hand out one object per distinct
+    state (see ``olts``) thus compute each state's successors at most
+    twice; a system that builds fresh objects gets one call per node.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -103,34 +109,46 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
     post = olts.post
     nodes = [RrtNode(0, olts.initial, None, None)]
     exhausted = False
+    # successor lists by state id, kept from a state's second expansion on so
+    # that a state met once costs no list; ids are stable because every
+    # state stays alive in ``nodes`` until the build returns
+    once: set[int] = set()
+    memo: dict[int, list] = {}
     # each queued node travels with the states of its strict ancestors, root
     # first; siblings share one tuple, so no expansion walks the tree
     queue = deque([(nodes[0], ())])
     while queue and not exhausted:
         node, above = queue.popleft()
-        succs = post(node.state)
+        x = node.state
+        key = id(x)
+        succs = memo.get(key)
+        if succs is None:
+            succs = post(x)
+            if key in once:
+                memo[key] = succs
+            else:
+                once.add(key)
         if not succs:
             node.mark = DEAD
             continue
         nid = node.id
-        path = above + (node.state,)
+        path = above + (x,)
         depths = range(len(path))
         for label, y in succs:
             if len(nodes) >= budget:
                 exhausted = True
                 break
-            child = RrtNode(len(nodes), y, nid, label)
-            nodes.append(child)
             # the first hit scanning from the root: the subsumer closest to it
             hit = next(compress(depths, map(leq, path, repeat(y))), None)
             if hit is None:
+                child = RrtNode(len(nodes), y, nid, label)
                 queue.append((child, path))
             else:
-                child.mark = DEAD
                 sid = nid
                 for _ in range(len(path) - 1 - hit):
                     sid = nodes[sid].parent
-                child.subsumed_by = sid
+                child = RrtNode(len(nodes), y, nid, label, DEAD, sid)
+            nodes.append(child)
     return Rrt(nodes=nodes, budget_exhausted=exhausted)
 
 

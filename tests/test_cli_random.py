@@ -2,8 +2,8 @@
 
 Each random machine is written as model text with ``print_model``, read
 back by ``wstskit check --json``.  Every BOUNDED, TERMINATING, COVERABLE
-and NOT COVERABLE answer is checked against the slow references in
-``oracles``.  UNBOUNDED and NON-TERMINATING answers are not checked: on
+and NOT COVERABLE answer, and every ``cmrz`` answer with its violating
+path, is checked against the slow references in ``oracles``.  UNBOUNDED and NON-TERMINATING answers are not checked: on
 machines with zero tests they rest on a monotony that need not hold.
 """
 
@@ -22,6 +22,7 @@ from oracles import (
     ref_counter_step,
     ref_fifo_step,
     ref_ideal_member,
+    ref_is_cmrz,
     ref_post_downclosed,
     ref_run,
 )
@@ -108,6 +109,14 @@ def _check_cover_answer(capsys, seen, path, mf, x0, extra, rng):
         assert report["verdict"] == "inconclusive", report
 
 
+def _check_cmrz_answer(capsys, seen, path, mf):
+    report = _check(capsys, "cmrz", path)
+    ok, violation = ref_is_cmrz(mf.machine)
+    assert report["verdict"] == ("cmrz" if ok else "not-cmrz"), path
+    assert (report["witness"] or {}).get("transitions") == violation, path
+    seen[report["verdict"]] += 1
+
+
 def test_random_models_through_the_cli(tmp_path, capsys):
     rng = Random(20261019)
     seen = Counter()
@@ -118,6 +127,8 @@ def test_random_models_through_the_cli(tmp_path, capsys):
         assert parse_model(text, name="random") == mf
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
+        if mf.kind == "counter":
+            _check_cmrz_answer(capsys, seen, path, mf)
         start = rng.choice(mf.machine.states)
         for extra in ((), ("--init", start)):
             if mf.kind == "counter":
@@ -128,5 +139,6 @@ def test_random_models_through_the_cli(tmp_path, capsys):
                 x0 = FifoConfig(extra[1] if extra else mf.initial.control, mf.initial.contents)
                 _check_tree_answers(capsys, seen, path, mf, x0, extra, ref_fifo_step)
     # each kind of checked answer turns up
-    for verdict in ("bounded", "terminating", "coverable", "invariant", "reach_closure"):
+    for verdict in ("bounded", "terminating", "coverable", "invariant", "reach_closure",
+                    "cmrz", "not-cmrz"):
         assert seen[verdict] >= 3, seen

@@ -9,7 +9,7 @@ import pytest
 from conftest import load_model
 from wstskit.counter import CounterConfig
 from wstskit.dsl import ParseError, parse_model, parse_target, print_model
-from wstskit.fifo import FifoConfig
+from wstskit.fifo import BoundedLang, FifoConfig
 
 CORPUS = ["m1", "m2", "m3", "m4", "m6", "m7", "m8"]
 
@@ -226,6 +226,25 @@ def test_counterless_machine_round_trip():
     assert parse_model(print_model(mf)) == mf
 
 
+def test_multi_character_letters_in_words_are_refused():
+    # a word is written one character per letter, so ``a1`` would parse
+    # back as the letters ``a`` and ``1``
+    mf = parse_model("kind fifo\nstates q0\nchannels ch\nalphabet a1 b\n"
+                     "q0 -- ch!a1 --> q0\ninit q0\n")
+    assert parse_model(print_model(mf)) == mf  # transitions name letters whole
+    a1, b = mf.machine.alphabet.word(["a1", "b"])
+    message = "^cannot print letter 'a1' in a word of channel 'ch'"
+    with pytest.raises(ValueError, match=message):
+        print_model(mf._replace(initial=FifoConfig("q0", ((b, a1),))))
+    lang = BoundedLang(mf.machine.alphabet, ("ch",), (((b,), (a1, b)),))
+    with pytest.raises(ValueError, match=message):
+        print_model(mf._replace(lang=lang))
+    # one-character letters still print in words
+    text = print_model(mf._replace(initial=FifoConfig("q0", ((b,),)),
+                                   lang=BoundedLang(mf.machine.alphabet, ("ch",), (((b,),),))))
+    assert 'bound ch: (b)\ninit q0 ch:"b"\n' in text
+
+
 def test_parse_target_counter(m8):
     assert parse_target(m8, "q2:(3)") == CounterConfig("q2", (3,))
     with pytest.raises(ValueError):
@@ -240,6 +259,24 @@ def test_parse_target_counter(m8):
         parse_target(m8, "q2:(-1)")
     with pytest.raises(ValueError, match="^target values must be integers$"):
         parse_target(m8, "q2:(x)")
+
+
+@pytest.mark.parametrize("value", ["1_000", "\u0663", "+2", " 0_1"])
+def test_values_are_ascii_decimals(m8, value):
+    # int() reads underscores, a plus sign and non-ASCII digits; a value
+    # is only ASCII decimal digits around optional whitespace
+    e = err(f"kind counter\nstates q0\ncounters c d\ninit q0 (0,{value})\n")
+    assert str(e) == "line 4, col 10: initial values must be integers"
+    with pytest.raises(ValueError, match="^target values must be integers$"):
+        parse_target(m8, f"q2:({value})")
+
+
+def test_values_around_whitespace(m8):
+    assert parse_target(m8, "q2:( 3 )") == CounterConfig("q2", (3,))
+    mf = parse_model("kind counter\nstates q0\ncounters c d\ninit q0 ( 1 ,\t2)\n")
+    assert mf.initial == CounterConfig("q0", (1, 2))
+    with pytest.raises(ValueError, match="^target values must be non-negative$"):
+        parse_target(m8, "q2:( -1 )")
 
 
 def test_values_beyond_the_int_digit_limit(m8):

@@ -238,6 +238,72 @@ def test_tree_holds_one_object_per_distinct_state():
     assert len({id(n.state) for n in rrt.nodes}) == len(distinct)
 
 
+def counting(olts: Olts) -> tuple[Olts, Counter]:
+    """The system with a post that counts its calls per state."""
+    calls = Counter()
+
+    def post(x):
+        calls[x] += 1
+        return olts.post(x)
+
+    return olts._replace(post=post), calls
+
+
+def test_post_runs_at_most_twice_per_distinct_state():
+    # dec-lattice: states repeat across branches, so most are expanded often
+    lattice = cm(["q0"], ["a", "b", "c"],
+                 [t("q0", OP_DEC, c, "q0") for c in ("a", "b", "c")])
+    olts, calls = counting(counter_olts(lattice, CounterConfig("q0", (2, 2, 3))))
+    rrt = build_rrt(olts)
+    expanded = Counter(n.state for n in rrt.nodes if n.subsumed_by is None)
+    assert rrt.complete and len(rrt.nodes) == sum(expanded.values()) == 650
+    assert calls.keys() == expanded.keys()
+    assert all(calls[x] == min(k, 2) for x, k in expanded.items())
+    assert max(expanded.values()) > 2
+    # the same tree as the textbook unfolding, node for node
+    want = ref_rrt(lattice, olts.initial, ref_counter_step, ref_counter_leq, max_nodes=2000)
+    assert tree_by_path(rrt) == want
+
+
+def ref_counter_leq_plain(x, y) -> bool:
+    return all(a <= b for a, b in zip(x, y))
+
+
+def test_post_with_fresh_equal_objects():
+    # an ad hoc system whose post builds new, equal tuples on every call:
+    # each node's successors are its own, and the tree is the textbook one
+    def successors(x):
+        return [(i, x[:i] + (x[i] - 1,) + x[i + 1:]) for i in range(len(x)) if x[i] > 0]
+
+    def step(_machine, x, label):
+        return dict(successors(x)).get(label)
+
+    x0 = (2, 1, 3)
+    olts, calls = counting(Olts(x0, successors, 3, Order(leq=ref_counter_leq_plain)))
+    rrt = build_rrt(olts)
+    assert rrt.complete
+    assert calls.total() == sum(1 for n in rrt.nodes if n.subsumed_by is None)
+    assert max(calls.values()) > 2  # equal states, each reached by many objects
+    machine = type("Labels", (), {"transitions": range(3)})
+    want = ref_rrt(machine, x0, step, ref_counter_leq_plain, max_nodes=2000)
+    assert tree_by_path(rrt) == want
+
+
+@pytest.mark.parametrize("kind", ["counter", "fifo"])
+def test_undeclared_initial_control_gives_one_dead_node(kind):
+    if kind == "counter":
+        machine = cm(["q0"], ["c"], [t("q0", OP_INC, "c", "q0")])
+        olts = counter_olts(machine, CounterConfig("zz", (0,)))
+    else:
+        machine = FifoMachine(("q0",), ("ch",), Alphabet("a"),
+                              (FifoTransition("q0", "ch", SEND, 0, "q0"),), "q0")
+        olts = fifo_olts(machine, FifoConfig("zz", ((),)))
+    rrt = build_rrt(olts)
+    assert rrt.complete and len(rrt.nodes) == 1
+    root = rrt.nodes[0]
+    assert root.mark == DEAD and root.subsumed_by is None and root.state is olts.initial
+
+
 def test_boundedness_verdict_and_caveats(m1):
     olts = fifo_olts(m1.machine)
     rrt = build_rrt(olts)
