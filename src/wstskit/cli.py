@@ -154,7 +154,7 @@ def _cmd_check(parser: _Parser, args) -> int:
     if args.analysis in TREE_ANALYSES:
         report = _tree_report(args.analysis, mf, initial, args.budget, args.assert_strict_monotone)
     elif args.analysis == "cmrz":
-        report = _cmrz_report(mf)
+        report = _cmrz_report(mf, initial)
     else:
         report = _cover_report(mf, initial, target, args.budget)
     elapsed_ms = (time.perf_counter() - started) * 1000
@@ -196,7 +196,7 @@ def _tree_report(analysis, mf, initial, budget, asserted) -> _Report:
     olts = (counter_olts if mf.kind == "counter" else fifo_olts)(mf.machine, initial)
     notes = ()
     if mf.kind == "counter":
-        restricted, _ = is_cmrz(mf.machine)
+        restricted, _ = is_cmrz(mf.machine, initial.control)
         notes = (f"restricted zero-test class: {'yes' if restricted else 'no'}",)
         # the restricted class replays loops verbatim, so growth is strict
         asserted = asserted or restricted
@@ -228,8 +228,8 @@ def _tree_report(analysis, mf, initial, budget, asserted) -> _Report:
                    (tree, olts.state_fmt, olts.label_fmt))
 
 
-def _cmrz_report(mf: ModelFile) -> _Report:
-    ok, path = is_cmrz(mf.machine)
+def _cmrz_report(mf: ModelFile, initial) -> _Report:
+    ok, path = is_cmrz(mf.machine, initial.control)
     witness = None if path is None else {
         "transitions": list(path),
         "path": [mf.machine.describe_transition(i) for i in path],

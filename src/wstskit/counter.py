@@ -167,9 +167,12 @@ def control_reachable(machine: CounterMachine, start: str) -> set[str]:
     return seen
 
 
-def is_cmrz(machine: CounterMachine) -> tuple[bool, list[int] | None]:
+def is_cmrz(
+    machine: CounterMachine, start: str | None = None
+) -> tuple[bool, list[int] | None]:
     """Check that no counter is incremented or decremented at or after a
-    zero test of it, along any control-graph path from the initial control.
+    zero test of it, along any control-graph path from ``start`` (default:
+    the machine's initial control).
 
     This is a syntactic condition on transition sequences, not on feasible
     runs; machines whose feasible runs are all safe can still be rejected.
@@ -178,7 +181,7 @@ def is_cmrz(machine: CounterMachine) -> tuple[bool, list[int] | None]:
     shortest violating transition sequence is returned, starting at the
     zero-testing transition and ending at the offending operation.
     """
-    reachable = control_reachable(machine, machine.initial)
+    reachable = control_reachable(machine, machine.initial if start is None else start)
     violations: list[list[int]] = []
     for ti, t in enumerate(machine.transitions):
         if not t.zero_tests or t.source not in reachable:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Container, NamedTuple, Optional, Union
+from typing import Container, Iterable, NamedTuple, Optional, Union
 
 from .counter import (
     OP_NOOP,
@@ -52,6 +52,7 @@ from .fifo import (
     FifoMachine,
     FifoTransition,
     bounded_lang,
+    channel_word,
 )
 
 
@@ -288,7 +289,7 @@ def _build_fifo(name, states, found) -> ModelFile:
         raise ParseError(lineno, base, f"bad init statement: {body!r}")
     q0 = m.group(1)
     _require(states, q0, "state", lineno, base + m.start(1))
-    contents = [()] * len(channels)
+    contents = [""] * len(channels)
     start = base + m.start(2)
     named = set()
     for c in _FIFO_CONTENT_RE.finditer(m.group(2)):
@@ -299,7 +300,7 @@ def _build_fifo(name, states, found) -> ModelFile:
         named.add(ch)
         for i, letter in enumerate(word):
             _require(alphabet, letter, "letter", lineno, start + c.start(2) + i)
-        contents[channels.index(ch)] = tuple(alphabet.id(letter) for letter in word)
+        contents[channels.index(ch)] = channel_word(map(alphabet.id, word))
 
     machine = _machine(
         FifoMachine, tuple(states), tuple(channels), alphabet, tuple(parsed), q0, name
@@ -339,12 +340,12 @@ def print_model(mf: ModelFile) -> str:
         init_line = f"init {mf.initial.control}"
         for ch, word in zip(machine.channels, mf.initial.contents):
             if word:
-                init_line += f' {ch}:"{_word_text(machine.alphabet, ch, word)}"'
+                init_line += f' {ch}:"{_word_text(machine.alphabet, ch, map(ord, word))}"'
         lines.append(init_line)
     return "\n".join(lines) + "\n"
 
 
-def _word_text(alphabet: Alphabet, ch: str, word: tuple[int, ...]) -> str:
+def _word_text(alphabet: Alphabet, ch: str, word: Iterable[int]) -> str:
     """A word of channel ``ch`` as model text, one character per letter;
     a ValueError when a letter's name is longer, since the text would
     parse back as other letters."""

@@ -1,8 +1,11 @@
 """FIFO machines: syntax, semantics, bounded-language automata, and the
 input-bounded product construction.
 
-Letters are interned in an :class:`Alphabet` and compared by integer id;
-channel contents are tuples of letter ids.  Transition labels are
+Letters are interned in an :class:`Alphabet` and compared by integer id.
+Transitions, bounded-language words and projections spell words as tuples
+of letter ids; channel contents are ``str`` words with one code point per
+letter, ``chr(id)`` (see :func:`channel_word`), so the prefix order is a
+C-level ``str.startswith``.  Transition labels are
 declaration indices, as for counter machines.  The product construction
 restricts a machine to behaviours whose per-channel send projections stay
 inside a bounded language w_1^* ... w_n^* and whose receive projections
@@ -59,13 +62,19 @@ class Alphabet(FrozenFields):
         """Intern a word; a plain string is read one character per letter."""
         return tuple(self.id(a) for a in text)
 
-    def show(self, word: Sequence[int]) -> str:
-        if not word:
-            return "ε"
+    def show(self, word: Iterable[int]) -> str:
         names = [self.name(lid) for lid in word]
+        if not names:
+            return "ε"
         if all(len(n) == 1 for n in names):
             return "".join(names)
         return ".".join(names)
+
+
+def channel_word(word: Iterable[int]) -> str:
+    """A word of letter ids as channel contents: one code point per letter,
+    ``chr(id)``; ``map(ord, ...)`` gives the ids back."""
+    return "".join(map(chr, word))
 
 
 class FifoTransition(NamedTuple):
@@ -82,7 +91,7 @@ class FifoConfig(FrozenFields):
     def __init__(
         self,
         control: str,
-        contents: tuple[tuple[int, ...], ...],  # indexed by channel declaration order
+        contents: tuple[str, ...],  # channel words by declaration order, see channel_word
     ) -> None:
         set_field(self, "control", control)
         set_field(self, "contents", contents)
@@ -147,10 +156,10 @@ class FifoMachine(FrozenFields):
     def initial_config(
         self, contents: Mapping[str, str | Sequence[str]] | None = None
     ) -> FifoConfig:
-        per_channel = [()] * len(self.channels)
+        per_channel = [""] * len(self.channels)
         if contents:
             for ch, word in contents.items():
-                per_channel[self.channel_index(ch)] = self.alphabet.word(word)
+                per_channel[self.channel_index(ch)] = channel_word(self.alphabet.word(word))
         return FifoConfig(self.initial, tuple(per_channel))
 
     def describe_transition(self, label: int) -> str:
@@ -160,7 +169,8 @@ class FifoMachine(FrozenFields):
 
 
 def fifo_config_str(machine: FifoMachine, x: FifoConfig) -> str:
-    return f"{x.control}:(" + "|".join(machine.alphabet.show(w) for w in x.contents) + ")"
+    show = machine.alphabet.show
+    return f"{x.control}:(" + "|".join(show(map(ord, w)) for w in x.contents) + ")"
 
 
 def fifo_post(
@@ -168,10 +178,10 @@ def fifo_post(
 ) -> list[tuple[int, FifoConfig]]:
     """All enabled one-step successors, in transition declaration order.
 
-    A send appends to the channel tail; a receive consumes the head letter
-    and is disabled unless the channel starts with that letter.  ``seen``
-    maps each control of the machine to a dict from ``contents`` to a
-    configuration already built: a successor with known data is that
+    A send appends ``chr(letter)`` to the channel tail; a receive consumes
+    the head letter and is disabled unless the channel starts with it.
+    ``seen`` maps each control of the machine to a dict from ``contents``
+    to a configuration already built: a successor with known data is that
     object, and a new one is stored there.  Without ``seen`` every
     successor is a new object.
     """
@@ -180,8 +190,8 @@ def fifo_post(
     for label, ci, send, letter, target in machine.post_index.get(x.control, ()):
         word = contents[ci]
         if send:
-            word = word + (letter,)
-        elif word and word[0] == letter:
+            word += chr(letter)
+        elif word and ord(word[0]) == letter:
             word = word[1:]
         else:
             continue
@@ -553,11 +563,11 @@ def product_machine(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> FifoM
     )
 
 
-def _omega_prefix(head: Sequence[int], period: Sequence[int], n: int) -> tuple[int, ...]:
-    out = list(head)
+def _omega_prefix(head: str, period: str, n: int) -> str:
+    out = head
     while len(out) < n:
-        out.extend(period)
-    return tuple(out[:n])
+        out += period
+    return out[:n]
 
 
 def check_fifo_infinite_iterability(
@@ -580,8 +590,9 @@ def check_fifo_infinite_iterability(
     if stuck is not None or final.control != x.control:
         return False
     for ci, ch in enumerate(machine.channels):
-        s = send_proj(machine, labels, ch)
-        r = recv_proj(machine, labels, ch)
+        # the projections in the channel word form, like x's contents
+        s = channel_word(send_proj(machine, labels, ch))
+        r = channel_word(recv_proj(machine, labels, ch))
         if not r:
             continue
         if len(r) > len(s):

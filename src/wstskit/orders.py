@@ -46,12 +46,7 @@ def prefix_leq(u: Sequence, w: Sequence) -> bool:
 
 def _ext_prefix_leq(x, y) -> bool:
     """ext_prefix_leq for configurations known to share a channel signature."""
-    if x.control != y.control:
-        return False
-    for u, w in zip(x.contents, y.contents):
-        if w[: len(u)] != u:
-            return False
-    return True
+    return x.control == y.control and all(map(str.startswith, y.contents, x.contents))
 
 
 def _counter_state_leq(x, y) -> bool:

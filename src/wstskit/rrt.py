@@ -177,13 +177,18 @@ def decide_boundedness(
                 "ordering is not antisymmetric on observed states; "
                 "boundedness analysis requires a partial order"
             )
+    leq = order.leq
     witness = None
     for n in rrt.subsumed_nodes():
-        for aid in rrt.ancestor_ids(n.id):
-            if order.strictly_less(nodes[aid].state, n.state):
-                witness = (aid, n.id)
-                break
-        if witness is not None:
+        x = n.state
+        ids = rrt.ancestor_ids(n.id)
+        states = [nodes[i].state for i in ids]
+        # order.strictly_less(a, x) for each ancestor a, root first, with the
+        # same leq calls in the same order: leq(x, a) runs only where a <= x
+        below = compress(ids, map(leq, states, repeat(x)))
+        aid = next((i for i in below if not leq(x, nodes[i].state)), None)
+        if aid is not None:
+            witness = (aid, n.id)
             break
     caveat = None if strict_asserted else (
         "unboundedness assumes strict compatibility: transitions fired "

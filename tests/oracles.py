@@ -72,10 +72,11 @@ def ref_fifo_step(machine: FifoMachine, x: FifoConfig, label: int) -> Optional[F
         return None
     ci = machine.channels.index(t.channel)
     word = x.contents[ci]
+    # a channel word holds one code point per letter id
     if t.kind == SEND:
-        word = word + (t.letter,)
+        word = word + chr(t.letter)
     elif t.kind == RECV:
-        if not word or word[0] != t.letter:
+        if not word or ord(word[0]) != t.letter:
             return None
         word = word[1:]
     contents = x.contents[:ci] + (word,) + x.contents[ci + 1 :]
@@ -122,10 +123,13 @@ def _ref_control_reachable(machine: CounterMachine, start: str) -> set[str]:
     return seen
 
 
-def ref_is_cmrz(machine: CounterMachine) -> tuple[bool, list[int] | None]:
+def ref_is_cmrz(
+    machine: CounterMachine, start: str | None = None
+) -> tuple[bool, list[int] | None]:
     """``is_cmrz`` as it read when it scanned ``machine.transitions`` for
-    the transitions leaving each control state it visits."""
-    reachable = _ref_control_reachable(machine, machine.initial)
+    the transitions leaving each control state it visits, from ``start``
+    (default: the initial control)."""
+    reachable = _ref_control_reachable(machine, machine.initial if start is None else start)
     violations: list[list[int]] = []
     for ti, t in enumerate(machine.transitions):
         if not t.zero_tests or t.source not in reachable:
@@ -281,6 +285,37 @@ def ref_rrt(machine, x0, step: Callable, leq: Callable, *, max_nodes: int) -> di
         tree[path] = (x, subsumer, subsumer is None and not children)
         stack.extend(children)
     return tree
+
+
+def ref_boundedness_witness(nodes: Sequence, order) -> Optional[tuple[int, int]]:
+    """The order checks of ``decide_boundedness`` as it read with
+    ``order.strictly_less``, on a tree's nodes (record fields only).
+
+    First every subsumed node is checked against its subsumer with
+    ``leq(node, subsumer)``; then, node by node, each strict ancestor,
+    root first, is tested with ``strictly_less(ancestor, node)``, spelled
+    out as ``leq(ancestor, node) and not leq(node, ancestor)``.  Returns
+    the first strictly increasing pair (ancestor id, node id), or None.  A
+    wrapped ``order.leq`` therefore sees the calls that the pinned
+    benchmark counts were recorded with.
+    """
+    leq = order.leq
+    subsumed = [n for n in nodes if n.subsumed_by is not None]
+    for n in subsumed:
+        a = nodes[n.subsumed_by]
+        if leq(n.state, a.state) and not order.eq(a.state, n.state):
+            raise ValueError("ordering is not antisymmetric on observed states")
+    for n in subsumed:
+        chain = []
+        cur = n.parent
+        while cur is not None:
+            chain.append(cur)
+            cur = nodes[cur].parent
+        for aid in reversed(chain):
+            a = nodes[aid].state
+            if leq(a, n.state) and not leq(n.state, a):
+                return aid, n.id
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,28 @@ def test_cmrz_analysis(capsys):
     assert "verdict: NOT CMRZ" in out
 
 
+def test_cmrz_follows_init(tmp_path, capsys):
+    # the zero test of c is reachable from q0 only, so the class depends on
+    # the start control, and --init moves it
+    model = tmp_path / "start.model"
+    model.write_text(
+        "kind counter\nstates q0 q1 q2\ncounters c\n"
+        "q0 -- noop [zero: c] --> q1\nq1 -- inc(c) --> q1\nq2 -- inc(c) --> q2\n"
+        "init q0\n", encoding="utf-8",
+    )
+    code, report, _ = run_json(capsys, "check", "cmrz", str(model))
+    assert code == 0 and report["verdict"] == "not-cmrz"
+    assert report["witness"]["transitions"] == [0, 1]
+    code, report, _ = run_json(capsys, "check", "cmrz", str(model), "--init", "q2")
+    assert code == 0 and report["verdict"] == "cmrz" and report["witness"] is None
+    for init, restricted in ((), "no"), (("--init", "q2"), "yes"):
+        _, out, _ = run(capsys, "check", "termination", str(model), *init)
+        assert f"note: restricted zero-test class: {restricted}" in out
+    # from q2 the tree analyses need no assumption
+    code, report, _ = run_json(capsys, "check", "termination", str(model), "--init", "q2")
+    assert code == 0 and report["verdict"] == "non-terminating" and report["caveats"] == []
+
+
 def test_x0_cover_positive(capsys):
     code, report, _ = run_json(
         capsys, "check", "x0-cover", path("m8"), "--target", "q2:(3)"

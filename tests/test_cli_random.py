@@ -30,7 +30,7 @@ from wstskit.cli import main
 from wstskit.counter import CounterConfig
 from wstskit.cover import OMEGA, DownSet, Ideal
 from wstskit.dsl import ModelFile, parse_model, print_model
-from wstskit.fifo import FifoConfig, bounded_lang
+from wstskit.fifo import FifoConfig, bounded_lang, channel_word
 
 BUDGET = 200
 
@@ -44,7 +44,8 @@ def _counter_model(rng: Random) -> ModelFile:
 def _fifo_model(rng: Random) -> ModelFile:
     machine = random_fifo_machine(rng, max_states=3, max_transitions=5)
     contents = tuple(
-        tuple(rng.randrange(2) for _ in range(rng.choice((0, 0, 1, 2)))) for _ in machine.channels
+        channel_word(rng.randrange(2) for _ in range(rng.choice((0, 0, 1, 2))))
+        for _ in machine.channels
     )
     lang = None
     if rng.random() < 0.5:
@@ -109,9 +110,9 @@ def _check_cover_answer(capsys, seen, path, mf, x0, extra, rng):
         assert report["verdict"] == "inconclusive", report
 
 
-def _check_cmrz_answer(capsys, seen, path, mf):
-    report = _check(capsys, "cmrz", path)
-    ok, violation = ref_is_cmrz(mf.machine)
+def _check_cmrz_answer(capsys, seen, path, mf, x0, extra):
+    report = _check(capsys, "cmrz", path, *extra)
+    ok, violation = ref_is_cmrz(mf.machine, x0.control)
     assert report["verdict"] == ("cmrz" if ok else "not-cmrz"), path
     assert (report["witness"] or {}).get("transitions") == violation, path
     seen[report["verdict"]] += 1
@@ -127,12 +128,11 @@ def test_random_models_through_the_cli(tmp_path, capsys):
         assert parse_model(text, name="random") == mf
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
-        if mf.kind == "counter":
-            _check_cmrz_answer(capsys, seen, path, mf)
         start = rng.choice(mf.machine.states)
         for extra in ((), ("--init", start)):
             if mf.kind == "counter":
                 x0 = CounterConfig(extra[1] if extra else mf.initial.control, mf.initial.values)
+                _check_cmrz_answer(capsys, seen, path, mf, x0, extra)
                 _check_tree_answers(capsys, seen, path, mf, x0, extra, ref_counter_step)
                 _check_cover_answer(capsys, seen, path, mf, x0, extra, rng)
             else:

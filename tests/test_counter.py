@@ -235,6 +235,8 @@ def test_is_cmrz_matches_the_transition_scan_on_random_machines():
         got = is_cmrz(m)
         assert got == ref_is_cmrz(m), m
         violations += not got[0]
+        for q in m.states:
+            assert is_cmrz(m, q) == ref_is_cmrz(m, q), (m, q)
     assert violations >= 400, violations
 
 

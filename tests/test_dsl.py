@@ -9,7 +9,7 @@ import pytest
 from conftest import load_model
 from wstskit.counter import CounterConfig
 from wstskit.dsl import ParseError, parse_model, parse_target, print_model
-from wstskit.fifo import BoundedLang, FifoConfig
+from wstskit.fifo import BoundedLang, FifoConfig, channel_word
 
 CORPUS = ["m1", "m2", "m3", "m4", "m6", "m7", "m8"]
 
@@ -35,7 +35,7 @@ def test_fifo_model_fields(m4):
     assert m4.kind == "fifo"
     assert m4.machine.channels == ("ch",)
     assert m4.machine.alphabet.letters == ("a", "b")
-    assert m4.initial == FifoConfig("q0", ((),))
+    assert m4.initial == FifoConfig("q0", ("",))
     assert m4.lang is not None and m4.lang.show() == "ch: (ab)"
 
 
@@ -69,7 +69,7 @@ q0 -- ch!a --> q0
 init q0 ch:"ab"  # comment after quoted content
 """
     mf = parse_model(text)
-    assert mf.initial.contents == ((0, 1),)
+    assert mf.initial.contents == (channel_word((0, 1)),)
 
 
 def err(text):
@@ -235,12 +235,12 @@ def test_multi_character_letters_in_words_are_refused():
     a1, b = mf.machine.alphabet.word(["a1", "b"])
     message = "^cannot print letter 'a1' in a word of channel 'ch'"
     with pytest.raises(ValueError, match=message):
-        print_model(mf._replace(initial=FifoConfig("q0", ((b, a1),))))
+        print_model(mf._replace(initial=FifoConfig("q0", (channel_word((b, a1)),))))
     lang = BoundedLang(mf.machine.alphabet, ("ch",), (((b,), (a1, b)),))
     with pytest.raises(ValueError, match=message):
         print_model(mf._replace(lang=lang))
     # one-character letters still print in words
-    text = print_model(mf._replace(initial=FifoConfig("q0", ((b,),)),
+    text = print_model(mf._replace(initial=FifoConfig("q0", (channel_word((b,)),)),
                                    lang=BoundedLang(mf.machine.alphabet, ("ch",), (((b,),),))))
     assert 'bound ch: (b)\ninit q0 ch:"b"\n' in text
 

@@ -32,6 +32,7 @@ from wstskit.fifo import (
     FifoTransition,
     bounded_lang,
     build_recv_dfa,
+    channel_word,
     build_send_dfa,
     check_fifo_infinite_iterability,
     fifo_config_str,
@@ -105,15 +106,15 @@ def test_machine_validation():
 def test_step_semantics_hand_cases(m2):
     m = m2.machine
     x = m.initial_config()
-    assert x == FifoConfig("q0", ((),))
+    assert x == FifoConfig("q0", ("",))
     step = fifo_olts(m).step
     y = step(x, 0)  # send a
-    assert y == FifoConfig("q0", (m.alphabet.word("a"),))
+    assert y == FifoConfig("q0", (channel_word(m.alphabet.word("a")),))
     assert step(x, 2) is None  # wrong control
-    z = step(FifoConfig("q1", (m.alphabet.word("ca"),)), 2)  # recv c
-    assert z == FifoConfig("q2", (m.alphabet.word("a"),))
-    assert step(FifoConfig("q1", (m.alphabet.word("ac"),)), 2) is None
-    assert step(FifoConfig("q1", ((),)), 2) is None
+    z = step(FifoConfig("q1", (channel_word(m.alphabet.word("ca")),)), 2)  # recv c
+    assert z == FifoConfig("q2", (channel_word(m.alphabet.word("a")),))
+    assert step(FifoConfig("q1", (channel_word(m.alphabet.word("ac")),)), 2) is None
+    assert step(FifoConfig("q1", ("",)), 2) is None
     with pytest.raises(ValueError):
         step(x, 99)
 
@@ -124,7 +125,7 @@ def test_step_agrees_with_reference_on_random_machines():
         m = random_fifo_machine(rng)
         for _ in range(15):
             contents = tuple(
-                tuple(rng.randrange(len(m.alphabet)) for _ in range(rng.randint(0, 3)))
+                channel_word(rng.randrange(len(m.alphabet)) for _ in range(rng.randint(0, 3)))
                 for _ in m.channels
             )
             x = FifoConfig(rng.choice(m.states), contents)
@@ -134,7 +135,7 @@ def test_step_agrees_with_reference_on_random_machines():
 
 def test_post_and_run(m2):
     m = m2.machine
-    x = FifoConfig("q2", (m.alphabet.word("b"),))
+    x = FifoConfig("q2", (channel_word(m.alphabet.word("b")),))
     post = fifo_post(m, x)
     assert [label for label, _ in post] == [3, 4, 6]
     got = fifo_olts(m).run([0, 0, 1, 2])
@@ -179,7 +180,7 @@ def test_post_matches_reference_steps_on_random_machines():
                 x = FifoConfig(
                     q,
                     tuple(
-                        tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))
+                        channel_word(rng.randrange(3) for _ in range(rng.randint(0, 3)))
                         for _ in m.channels
                     ),
                 )
@@ -194,15 +195,15 @@ def test_post_matches_reference_steps_on_random_machines():
 def test_olts_rejects_initial_config_of_other_signature(m2):
     m = m2.machine
     with pytest.raises(ValueError, match="channels"):
-        fifo_olts(m, FifoConfig("q0", ((), ())))
+        fifo_olts(m, FifoConfig("q0", ("", "")))
     with pytest.raises(ValueError, match="channels"):
         fifo_olts(m, FifoConfig("q0", ()))
-    assert fifo_olts(m, FifoConfig("q0", ((),))).initial == m.initial_config()
+    assert fifo_olts(m, FifoConfig("q0", ("",))).initial == m.initial_config()
 
 
 def test_initial_config_takes_letter_names(m2):
     m = m2.machine
-    want = FifoConfig("q0", (m.alphabet.word("ca"),))
+    want = FifoConfig("q0", (channel_word(m.alphabet.word("ca")),))
     assert m.initial_config({"ch": "ca"}) == want
     assert m.initial_config({"ch": ["c", "a"]}) == want
     with pytest.raises(ValueError, match="unknown letter 0"):
@@ -220,8 +221,8 @@ def test_describe_and_config_str(m2):
         (FifoTransition("q0", "c2", SEND, 0, "q0"),), "q0",
     )
     assert two.describe_transition(0) == "c2!a"
-    assert fifo_config_str(m, FifoConfig("q1", (m.alphabet.word("ab"),))) == "q1:(ab)"
-    assert fifo_config_str(two, FifoConfig("q0", ((), (0,)))) == "q0:(ε|a)"
+    assert fifo_config_str(m, FifoConfig("q1", (channel_word(m.alphabet.word("ab")),))) == "q1:(ab)"
+    assert fifo_config_str(two, FifoConfig("q0", ("", channel_word((0,))))) == "q0:(ε|a)"
 
 
 def test_resolve_action_run(m2):

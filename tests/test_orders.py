@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import pairwise_incomparable, ref_counter_leq, ref_ext_prefix_leq
 from wstskit.counter import CounterConfig, CounterMachine
-from wstskit.fifo import Alphabet, FifoConfig, FifoMachine
+from wstskit.fifo import Alphabet, FifoConfig, FifoMachine, channel_word
 from wstskit.olts import counter_olts, fifo_olts
 from wstskit.orders import (
     COUNTER_ORDER,
@@ -97,7 +97,7 @@ def fifo_pair(draw):
     def cfg():
         control = draw(st.sampled_from(["q0", "q1"]))
         contents = tuple(
-            tuple(draw(st.lists(st.integers(0, 1), max_size=4))) for _ in range(n)
+            channel_word(draw(st.lists(st.integers(0, 1), max_size=4))) for _ in range(n)
         )
         return FifoConfig(control, contents)
     return cfg(), cfg()
@@ -128,7 +128,7 @@ def test_olts_orders_match_reference_on_shared_signatures(data):
 
 def test_ext_prefix_leq_channel_mismatch():
     with pytest.raises(ValueError):
-        ext_prefix_leq(FifoConfig("q0", ((),)), FifoConfig("q0", ((), ())))
+        ext_prefix_leq(FifoConfig("q0", ("",)), FifoConfig("q0", ("", "")))
 
 
 @given(st.data())
@@ -150,14 +150,14 @@ def test_order_custom_eq():
 
 
 def test_find_antichain_on_known_run(m2):
-    system = fifo_olts(m2.machine, FifoConfig("q2", ((),)))
+    system = fifo_olts(m2.machine, FifoConfig("q2", ("",)))
     found = find_antichain_on_run(system, [6, 3, 2, 4, 6, 6, 3], limit=4)
     shown = [(x.control, x.contents[0]) for x in found]
     a = m2.machine.alphabet
     assert shown == [
-        ("q2", ()),
-        ("q1", a.word("cb")),
-        ("q1", a.word("ccb")),
+        ("q2", ""),
+        ("q1", channel_word(a.word("cb"))),
+        ("q1", channel_word(a.word("ccb"))),
     ]
     assert pairwise_incomparable(found, ref_ext_prefix_leq)
 
@@ -169,7 +169,7 @@ def test_find_antichain_chain_yields_empty(m1):
 
 
 def test_find_antichain_limit_and_errors(m2):
-    system = fifo_olts(m2.machine, FifoConfig("q2", ((),)))
+    system = fifo_olts(m2.machine, FifoConfig("q2", ("",)))
     assert find_antichain_on_run(system, [6, 3, 2], limit=1) == []
     with pytest.raises(ValueError):
         find_antichain_on_run(system, [6], limit=0)

@@ -18,6 +18,7 @@ from gen import (
 from oracles import (
     bfs_reach,
     has_infinite_run,
+    ref_boundedness_witness,
     ref_counter_leq,
     ref_counter_step,
     ref_ext_prefix_leq,
@@ -34,7 +35,7 @@ from wstskit.counter import (
     CounterTransition,
 )
 from wstskit.dsl import parse_model
-from wstskit.fifo import SEND, Alphabet, FifoConfig, FifoMachine, FifoTransition
+from wstskit.fifo import SEND, Alphabet, FifoConfig, FifoMachine, FifoTransition, channel_word
 from wstskit.olts import Olts, counter_olts, fifo_olts
 from wstskit.orders import Order
 from wstskit.rrt import (
@@ -66,9 +67,9 @@ def test_m1_tree_shape(m1):
     root, na, nb = rrt.nodes
     assert root.mark == LIVE and root.parent is None
     a = m1.machine.alphabet
-    assert na.state == FifoConfig("q0", (a.word("a"),))
+    assert na.state == FifoConfig("q0", (channel_word(a.word("a")),))
     assert na.mark == DEAD and na.subsumed_by == 0
-    assert nb.state == FifoConfig("q1", (a.word("b"),))
+    assert nb.state == FifoConfig("q1", (channel_word(a.word("b")),))
     assert nb.mark == DEAD and nb.subsumed_by is None  # deadlock, not subsumed
     assert rrt.ancestor_ids(2) == [0]
     assert rrt.path_labels(1) == [0] and rrt.path_labels(2) == [1]
@@ -78,7 +79,7 @@ def test_m1_tree_shape(m1):
 
 
 def test_m2_from_q2_completes(m2):
-    olts = fifo_olts(m2.machine, FifoConfig("q2", ((),)))
+    olts = fifo_olts(m2.machine, FifoConfig("q2", ("",)))
     rrt = build_rrt(olts, budget=200)
     assert rrt.complete and len(rrt.nodes) == 3
     assert [n.subsumed_by for n in rrt.nodes] == [None, None, 0]
@@ -130,7 +131,7 @@ def test_rrt_matches_textbook_unfolding(name, start):
         machine, x0 = mf.machine, mf.initial
     else:
         machine = load_model(name).machine
-        x0 = FifoConfig(start, tuple(() for _ in machine.channels))
+        x0 = FifoConfig(start, tuple("" for _ in machine.channels))
     rrt = build_rrt(fifo_olts(machine, x0), budget=200)
     assert rrt.complete
     want = ref_rrt(machine, x0, ref_fifo_step, ref_ext_prefix_leq, max_nodes=200)
@@ -297,7 +298,7 @@ def test_undeclared_initial_control_gives_one_dead_node(kind):
     else:
         machine = FifoMachine(("q0",), ("ch",), Alphabet("a"),
                               (FifoTransition("q0", "ch", SEND, 0, "q0"),), "q0")
-        olts = fifo_olts(machine, FifoConfig("zz", ((),)))
+        olts = fifo_olts(machine, FifoConfig("zz", ("",)))
     rrt = build_rrt(olts)
     assert rrt.complete and len(rrt.nodes) == 1
     root = rrt.nodes[0]
@@ -444,7 +445,7 @@ def test_iterable_marking_rejects_failing_replay():
 
 
 def test_iterable_marking_fifo(m2, m4):
-    olts = fifo_olts(m2.machine, FifoConfig("q2", ((),)))
+    olts = fifo_olts(m2.machine, FifoConfig("q2", ("",)))
     lrrt = build_lrrt(olts)
     v = decide_nonterm_by_iterable(lrrt)
     assert v.outcome is Outcome.POSITIVE and v.witness == (2, (6,))
@@ -542,6 +543,47 @@ def test_raising_the_tree_budget_keeps_definite_verdicts(fifo):
         for outcome in (Outcome.POSITIVE, Outcome.NEGATIVE):
             assert seen[analysis, outcome, outcome] >= 5, seen
     assert any(was is Outcome.INCONCLUSIVE and now is not was for _, was, now in seen), seen
+
+
+def counted(leq):
+    """``leq`` with a call counter: (wrapped, [calls])."""
+    calls = [0]
+
+    def wrapped(x, y):
+        calls[0] += 1
+        return leq(x, y)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
+def test_tree_and_boundedness_make_the_pinned_leq_calls(fifo):
+    # The benchmark pins the number of order checks.  The build must make
+    # those of the textbook root-first scan (ref_rrt, on complete trees),
+    # and decide_boundedness those of its strictly_less scan, with the
+    # same witness, on complete and cut trees alike.
+    rng = Random(20261026 + fifo)
+    ref_leq, step = (
+        (ref_ext_prefix_leq, ref_fifo_step) if fifo else (ref_counter_leq, ref_counter_step)
+    )
+    seen = Counter()
+    for _ in range(200):
+        make, machine, x0 = random_start(rng, fifo)
+        olts = make(machine, x0)
+        leq, calls = counted(olts.order.leq)
+        order = olts.order._replace(leq=leq)
+        rrt = build_rrt(olts._replace(order=order), 50)
+        if rrt.complete:
+            want_leq, want_calls = counted(ref_leq)
+            ref_rrt(machine, x0, step, want_leq, max_nodes=50)
+            assert calls == want_calls, (machine, x0)
+        calls[0] = 0
+        got = decide_boundedness(rrt, order).witness
+        want_leq, want_calls = counted(ref_leq)
+        want = ref_boundedness_witness(rrt.nodes, order._replace(leq=want_leq))
+        assert (got, calls) == (want, want_calls), (machine, x0)
+        seen[rrt.complete, want is not None] += 1
+    assert min(seen[key] for key in ((True, True), (True, False), (False, True))) >= 10, seen
 
 
 @pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
