@@ -34,9 +34,11 @@ class CounterTransition(NamedTuple):
 class CounterConfig(FrozenFields):
     __slots__ = _fields = ("control", "values")
 
-    def __init__(self, control: str, values: tuple[int, ...]) -> None:
+    def __init__(self, control: str, values: Sequence[int]) -> None:
         set_field(self, "control", control)
-        set_field(self, "values", values)
+        # a tuple, so that configurations hash and order alike whatever
+        # sequence built them (tuple() hands an exact tuple back unchanged)
+        set_field(self, "values", tuple(values))
 
 
 class CounterMachine(FrozenFields):
@@ -98,7 +100,6 @@ class CounterMachine(FrozenFields):
     def initial_config(self, values: Sequence[int] | None = None) -> CounterConfig:
         if values is None:
             values = (0,) * len(self.counters)
-        values = tuple(values)
         if len(values) != len(self.counters):
             raise ValueError("initial valuation has wrong dimension")
         return CounterConfig(self.initial, values)

@@ -235,7 +235,7 @@ def pre_basis(machine: CounterMachine, u: UpSet) -> UpSet:
             elif t.op == OP_DEC:
                 ci = machine.counter_index(t.counter)
                 values[ci] = values[ci] + 1
-            preds.append(CounterConfig(t.source, tuple(values)))
+            preds.append(CounterConfig(t.source, values))
     return upset_normalize(preds)
 
 

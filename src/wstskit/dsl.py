@@ -306,7 +306,7 @@ def _build_fifo(name, states, found) -> ModelFile:
         FifoMachine, tuple(states), tuple(channels), alphabet, tuple(parsed), q0, name
     )
     lang = bounded_lang(machine, bound_words) if bound_words else None
-    return ModelFile("fifo", machine, FifoConfig(q0, tuple(contents)), lang)
+    return ModelFile("fifo", machine, FifoConfig(q0, contents), lang)
 
 
 def print_model(mf: ModelFile) -> str:

@@ -91,10 +91,10 @@ class FifoConfig(FrozenFields):
     def __init__(
         self,
         control: str,
-        contents: tuple[str, ...],  # channel words by declaration order, see channel_word
+        contents: Sequence[str],  # channel words by declaration order, see channel_word
     ) -> None:
         set_field(self, "control", control)
-        set_field(self, "contents", contents)
+        set_field(self, "contents", tuple(contents))  # a tuple, as in CounterConfig
 
 
 class FifoMachine(FrozenFields):
@@ -160,7 +160,7 @@ class FifoMachine(FrozenFields):
         if contents:
             for ch, word in contents.items():
                 per_channel[self.channel_index(ch)] = channel_word(self.alphabet.word(word))
-        return FifoConfig(self.initial, tuple(per_channel))
+        return FifoConfig(self.initial, per_channel)
 
     def describe_transition(self, label: int) -> str:
         t = self.transitions[label]

@@ -51,7 +51,13 @@ def _ext_prefix_leq(x, y) -> bool:
 
 def _counter_state_leq(x, y) -> bool:
     """counter_state_leq for configurations known to share a counter signature."""
-    return x.control == y.control and all(map(le, x.values, y.values))
+    # Componentwise u <= v implies lexicographic u <= v (at the first index
+    # where they differ, u_i < v_i), so the C-level tuple comparison only
+    # rejects pairs that the scan would reject too.  On a decrementing
+    # branch every ancestor is lexicographically above its descendant, and
+    # that one comparison settles the pair.
+    return (x.control == y.control and x.values <= y.values
+            and all(map(le, x.values, y.values)))
 
 
 def ext_prefix_leq(x, y) -> bool:

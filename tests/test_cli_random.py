@@ -74,11 +74,15 @@ def _downset(shown: list[str]) -> DownSet:
 def _check_tree_answers(capsys, seen, path, mf, x0, extra, step):
     for analysis in ("boundedness", "termination", "nonterm-iterable"):
         report = _check(capsys, analysis, path, "--budget", str(BUDGET), *extra)
-        if report["verdict"] == "bounded":
-            reached, complete = bfs_reach(mf.machine, x0, step, max_nodes=BUDGET + 1)
-            assert complete and len(reached) <= BUDGET, (path, extra)
-        elif report["verdict"] == "terminating":
-            assert has_infinite_run(mf.machine, x0, step, max_nodes=BUDGET + 1) == (False, True)
+        # BOUNDED and TERMINATING come from a complete tree of N nodes that
+        # holds every reachable configuration, so the oracle search capped
+        # at N + 1 configurations must finish with at most N of them
+        n = report["budget"]
+        if report["verdict"] in ("bounded", "terminating"):
+            reached, complete = bfs_reach(mf.machine, x0, step, max_nodes=n + 1)
+            assert complete and len(reached) <= n, (path, extra)
+        if report["verdict"] == "terminating":
+            assert has_infinite_run(mf.machine, x0, step, max_nodes=n + 1) == (False, True)
         seen[report["verdict"]] += 1
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,6 +91,38 @@ def test_counter_state_leq_matches_reference(data):
         data.draw(st.sampled_from(["q0", "q1"])), data.draw(vec(len(x.values)))
     )
     assert counter_state_leq(x, y) == ref_counter_leq(x, y)
+
+
+def test_counter_orders_agree_with_reference_on_every_small_pair():
+    # every pair up to dimension 3 with values 0..2; the lexicographic
+    # pre-check must hand the pairs that are lexicographically but not
+    # componentwise ordered on to the full scan
+    pairs = lexicographic_only = 0
+    for n in range(4):
+        vectors = list(itertools.product(range(3), repeat=n))
+        for u, v in itertools.product(vectors, repeat=2):
+            y = CounterConfig("q0", v)
+            for control in ("q0", "q1"):
+                x = CounterConfig(control, u)
+                want = ref_counter_leq(x, y)
+                assert COUNTER_ORDER.leq(x, y) == counter_state_leq(x, y) == want, (x, y)
+                pairs += 1
+                lexicographic_only += control == "q0" and u <= v and not want
+    assert (pairs, lexicographic_only) == (1640, 171)
+
+
+def test_configurations_built_from_lists_hold_tuples():
+    for from_list, from_tuple in (
+        (CounterConfig("q", [1, 0]), CounterConfig("q", (1, 0))),
+        (FifoConfig("q", ["", "a"]), FifoConfig("q", ("", "a"))),
+    ):
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    x, y = CounterConfig("q", [1, 0]), CounterConfig("q", [1, 2])
+    for leq in (COUNTER_ORDER.leq, counter_state_leq):
+        assert leq(x, y) and not leq(y, x)
+        assert leq(x, CounterConfig("q", (1, 0))) and leq(CounterConfig("q", (1, 0)), x)
+    u, w = FifoConfig("q", ["a"]), FifoConfig("q", ("ab",))
+    assert ext_prefix_leq(u, w) and EXT_PREFIX_ORDER.leq(u, w) and not ext_prefix_leq(w, u)
 
 
 @st.composite

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from random import Random
 
@@ -584,6 +586,30 @@ def test_tree_and_boundedness_make_the_pinned_leq_calls(fifo):
         assert (got, calls) == (want, want_calls), (machine, x0)
         seen[rrt.complete, want is not None] += 1
     assert min(seen[key] for key in ((True, True), (True, False), (False, True))) >= 10, seen
+
+
+@pytest.mark.parametrize("start, pinned", [((2, 2), 52), ((1, 2, 3), 888), ((3, 1), 36),
+                                           ((1, 1, 1, 1), 196)])
+def test_dec_lattice_makes_the_closed_form_leq_calls(start, pinned):
+    # The benchmark pins the order checks of its dec-lattice trees: nothing
+    # is subsumed, so a node at depth |a| (values start - a, reached along
+    # multinomial(a) branches) is checked against its |a| ancestors once.
+    def multinomial(a):
+        return math.factorial(sum(a)) // math.prod(math.factorial(k) for k in a)
+
+    closed_form = sum(sum(a) * multinomial(a)
+                      for a in itertools.product(*(range(n + 1) for n in start)))
+    assert closed_form == pinned
+    counters = [f"c{i}" for i in range(len(start))]
+    lattice = cm(["q0"], counters, [t("q0", OP_DEC, c, "q0") for c in counters])
+    olts = counter_olts(lattice, CounterConfig("q0", start))
+    leq, calls = counted(olts.order.leq)
+    order = Order(leq=leq)
+    rrt = build_rrt(olts._replace(order=order))
+    verdict = decide_nontermination(rrt, order)
+    assert rrt.complete and verdict.outcome is Outcome.NEGATIVE
+    assert not any(n.subsumed_by is not None for n in rrt.nodes)
+    assert calls == [pinned]
 
 
 @pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
