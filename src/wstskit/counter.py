@@ -119,17 +119,11 @@ def counter_config_str(x: CounterConfig) -> str:
     return f"{x.control}:(" + ",".join(str(v) for v in x.values) + ")"
 
 
-def cm_post(
-    machine: CounterMachine, x: CounterConfig, seen: dict | None = None
-) -> list[tuple[int, CounterConfig]]:
+def cm_post(machine: CounterMachine, x: CounterConfig) -> list[tuple[int, CounterConfig]]:
     """All enabled one-step successors, in transition declaration order.
 
     A transition is disabled by a source control mismatch, a failing zero
-    test (evaluated on the pre-state), or a decrement at zero.  ``seen``
-    maps each control of the machine to a dict from ``values`` to a
-    configuration already built: a successor with known data is that
-    object, and a new one is stored there.  Without ``seen`` every
-    successor is a new object.
+    test (evaluated on the pre-state), or a decrement at zero.
     """
     values = x.values
     out = []
@@ -144,14 +138,7 @@ def cm_post(
             y = values[:i] + (values[i] - 1,) + values[i + 1 :]
         else:
             y = values[:i] + (values[i] + 1,) + values[i + 1 :]
-        if seen is None:
-            config = CounterConfig(target, y)
-        else:
-            known = seen[target]
-            config = known.get(y)
-            if config is None:
-                config = known[y] = CounterConfig(target, y)
-        out.append((label, config))
+        out.append((label, CounterConfig(target, y)))
     return out
 
 

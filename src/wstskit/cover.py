@@ -121,24 +121,15 @@ def downset_of_config(x: CounterConfig) -> DownSet:
     return DownSet((Ideal(x.control, tuple(x.values)),))
 
 
-def _check_signature(machine: CounterMachine, d: DownSet) -> None:
+def _check_shapes(machine: CounterMachine, named: Iterable[tuple[str, str, tuple]]) -> None:
+    """Raise ValueError unless each ``(name, control, entries)`` has a
+    declared control state and one entry per counter."""
     k = len(machine.counters)
-    for i in d.ideals:
-        if i.control not in machine.states:
-            raise ValueError(f"ideal control {i.control!r} not a machine state")
-        if len(i.bounds) != k:
-            raise ValueError(f"ideal dimension {len(i.bounds)} != machine dimension {k}")
-
-
-def _check_configs(machine: CounterMachine, x0: CounterConfig, y: CounterConfig) -> None:
-    """Raise ValueError unless x0 and y have a declared control state and
-    one value per counter."""
-    k = len(machine.counters)
-    for name, x in (("initial", x0), ("target", y)):
-        if x.control not in machine.states:
-            raise ValueError(f"{name} control {x.control!r} not a machine state")
-        if len(x.values) != k:
-            raise ValueError(f"{name} dimension {len(x.values)} != machine dimension {k}")
+    for name, control, entries in named:
+        if control not in machine.states:
+            raise ValueError(f"{name} control {control!r} not a machine state")
+        if len(entries) != k:
+            raise ValueError(f"{name} dimension {len(entries)} != machine dimension {k}")
 
 
 def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
@@ -166,7 +157,7 @@ def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
 def downset_post(machine: CounterMachine, d: DownSet) -> DownSet:
     """Exact one-step image, downward closed: the union of the successor
     ideals of every ideal of d."""
-    _check_signature(machine, d)
+    _check_shapes(machine, (("ideal", i.control, i.bounds) for i in d.ideals))
     return downset_normalize(s for ideal in d.ideals for s in _ideal_post(machine, ideal))
 
 
@@ -177,7 +168,7 @@ def downset_closed(machine: CounterMachine, d: DownSet) -> bool:
     each successor ideal is tested against d as it is made, and the test
     stops at the first one outside d, without normalising the image.
     """
-    _check_signature(machine, d)
+    _check_shapes(machine, (("ideal", i.control, i.bounds) for i in d.ideals))
     return _closed(d, partial(_ideal_post, machine))
 
 
@@ -251,7 +242,7 @@ def backward_coverability(
     :func:`x0_coverability` does on configurations the machine lacks.
     """
     require_no_zero_tests(machine)
-    _check_configs(machine, x0, y)
+    _check_shapes(machine, (("initial", x0.control, x0.values), ("target", y.control, y.values)))
     basis = upset_normalize([y])
     while True:
         if upset_contains(basis, x0):
@@ -354,7 +345,7 @@ def x0_coverability(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    _check_configs(machine, x0, y)
+    _check_shapes(machine, (("initial", x0.control, x0.values), ("target", y.control, y.values)))
     parent: dict[CounterConfig, Optional[tuple[CounterConfig, int]]] = {x0: None}
     queue = deque([x0])
     candidates = downset_candidates(machine)

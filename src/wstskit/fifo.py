@@ -173,17 +173,11 @@ def fifo_config_str(machine: FifoMachine, x: FifoConfig) -> str:
     return f"{x.control}:(" + "|".join(show(map(ord, w)) for w in x.contents) + ")"
 
 
-def fifo_post(
-    machine: FifoMachine, x: FifoConfig, seen: dict | None = None
-) -> list[tuple[int, FifoConfig]]:
+def fifo_post(machine: FifoMachine, x: FifoConfig) -> list[tuple[int, FifoConfig]]:
     """All enabled one-step successors, in transition declaration order.
 
     A send appends ``chr(letter)`` to the channel tail; a receive consumes
     the head letter and is disabled unless the channel starts with it.
-    ``seen`` maps each control of the machine to a dict from ``contents``
-    to a configuration already built: a successor with known data is that
-    object, and a new one is stored there.  Without ``seen`` every
-    successor is a new object.
     """
     contents = x.contents
     out = []
@@ -195,15 +189,7 @@ def fifo_post(
             word = word[1:]
         else:
             continue
-        after = contents[:ci] + (word,) + contents[ci + 1 :]
-        if seen is None:
-            config = FifoConfig(target, after)
-        else:
-            known = seen[target]
-            config = known.get(after)
-            if config is None:
-                config = known[after] = FifoConfig(target, after)
-        out.append((label, config))
+        out.append((label, FifoConfig(target, contents[:ci] + (word,) + contents[ci + 1 :])))
     return out
 
 

@@ -11,15 +11,17 @@ The counter and FIFO systems return one object per distinct
 configuration: each keeps a dict from each control to a dict from
 ``values`` or ``contents`` to the initial configuration or the first
 successor built with that data, and its ``post`` hands that object out
-again for an equal successor.  A tree build meets most configurations
-many times, so this saves building and storing a copy each time, and
-lets the build reuse the successor list of a state object it expands
-again.  Configurations are frozen, so sharing them is safe.  Two systems
-built from one machine share nothing.
+again for an equal successor.  Sharing is the system ``post``'s job
+alone: a direct call to ``cm_post`` or ``fifo_post`` returns fresh
+objects.  A tree build meets most configurations many times, so this
+saves storing a copy each time, and lets the build reuse the successor
+list of a state object it expands again.  Configurations are frozen, so
+sharing them is safe.  Two systems built from one machine share nothing.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .counter import CounterConfig, CounterMachine, cm_post, counter_config_str
@@ -78,12 +80,16 @@ def _machine_olts(machine, initial, field, signature, post, order, state_fmt) ->
     """The system of a machine from ``initial`` (default: its initial
     configuration), whose ``field`` has one entry per ``signature`` name."""
     x0 = initial if initial is not None else machine.initial_config()
-    data = getattr(x0, field)
-    if len(data) != len(getattr(machine, signature)):
+    data = attrgetter(field)
+    if len(data(x0)) != len(getattr(machine, signature)):
         raise ValueError(f"initial configuration has a different number of {signature}")
     # one object per distinct configuration, by control then data; the initial
     # control need not be declared (it then has no transitions)
     seen = {q: {} for q in machine.states}
-    seen.setdefault(x0.control, {})[data] = x0
-    return Olts(x0, lambda x: post(machine, x, seen), len(machine.transitions), order,
-                state_fmt, machine.describe_transition)
+    seen.setdefault(x0.control, {})[data(x0)] = x0
+
+    def shared_post(x):
+        return [(label, seen[y.control].setdefault(data(y), y)) for label, y in post(machine, x)]
+
+    return Olts(x0, shared_post, len(machine.transitions), order, state_fmt,
+                machine.describe_transition)

@@ -37,7 +37,7 @@ from wstskit.counter import (
     CounterTransition,
 )
 from wstskit.dsl import parse_model
-from wstskit.fifo import SEND, Alphabet, FifoConfig, FifoMachine, FifoTransition, channel_word
+from wstskit.fifo import RECV, SEND, Alphabet, FifoConfig, FifoMachine, FifoTransition, channel_word
 from wstskit.olts import Olts, counter_olts, fifo_olts
 from wstskit.orders import Order
 from wstskit.rrt import (
@@ -231,10 +231,27 @@ def test_systems_share_equal_configurations(kind):
     assert again == left and again is not left
 
 
-def test_tree_holds_one_object_per_distinct_state():
-    # dec-lattice: every decrement order is one branch, so states repeat
-    lattice = cm(["q0"], ["a", "b"], [t("q0", OP_DEC, "a", "q0"), t("q0", OP_DEC, "b", "q0")])
-    rrt = build_rrt(counter_olts(lattice, CounterConfig("q0", (2, 3))))
+def lattice(kind: str, sizes: tuple[int, ...]):
+    """A dec-lattice (kind "counter") or a receive-lattice ("fifo"): one
+    control q0 and per size a counter c<i> started at it, with a transition
+    that decrements it, or a channel c<i> started with that many a's, with
+    a transition that receives an a.  Every order of the steps is one
+    branch, so states repeat across branches, and nothing is subsumed.
+    Returns the system, its machine, and the reference stepper and order."""
+    names = tuple(f"c{i}" for i in range(1, len(sizes) + 1))
+    if kind == "counter":
+        machine = cm(["q0"], names, [t("q0", OP_DEC, c, "q0") for c in names])
+        olts = counter_olts(machine, CounterConfig("q0", sizes))
+        return olts, machine, ref_counter_step, ref_counter_leq
+    recv = tuple(FifoTransition("q0", c, RECV, 0, "q0") for c in names)
+    machine = FifoMachine(("q0",), names, Alphabet("a"), recv, "q0")
+    olts = fifo_olts(machine, FifoConfig("q0", [channel_word((0,) * n) for n in sizes]))
+    return olts, machine, ref_fifo_step, ref_ext_prefix_leq
+
+
+@pytest.mark.parametrize("kind", ["counter", "fifo"])
+def test_tree_holds_one_object_per_distinct_state(kind):
+    rrt = build_rrt(lattice(kind, (2, 3))[0])
     assert rrt.complete and len(rrt.nodes) == 34
     distinct = {n.state for n in rrt.nodes}
     assert len(distinct) == 12
@@ -252,19 +269,21 @@ def counting(olts: Olts) -> tuple[Olts, Counter]:
     return olts._replace(post=post), calls
 
 
-def test_post_runs_at_most_twice_per_distinct_state():
-    # dec-lattice: states repeat across branches, so most are expanded often
-    lattice = cm(["q0"], ["a", "b", "c"],
-                 [t("q0", OP_DEC, c, "q0") for c in ("a", "b", "c")])
-    olts, calls = counting(counter_olts(lattice, CounterConfig("q0", (2, 2, 3))))
+@pytest.mark.parametrize(
+    "kind, sizes, nodes", [("counter", (2, 2, 3), 650), ("fifo", (2, 3), 34)], ids=["counter", "fifo"]
+)
+def test_post_runs_at_most_twice_per_distinct_state(kind, sizes, nodes):
+    # states repeat across branches, so most are expanded often
+    system, machine, step, leq = lattice(kind, sizes)
+    olts, calls = counting(system)
     rrt = build_rrt(olts)
     expanded = Counter(n.state for n in rrt.nodes if n.subsumed_by is None)
-    assert rrt.complete and len(rrt.nodes) == sum(expanded.values()) == 650
+    assert rrt.complete and len(rrt.nodes) == sum(expanded.values()) == nodes
     assert calls.keys() == expanded.keys()
     assert all(calls[x] == min(k, 2) for x, k in expanded.items())
     assert max(expanded.values()) > 2
     # the same tree as the textbook unfolding, node for node
-    want = ref_rrt(lattice, olts.initial, ref_counter_step, ref_counter_leq, max_nodes=2000)
+    want = ref_rrt(machine, olts.initial, step, leq, max_nodes=2000)
     assert tree_by_path(rrt) == want
 
 
