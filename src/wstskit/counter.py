@@ -148,7 +148,7 @@ def control_reachable(machine: CounterMachine, start: str) -> set[str]:
     queue = deque([start])
     while queue:
         q = queue.popleft()
-        for *_, target in machine.post_index[q]:
+        for *_, target in machine.post_index.get(q, ()):
             if target not in seen:
                 seen.add(target)
                 queue.append(target)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import partial
-from operator import le
+from operator import attrgetter, le
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .counter import (
@@ -69,10 +69,6 @@ def ideal_subset(i1: Ideal, i2: Ideal) -> bool:
     return i1.control == i2.control and nat_vec_leq(i1.bounds, i2.bounds)
 
 
-def _ideal_sort_key(i: Ideal):
-    return (i.control, i.bounds)
-
-
 class DownSet(NamedTuple):
     """Inclusion-minimal union of ideals, canonically ordered.
 
@@ -86,16 +82,21 @@ class DownSet(NamedTuple):
         return "{" + ", ".join(i.show() for i in self.ideals) + "}"
 
 
-def downset_normalize(ideals: Iterable[Ideal]) -> DownSet:
-    """Drop every ideal contained in another; sort canonically.
+def _antichain(items: Iterable, dominated: Callable, key: Optional[Callable] = None) -> tuple:
+    """The distinct items that no other item dominates, sorted by ``key``.
 
-    Duplicates are removed first, so afterwards only strict containment
-    can hold between distinct elements and keeping the maximal ones is
-    unambiguous.
+    Duplicates are removed first, so afterwards only strict domination
+    can hold between distinct items and the survivors are unambiguous;
+    ``dominated(a, b)`` says that b dominates a.
     """
-    pool = list(dict.fromkeys(ideals))
-    keep = [a for a in pool if not any(b is not a and ideal_subset(a, b) for b in pool)]
-    return DownSet(tuple(sorted(keep, key=_ideal_sort_key)))
+    pool = list(dict.fromkeys(items))
+    keep = [a for a in pool if not any(b is not a and dominated(a, b) for b in pool)]
+    return tuple(sorted(keep, key=key))
+
+
+def downset_normalize(ideals: Iterable[Ideal]) -> DownSet:
+    """Drop every ideal contained in another; sort as (control, bounds)."""
+    return DownSet(_antichain(ideals, ideal_subset))
 
 
 def downset_contains(d: DownSet, x: CounterConfig) -> bool:
@@ -118,7 +119,7 @@ def downset_union(d1: DownSet, d2: DownSet) -> DownSet:
 
 
 def downset_of_config(x: CounterConfig) -> DownSet:
-    return DownSet((Ideal(x.control, tuple(x.values)),))
+    return DownSet((Ideal(x.control, x.values),))
 
 
 def _check_shapes(machine: CounterMachine, named: Iterable[tuple[str, str, tuple]]) -> None:
@@ -193,13 +194,10 @@ class UpSet(NamedTuple):
 
 
 def upset_normalize(configs: Iterable[CounterConfig]) -> UpSet:
-    pool = list(dict.fromkeys(configs))
-    keep = [
-        a
-        for a in pool
-        if not any(b is not a and counter_state_leq(b, a) for b in pool)
-    ]
-    return UpSet(tuple(sorted(keep, key=lambda c: (c.control, c.values))))
+    """Drop every configuration above another; sort as (control, values)."""
+    # counter_state_leq is looked up at each call, so a rebinding holds
+    return UpSet(_antichain(configs, lambda a, b: counter_state_leq(b, a),
+                            attrgetter("control", "values")))
 
 
 def upset_contains(u: UpSet, x: CounterConfig) -> bool:
@@ -249,7 +247,7 @@ def backward_coverability(
             return True
         bigger = upset_normalize(basis.basis + pre_basis(machine, basis).basis)
         if bigger == basis:
-            return upset_contains(basis, x0)
+            return False
         basis = bigger
 
 
@@ -379,7 +377,7 @@ def x0_coverability(
         else:
             # forward search complete: the reached set is exactly Post*
             certificate = downset_normalize(
-                Ideal(c.control, tuple(c.values)) for c in parent
+                Ideal(c.control, c.values) for c in parent
             )
             return AnalysisVerdict(Outcome.NEGATIVE, certificate, rounds)
         d = next(candidates, None)

@@ -27,32 +27,32 @@ DEFAULT_BUDGET = 10000
 
 
 class RrtNode(Fields):
-    __slots__ = _fields = ("id", "state", "parent", "label", "mark", "subsumed_by", "iterable")
+    """A tree node; its id is its position in ``Rrt.nodes``."""
+
+    __slots__ = _fields = ("state", "parent", "label", "mark", "subsumed_by")
 
     def __init__(
         self,
-        id: int,
         state: Any,
         parent: Optional[int],
         label: Optional[Any],
         mark: str = LIVE,
         subsumed_by: Optional[int] = None,
-        iterable: bool = False,
     ) -> None:
-        self.id = id
         self.state = state
         self.parent = parent
         self.label = label
         self.mark = mark
         self.subsumed_by = subsumed_by
-        self.iterable = iterable
 
 
 class Rrt(NamedTuple):
-    """Tree nodes in creation (breadth-first) order, plus budget facts."""
+    """Tree nodes in creation (breadth-first) order, plus budget facts and,
+    for a tree from :func:`build_lrrt`, the ids of its iterable nodes."""
 
     nodes: list[RrtNode]
     budget_exhausted: bool
+    iterable: tuple[int, ...] = ()
 
     @property
     def complete(self) -> bool:
@@ -82,8 +82,9 @@ class Rrt(NamedTuple):
         skip = len(self.ancestor_ids(node.subsumed_by))
         return self.path_labels(node_id)[skip:]
 
-    def subsumed_nodes(self) -> Iterator[RrtNode]:
-        return (n for n in self.nodes if n.subsumed_by is not None)
+    def subsumed_nodes(self) -> Iterator[tuple[int, RrtNode]]:
+        """``(id, node)`` for each subsumed node, in id order."""
+        return ((i, n) for i, n in enumerate(self.nodes) if n.subsumed_by is not None)
 
 
 def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
@@ -107,18 +108,19 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
         raise ValueError("budget must be >= 1")
     leq = olts.order.leq
     post = olts.post
-    nodes = [RrtNode(0, olts.initial, None, None)]
+    nodes = [RrtNode(olts.initial, None, None)]
     exhausted = False
     # successor lists by state id, kept from a state's second expansion on so
     # that a state met once costs no list; ids are stable because every
     # state stays alive in ``nodes`` until the build returns
     once: set[int] = set()
     memo: dict[int, list] = {}
-    # each queued node travels with the states of its strict ancestors, root
-    # first; siblings share one tuple, so no expansion walks the tree
-    queue = deque([(nodes[0], ())])
+    # each queued node id travels with the states of its strict ancestors,
+    # root first; siblings share one tuple, so no expansion walks the tree
+    queue = deque([(0, ())])
     while queue and not exhausted:
-        node, above = queue.popleft()
+        nid, above = queue.popleft()
+        node = nodes[nid]
         x = node.state
         key = id(x)
         succs = memo.get(key)
@@ -131,7 +133,6 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
         if not succs:
             node.mark = DEAD
             continue
-        nid = node.id
         path = above + (x,)
         depths = range(len(path))
         for label, y in succs:
@@ -141,14 +142,13 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
             # the first hit scanning from the root: the subsumer closest to it
             hit = next(compress(depths, map(leq, path, repeat(y))), None)
             if hit is None:
-                child = RrtNode(len(nodes), y, nid, label)
-                queue.append((child, path))
+                queue.append((len(nodes), path))
+                nodes.append(RrtNode(y, nid, label))
             else:
                 sid = nid
                 for _ in range(len(path) - 1 - hit):
                     sid = nodes[sid].parent
-                child = RrtNode(len(nodes), y, nid, label, DEAD, sid)
-            nodes.append(child)
+                nodes.append(RrtNode(y, nid, label, DEAD, sid))
     return Rrt(nodes=nodes, budget_exhausted=exhausted)
 
 
@@ -170,7 +170,7 @@ def decide_boundedness(
     antisymmetric: the bounded verdict needs a partial order.
     """
     nodes = rrt.nodes
-    for n in rrt.subsumed_nodes():
+    for _, n in rrt.subsumed_nodes():
         a = nodes[n.subsumed_by]
         if order.leq(n.state, a.state) and not order.eq(a.state, n.state):
             raise ValueError(
@@ -179,16 +179,16 @@ def decide_boundedness(
             )
     leq = order.leq
     witness = None
-    for n in rrt.subsumed_nodes():
+    for nid, n in rrt.subsumed_nodes():
         x = n.state
-        ids = rrt.ancestor_ids(n.id)
+        ids = rrt.ancestor_ids(nid)
         states = [nodes[i].state for i in ids]
         # order.strictly_less(a, x) for each ancestor a, root first, with the
         # same leq calls in the same order: leq(x, a) runs only where a <= x
         below = compress(ids, map(leq, states, repeat(x)))
         aid = next((i for i in below if not leq(x, nodes[i].state)), None)
         if aid is not None:
-            witness = (aid, n.id)
+            witness = (aid, nid)
             break
     caveat = None if strict_asserted else (
         "unboundedness assumes strict compatibility: transitions fired "
@@ -213,11 +213,11 @@ def decide_nontermination(
     """
     eq_witness = None
     any_witness = None
-    for n in rrt.subsumed_nodes():
+    for nid, n in rrt.subsumed_nodes():
         if any_witness is None:
-            any_witness = (n.subsumed_by, n.id)
+            any_witness = (n.subsumed_by, nid)
         if order.eq(rrt.nodes[n.subsumed_by].state, n.state):
-            eq_witness = (n.subsumed_by, n.id)
+            eq_witness = (n.subsumed_by, nid)
             break
     if eq_witness is not None:
         return _tree_verdict(rrt, eq_witness, None)
@@ -239,19 +239,20 @@ def _tree_verdict(rrt: Rrt, witness: Any, caveat: Optional[str]) -> AnalysisVerd
 
 
 def build_lrrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
-    """Reduced reachability tree with iterable-node marking.
+    """Reduced reachability tree with its iterable nodes listed.
 
     For each subsumed node, the loop from its subsumer down to it is
     replayed once more, concretely, from the subsumed node's own state.
     The node is iterable when the replay goes through and ends at a state
-    at or above the node's state.
+    at or above the node's state; ``Rrt.iterable`` holds their ids.
     """
     rrt = build_rrt(olts, budget)
-    for n in rrt.subsumed_nodes():
-        x, stuck = olts.run(rrt.loop_labels(n.id), n.state)
+    iterable = []
+    for nid, n in rrt.subsumed_nodes():
+        x, stuck = olts.run(rrt.loop_labels(nid), n.state)
         if stuck is None and olts.order.leq(n.state, x):
-            n.iterable = True
-    return rrt
+            iterable.append(nid)
+    return rrt._replace(iterable=tuple(iterable))
 
 
 def decide_nonterm_by_iterable(lrrt: Rrt) -> AnalysisVerdict:
@@ -266,10 +267,9 @@ def decide_nonterm_by_iterable(lrrt: Rrt) -> AnalysisVerdict:
     tree: a terminating loop check belongs to the subsumption analysis.
     """
     used = len(lrrt.nodes)
-    for n in lrrt.nodes:
-        if n.iterable:
-            witness = (n.id, tuple(lrrt.loop_labels(n.id)))
-            return AnalysisVerdict(Outcome.POSITIVE, witness, used)
+    if lrrt.iterable:
+        nid = lrrt.iterable[0]
+        return AnalysisVerdict(Outcome.POSITIVE, (nid, tuple(lrrt.loop_labels(nid))), used)
     return AnalysisVerdict(Outcome.INCONCLUSIVE, None, used)
 
 
@@ -281,23 +281,21 @@ def export_dot(rrt: Rrt, state_fmt=str, label_fmt=str) -> str:
     """Graphviz text for a tree: dead nodes dashed, iterable ones doubled,
     subsumption shown as a dashed back-edge to the subsumer."""
     lines = ["digraph rrt {", "  rankdir=TB;", '  node [shape=box, fontname="monospace"];']
-    for n in rrt.nodes:
+    iterable = set(rrt.iterable)
+    for i, n in enumerate(rrt.nodes):
         attrs = [f'label="{_dot_escape(state_fmt(n.state))}"']
         if n.mark == DEAD:
             attrs.append("style=dashed")
-        if n.iterable:
+        if i in iterable:
             attrs.append("peripheries=2")
-        lines.append(f"  n{n.id} [{', '.join(attrs)}];")
-    for n in rrt.nodes:
+        lines.append(f"  n{i} [{', '.join(attrs)}];")
+    for i, n in enumerate(rrt.nodes):
         if n.parent is not None:
             lines.append(
-                f'  n{n.parent} -> n{n.id} [label="{_dot_escape(label_fmt(n.label))}"];'
+                f'  n{n.parent} -> n{i} [label="{_dot_escape(label_fmt(n.label))}"];'
             )
-    for n in rrt.nodes:
-        if n.subsumed_by is not None:
-            lines.append(
-                f"  n{n.id} -> n{n.subsumed_by} [style=dashed, constraint=false];"
-            )
+    for i, n in rrt.subsumed_nodes():
+        lines.append(f"  n{i} -> n{n.subsumed_by} [style=dashed, constraint=false];")
     if rrt.budget_exhausted:
         lines.append('  budget [shape=plaintext, label="budget exhausted"];')
     lines.append("}")

@@ -289,7 +289,8 @@ def ref_rrt(machine, x0, step: Callable, leq: Callable, *, max_nodes: int) -> di
 
 def ref_boundedness_witness(nodes: Sequence, order) -> Optional[tuple[int, int]]:
     """The order checks of ``decide_boundedness`` as it read with
-    ``order.strictly_less``, on a tree's nodes (record fields only).
+    ``order.strictly_less``, on a tree's nodes (record fields only; a
+    node's id is its position).
 
     First every subsumed node is checked against its subsumer with
     ``leq(node, subsumer)``; then, node by node, each strict ancestor,
@@ -300,12 +301,12 @@ def ref_boundedness_witness(nodes: Sequence, order) -> Optional[tuple[int, int]]
     benchmark counts were recorded with.
     """
     leq = order.leq
-    subsumed = [n for n in nodes if n.subsumed_by is not None]
-    for n in subsumed:
+    subsumed = [(i, n) for i, n in enumerate(nodes) if n.subsumed_by is not None]
+    for _, n in subsumed:
         a = nodes[n.subsumed_by]
         if leq(n.state, a.state) and not order.eq(a.state, n.state):
             raise ValueError("ordering is not antisymmetric on observed states")
-    for n in subsumed:
+    for nid, n in subsumed:
         chain = []
         cur = n.parent
         while cur is not None:
@@ -314,7 +315,7 @@ def ref_boundedness_witness(nodes: Sequence, order) -> Optional[tuple[int, int]]
         for aid in reversed(chain):
             a = nodes[aid].state
             if leq(a, n.state) and not leq(n.state, a):
-                return aid, n.id
+                return aid, nid
     return None
 
 

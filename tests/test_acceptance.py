@@ -347,8 +347,8 @@ def test_criterion_7_loop_iteration_keeps_growing():
         machine = random_cmrz_machine(rng, max_states=3, max_counters=2)
         olts = counter_olts(machine)
         rrt = build_rrt(olts, budget=300)
-        for node in list(rrt.subsumed_nodes())[:10]:
-            sigma = rrt.loop_labels(node.id)
+        for nid, node in list(rrt.subsumed_nodes())[:10]:
+            sigma = rrt.loop_labels(nid)
             state = node.state
             for _ in range(5):
                 state, stuck = ref_run(machine, state, sigma, ref_counter_step)
@@ -372,9 +372,9 @@ def test_criterion_7_fifo_subsumption_word_equations():
         machine = random_fifo_machine(rng, max_states=3, max_transitions=6)
         olts = fifo_olts(machine)
         lrrt = build_lrrt(olts, budget=80)
-        for node in list(lrrt.subsumed_nodes())[:10]:
+        for nid, node in list(lrrt.subsumed_nodes())[:10]:
             anc = lrrt.nodes[node.subsumed_by]
-            sigma = lrrt.loop_labels(node.id)
+            sigma = lrrt.loop_labels(nid)
             for ci, channel in enumerate(machine.channels):
                 u = anc.state.contents[ci]
                 uv = node.state.contents[ci]
@@ -384,7 +384,7 @@ def test_criterion_7_fifo_subsumption_word_equations():
                 r = channel_word(recv_proj(machine, sigma, channel))
                 assert u + s == r + u + v
             checked += 1
-            if not node.iterable:
+            if nid not in lrrt.iterable:
                 continue
             again, stuck = ref_run(machine, node.state, sigma, ref_fifo_step)
             assert stuck is None

@@ -3,8 +3,10 @@
 Each random machine is written as model text with ``print_model``, read
 back by ``wstskit check --json``.  Every BOUNDED, TERMINATING, COVERABLE
 and NOT COVERABLE answer, and every ``cmrz`` answer with its violating
-path, is checked against the slow references in ``oracles``.  UNBOUNDED and NON-TERMINATING answers are not checked: on
-machines with zero tests they rest on a monotony that need not hold.
+path, is checked against the slow references in ``oracles``.  UNBOUNDED
+and NON-TERMINATING answers are not checked: on machines with zero tests
+they rest on a monotony that need not hold.  The ``check_*_report``
+functions check one JSON report each; ``test_cli_mutants`` uses them too.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _check(capsys, *argv) -> dict:
     return report
 
 
-def _downset(shown: list[str]) -> DownSet:
+def witness_downset(shown: list[str]) -> DownSet:
     """The down-set of an ``x0-cover`` witness, from its ``q:(v1,...)`` ideals."""
     ideals = []
     for text in shown:
@@ -71,18 +73,58 @@ def _downset(shown: list[str]) -> DownSet:
     return DownSet(tuple(ideals))
 
 
+def check_tree_report(report: dict, machine, x0, step) -> None:
+    """Check a tree analysis's BOUNDED or TERMINATING answer from x0."""
+    # both come from a complete tree of N nodes that holds every reachable
+    # configuration, so the oracle search capped at N + 1 configurations
+    # must finish with at most N of them
+    n = report["budget"]
+    if report["verdict"] in ("bounded", "terminating"):
+        reached, complete = bfs_reach(machine, x0, step, max_nodes=n + 1)
+        assert complete and len(reached) <= n, report
+    if report["verdict"] == "terminating":
+        assert has_infinite_run(machine, x0, step, max_nodes=n + 1) == (False, True), report
+
+
+def check_cover_report(report: dict, machine, x0: CounterConfig, y: CounterConfig) -> str:
+    """Check an ``x0-cover`` answer for target y from x0; return the kind of
+    answer: ``coverable``, ``invariant``, ``reach_closure`` or
+    ``inconclusive``."""
+    witness = report["witness"] or {}  # none on an inconclusive answer
+    if report["verdict"] == "coverable":
+        end, stuck = ref_run(machine, x0, witness["labels"], ref_counter_step)
+        assert stuck is None and ref_counter_leq(y, end), report
+        return "coverable"
+    if "invariant" in witness:
+        d = witness_downset(witness["invariant"])
+        # the members up to the cap take in x0 and the box two above every bound
+        finite = (b for i in d.ideals for b in i.bounds if b != OMEGA)
+        cap = max(2 + max(finite, default=0), max(x0.values, default=0))
+        members = downset_members(machine, d, cap)
+        assert x0 in members and not any(ref_ideal_member(i, y) for i in d.ideals)
+        assert ref_post_downclosed(machine, members, cap) <= members, report
+        return "invariant"
+    if "reach_closure" in witness:
+        d = witness_downset(witness["reach_closure"])
+        reached, complete = bfs_reach(machine, x0, ref_counter_step, max_nodes=20000)
+        assert complete and not any(ref_counter_leq(y, x) for x in reached)
+        assert all(any(ref_ideal_member(i, x) for i in d.ideals) for x in reached)
+        return "reach_closure"
+    assert report["verdict"] == "inconclusive", report
+    return "inconclusive"
+
+
+def check_cmrz_report(report: dict, machine, start: str) -> None:
+    """Check a ``cmrz`` answer and its violating path from ``start``."""
+    ok, violation = ref_is_cmrz(machine, start)
+    assert report["verdict"] == ("cmrz" if ok else "not-cmrz"), report
+    assert (report["witness"] or {}).get("transitions") == violation, report
+
+
 def _check_tree_answers(capsys, seen, path, mf, x0, extra, step):
     for analysis in ("boundedness", "termination", "nonterm-iterable"):
         report = _check(capsys, analysis, path, "--budget", str(BUDGET), *extra)
-        # BOUNDED and TERMINATING come from a complete tree of N nodes that
-        # holds every reachable configuration, so the oracle search capped
-        # at N + 1 configurations must finish with at most N of them
-        n = report["budget"]
-        if report["verdict"] in ("bounded", "terminating"):
-            reached, complete = bfs_reach(mf.machine, x0, step, max_nodes=n + 1)
-            assert complete and len(reached) <= n, (path, extra)
-        if report["verdict"] == "terminating":
-            assert has_infinite_run(mf.machine, x0, step, max_nodes=n + 1) == (False, True)
+        check_tree_report(report, mf.machine, x0, step)
         seen[report["verdict"]] += 1
 
 
@@ -92,33 +134,14 @@ def _check_cover_answer(capsys, seen, path, mf, x0, extra, rng):
     y = CounterConfig(rng.choice(machine.states), values)
     target = f"{y.control}:({','.join(map(str, y.values))})"
     report = _check(capsys, "x0-cover", path, "--target", target, "--budget", str(BUDGET), *extra)
-    witness = report["witness"] or {}  # none on an inconclusive answer
-    if report["verdict"] == "coverable":
-        end, stuck = ref_run(machine, x0, witness["labels"], ref_counter_step)
-        assert stuck is None and ref_counter_leq(y, end), (path, extra, target)
-        seen["coverable"] += 1
-    elif "invariant" in witness:
-        d = _downset(witness["invariant"])
-        cap = 2 + max((b for i in d.ideals for b in i.bounds if b != OMEGA), default=0)
-        members = downset_members(machine, d, cap)
-        assert x0 in members and not any(ref_ideal_member(i, y) for i in d.ideals)
-        assert ref_post_downclosed(machine, members, cap) <= members, (path, extra, target)
-        seen["invariant"] += 1
-    elif "reach_closure" in witness:
-        d = _downset(witness["reach_closure"])
-        reached, complete = bfs_reach(machine, x0, ref_counter_step, max_nodes=20000)
-        assert complete and not any(ref_counter_leq(y, x) for x in reached)
-        assert all(any(ref_ideal_member(i, x) for i in d.ideals) for x in reached)
-        seen["reach_closure"] += 1
-    else:
-        assert report["verdict"] == "inconclusive", report
+    kind = check_cover_report(report, machine, x0, y)
+    if kind != "inconclusive":
+        seen[kind] += 1
 
 
 def _check_cmrz_answer(capsys, seen, path, mf, x0, extra):
     report = _check(capsys, "cmrz", path, *extra)
-    ok, violation = ref_is_cmrz(mf.machine, x0.control)
-    assert report["verdict"] == ("cmrz" if ok else "not-cmrz"), path
-    assert (report["witness"] or {}).get("transitions") == violation, path
+    check_cmrz_report(report, mf.machine, x0.control)
     seen[report["verdict"]] += 1
 
 

@@ -235,8 +235,11 @@ def test_is_cmrz_matches_the_transition_scan_on_random_machines():
         got = is_cmrz(m)
         assert got == ref_is_cmrz(m), m
         violations += not got[0]
-        for q in m.states:
+        # an undeclared start reaches only itself, so nothing is tested
+        assert "zz" not in m.states
+        for q in m.states + ("zz",):
             assert is_cmrz(m, q) == ref_is_cmrz(m, q), (m, q)
+        assert is_cmrz(m, "zz") == (True, None)
     assert violations >= 400, violations
 
 

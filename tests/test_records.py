@@ -84,8 +84,8 @@ def test_plain_classes_compare_by_value():
     with pytest.raises(ValueError, match="initial control 'zz' not declared"):
         CounterMachine(("q0",), (), (), "zz")
 
-    node = RrtNode(0, "s", None, None)
-    assert node == RrtNode(0, "s", None, None, "live", None, False)
+    node = RrtNode("s", None, None)
+    assert node == RrtNode("s", None, None, "live", None)
     # slotted, as a tree holds many nodes and configurations
     for small in (node, CounterConfig("q0", ()), FifoConfig("q0", ())):
         assert not hasattr(small, "__dict__")

@@ -94,15 +94,15 @@ def test_m2_from_q2_completes(m2):
 
 def tree_by_path(rrt: Rrt) -> dict:
     """build_rrt's tree in the shape ref_rrt returns: label paths fix parents."""
-    paths = [tuple(rrt.path_labels(n.id)) for n in rrt.nodes]
+    paths = [tuple(rrt.path_labels(i)) for i in range(len(rrt.nodes))]
     assert len(set(paths)) == len(paths)
     return {
-        paths[n.id]: (
+        paths[i]: (
             n.state,
             None if n.subsumed_by is None else paths[n.subsumed_by],
             n.mark == DEAD and n.subsumed_by is None,
         )
-        for n in rrt.nodes
+        for i, n in enumerate(rrt.nodes)
     }
 
 
@@ -140,8 +140,8 @@ def test_rrt_matches_textbook_unfolding(name, start):
     assert tree_by_path(rrt) == want
     if start is None:
         # the subsumer is found by walking up from the parent: pin a deep walk
-        rises = [len(rrt.ancestor_ids(n.id)) - len(rrt.ancestor_ids(n.subsumed_by))
-                 for n in rrt.subsumed_nodes()]
+        rises = [len(rrt.ancestor_ids(i)) - len(rrt.ancestor_ids(n.subsumed_by))
+                 for i, n in rrt.subsumed_nodes()]
         assert len(rrt.nodes) == 70 and max(rises) == 10
 
 
@@ -442,7 +442,7 @@ def test_iterable_marking_counter():
     pump = cm(["q0"], ["c"], [t("q0", OP_INC, "c", "q0")])
     olts = counter_olts(pump)
     lrrt = build_lrrt(olts)
-    assert len(lrrt.nodes) == 2 and lrrt.nodes[1].iterable
+    assert len(lrrt.nodes) == 2 and 1 in lrrt.iterable
     v = decide_nonterm_by_iterable(lrrt)
     assert v.outcome is Outcome.POSITIVE and v.witness == (1, (0,))
     assert not v.caveats
@@ -458,7 +458,7 @@ def test_iterable_marking_rejects_failing_replay():
     )
     olts = counter_olts(tricky)
     lrrt = build_lrrt(olts)
-    assert [n.iterable for n in lrrt.nodes] == [False, False, False]
+    assert [i in lrrt.iterable for i in range(len(lrrt.nodes))] == [False, False, False]
     assert decide_nonterm_by_iterable(lrrt).outcome is Outcome.INCONCLUSIVE
     sub = decide_nontermination(lrrt, olts.order)
     assert sub.outcome is Outcome.POSITIVE and sub.caveats
@@ -475,7 +475,7 @@ def test_iterable_marking_fifo(m2, m4):
     lrrt2 = build_lrrt(triangle)
     # the b left in the channel shifts the replay off its own footprint
     assert decide_nonterm_by_iterable(lrrt2).outcome is Outcome.INCONCLUSIVE
-    assert all(not n.iterable for n in lrrt2.nodes)
+    assert all(i not in lrrt2.iterable for i in range(len(lrrt2.nodes)))
 
 
 def test_iterable_never_negative_on_complete_trees():
@@ -508,15 +508,16 @@ def test_rrt_helpers_on_random_trees():
         m = random_counter_machine(rng, zero_tests=True)
         olts = counter_olts(m)
         rrt = build_rrt(olts, budget=60)
-        for n in rrt.nodes:
+        for i, n in enumerate(rrt.nodes):
             # path labels replay from the root to exactly this node's state
-            got, stuck = ref_run(m, olts.initial, rrt.path_labels(n.id), ref_counter_step)
+            got, stuck = ref_run(m, olts.initial, rrt.path_labels(i), ref_counter_step)
             assert stuck is None and got == n.state
             if n.subsumed_by is not None:
-                a = rrt.nodes[n.subsumed_by]
-                assert a.id in rrt.ancestor_ids(n.id)
+                aid = n.subsumed_by
+                a = rrt.nodes[aid]
+                assert aid in rrt.ancestor_ids(i)
                 assert ref_counter_leq(a.state, n.state)
-                assert rrt.path_labels(a.id) + rrt.loop_labels(n.id) == rrt.path_labels(n.id)
+                assert rrt.path_labels(aid) + rrt.loop_labels(i) == rrt.path_labels(i)
 
 
 def random_start(rng: Random, fifo: bool):
