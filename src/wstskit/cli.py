@@ -149,6 +149,9 @@ def _cmd_check(parser: _Parser, args) -> int:
             parser.error(str(exc))
     if args.dot and args.analysis not in TREE_ANALYSES:
         print("note: --dot applies to tree analyses only; ignored", file=sys.stderr)
+    if args.assert_strict_monotone and args.analysis not in ("boundedness", "termination"):
+        print("note: --assert-strict-monotone applies to boundedness and termination only; ignored",
+              file=sys.stderr)
 
     started = time.perf_counter()
     if args.analysis in TREE_ANALYSES:

@@ -269,6 +269,30 @@ def test_target_note_for_other_analyses(capsys):
     assert "note: --target is ignored" in err
 
 
+def test_assert_strict_monotone_note_for_other_analyses(capsys):
+    # the flag changes nothing but stderr where it does not apply
+    note = "note: --assert-strict-monotone applies to boundedness and termination only; ignored"
+    elapsed = re.compile(r"^elapsed: .*$", re.M)
+    for argv in (
+        ("cmrz", path("m8")),
+        ("x0-cover", path("m8"), "--target", "q2:(3)"),
+        ("nonterm-iterable", path("m2"), "--init", "q2"),
+    ):
+        plain = run(capsys, "check", *argv)
+        flagged = run(capsys, "check", *argv, "--assert-strict-monotone")
+        assert plain[0] == flagged[0] and note not in plain[2]
+        assert elapsed.sub("", plain[1]) == elapsed.sub("", flagged[1])
+        assert flagged[2] == plain[2] + note + "\n"
+        plain, flagged = (
+            run_json(capsys, "check", *argv, *flag)[1] for flag in ((), ("--assert-strict-monotone",))
+        )
+        del plain["elapsed_ms"], flagged["elapsed_ms"]
+        assert plain == flagged
+    for analysis in ("boundedness", "termination"):
+        _, _, err = run(capsys, "check", analysis, path("m1"), "--assert-strict-monotone")
+        assert note not in err
+
+
 def test_dot_output(tmp_path, capsys):
     dot = tmp_path / "tree.dot"
     code, _, _ = run(capsys, "check", "termination", path("m1"), "--dot", str(dot))

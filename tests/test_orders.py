@@ -127,7 +127,7 @@ def test_configurations_built_from_lists_hold_tuples():
 
 @st.composite
 def fifo_pair(draw):
-    n = draw(st.integers(min_value=1, max_value=2))
+    n = draw(st.integers(min_value=0, max_value=3))
     def cfg():
         control = draw(st.sampled_from(["q0", "q1"]))
         contents = tuple(
@@ -135,6 +135,30 @@ def fifo_pair(draw):
         )
         return FifoConfig(control, contents)
     return cfg(), cfg()
+
+
+def test_fifo_orders_agree_with_reference_on_every_small_pair():
+    # every pair with 0 to 3 channels and words over "ab" of length at most
+    # 2; one channel takes the kernel's direct prefix test and the other
+    # counts the channel scan, so a fast path that tests the wrong way
+    # round or drops a channel gives a wrong answer here
+    words = [""] + ["".join(w) for n in (1, 2) for w in itertools.product("ab", repeat=n)]
+    pairs = hits = 0
+    for n in range(4):
+        machine = FifoMachine(("q0", "q1"), tuple(f"ch{i}" for i in range(n)), Alphabet("ab"), (), "q0")
+        leq = fifo_olts(machine).order.leq
+        contents = list(itertools.product(words, repeat=n))
+        for v in contents:
+            y = FifoConfig("q0", v)
+            for u in contents:
+                for control in ("q0", "q1"):
+                    x = FifoConfig(control, u)
+                    want = ref_ext_prefix_leq(x, y)
+                    assert EXT_PREFIX_ORDER.leq(x, y) == ext_prefix_leq(x, y) == want, (x, y)
+                    assert leq(x, y) == want, (x, y)
+                    pairs += 1
+                    hits += want
+    assert (pairs, hits) == (2 * (1 + 7**2 + 7**4 + 7**6), 1 + 17 + 17**2 + 17**3)
 
 
 @given(fifo_pair())
