@@ -139,15 +139,15 @@ def fifo_pair(draw):
 
 def test_fifo_orders_agree_with_reference_on_every_small_pair():
     # every pair with 0 to 3 channels and words over "ab" of length at most
-    # 2; one channel takes the kernel's direct prefix test and the other
-    # counts the channel scan, so a fast path that tests the wrong way
-    # round or drops a channel gives a wrong answer here
-    words = [""] + ["".join(w) for n in (1, 2) for w in itertools.product("ab", repeat=n)]
+    # 2; one channel takes the kernel's direct prefix test and every other
+    # channel count the channel scan, so a fast path that tests the wrong
+    # way round, or that is taken with more than one channel, answers wrong
+    short = [""] + ["".join(w) for n in (1, 2) for w in itertools.product("ab", repeat=n)]
     pairs = hits = 0
     for n in range(4):
         machine = FifoMachine(("q0", "q1"), tuple(f"ch{i}" for i in range(n)), Alphabet("ab"), (), "q0")
         leq = fifo_olts(machine).order.leq
-        contents = list(itertools.product(words, repeat=n))
+        contents = list(itertools.product(short, repeat=n))
         for v in contents:
             y = FifoConfig("q0", v)
             for u in contents:
