@@ -17,13 +17,12 @@ import time
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .counter import CounterConfig, is_cmrz
+from .counter import is_cmrz
 from .cover import downset_closed, x0_coverability
 # not called here; kept as cli attributes because bench/tracing.py wraps them
 from .cover import downset_post, downset_subset  # noqa: F401
 from .dsl import ModelFile, ParseError, parse_model, parse_target, print_model
 from .fifo import (
-    FifoConfig,
     build_recv_dfa,
     build_send_dfa,
     normalize_distinct_letter,
@@ -31,7 +30,6 @@ from .fifo import (
 )
 from .olts import counter_olts, fifo_olts
 from .rrt import (
-    DEFAULT_BUDGET,
     build_lrrt,
     build_rrt,
     decide_boundedness,
@@ -39,7 +37,7 @@ from .rrt import (
     decide_nontermination,
     export_dot,
 )
-from .verdict import AnalysisVerdict, Outcome
+from .verdict import DEFAULT_BUDGET, AnalysisVerdict, Outcome
 
 EXIT_DEFINITE = 0
 EXIT_USAGE = 1
@@ -116,9 +114,7 @@ def _override_init(parser: _Parser, mf: ModelFile, state: Optional[str]):
         return mf.initial
     if state not in mf.machine.states:
         parser.error(f"--init: unknown state {state!r}")
-    if mf.kind == "counter":
-        return CounterConfig(state, mf.initial.values)
-    return FifoConfig(state, mf.initial.contents)
+    return mf.initial._replace(control=state)
 
 
 class _Report(NamedTuple):

@@ -55,11 +55,7 @@ class CounterMachine(FrozenFields):
         initial: str,
         name: str = "counter-machine",
     ) -> None:
-        set_field(self, "states", states)
-        set_field(self, "counters", counters)
-        set_field(self, "transitions", transitions)
-        set_field(self, "initial", initial)
-        set_field(self, "name", name)
+        super().__init__(states, counters, transitions, initial, name)
         states = set(self.states)
         counters = set(self.counters)
         if len(states) != len(self.states):

@@ -37,7 +37,7 @@ from .counter import (
     require_no_zero_tests,
 )
 from .orders import counter_state_leq, nat_vec_leq
-from .verdict import AnalysisVerdict, Outcome
+from .verdict import DEFAULT_BUDGET, AnalysisVerdict, Outcome
 
 OMEGA = float("inf")
 
@@ -324,7 +324,7 @@ def x0_coverability(
     machine: CounterMachine,
     x0: CounterConfig,
     y: CounterConfig,
-    budget: int = 10000,
+    budget: int = DEFAULT_BUDGET,
 ) -> AnalysisVerdict:
     """Coverability of y from the fixed initial state x0.
 

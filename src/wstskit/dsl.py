@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Container, Iterable, NamedTuple, Optional, Union
+from typing import Any, Container, Iterable, NamedTuple, Optional, Union
 
 from .counter import (
     OP_NOOP,
@@ -48,11 +48,9 @@ from .counter import (
 from .fifo import (
     Alphabet,
     BoundedLang,
-    FifoConfig,
     FifoMachine,
     FifoTransition,
     bounded_lang,
-    channel_word,
 )
 
 
@@ -66,7 +64,7 @@ class ParseError(ValueError):
 class ModelFile(NamedTuple):
     kind: str  # "counter" or "fifo"
     machine: Union[CounterMachine, FifoMachine]
-    initial: Union[CounterConfig, FifoConfig]
+    initial: Any  # machine.initial_config(...): a CounterConfig or a FifoConfig
     lang: Optional[BoundedLang] = None
 
 
@@ -239,7 +237,7 @@ def _build_counter(name, states, found) -> ModelFile:
             raise ParseError(lineno, base + m.start(2), str(exc)) from None
 
     machine = _machine(CounterMachine, tuple(states), tuple(counters), tuple(parsed), q0, name)
-    return ModelFile("counter", machine, CounterConfig(q0, values))
+    return ModelFile("counter", machine, machine.initial_config(values))
 
 
 def _bound_words(lineno: int, base: int, m: re.Match) -> list[list[tuple[str, int]]]:
@@ -289,24 +287,22 @@ def _build_fifo(name, states, found) -> ModelFile:
         raise ParseError(lineno, base, f"bad init statement: {body!r}")
     q0 = m.group(1)
     _require(states, q0, "state", lineno, base + m.start(1))
-    contents = [""] * len(channels)
+    contents = {}  # channel: word, as machine.initial_config reads them
     start = base + m.start(2)
-    named = set()
     for c in _FIFO_CONTENT_RE.finditer(m.group(2)):
         ch, word = c.groups()
         _require(channels, ch, "channel", lineno, start + c.start(1))
-        if ch in named:
+        if ch in contents:
             raise ParseError(lineno, start + c.start(1), f"duplicate channel {ch!r} in init")
-        named.add(ch)
         for i, letter in enumerate(word):
             _require(alphabet, letter, "letter", lineno, start + c.start(2) + i)
-        contents[channels.index(ch)] = channel_word(map(alphabet.id, word))
+        contents[ch] = word
 
     machine = _machine(
         FifoMachine, tuple(states), tuple(channels), alphabet, tuple(parsed), q0, name
     )
     lang = bounded_lang(machine, bound_words) if bound_words else None
-    return ModelFile("fifo", machine, FifoConfig(q0, contents), lang)
+    return ModelFile("fifo", machine, machine.initial_config(contents), lang)
 
 
 def print_model(mf: ModelFile) -> str:

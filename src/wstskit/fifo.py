@@ -112,12 +112,7 @@ class FifoMachine(FrozenFields):
         initial: str,
         name: str = "fifo-machine",
     ) -> None:
-        set_field(self, "states", states)
-        set_field(self, "channels", channels)
-        set_field(self, "alphabet", alphabet)
-        set_field(self, "transitions", transitions)
-        set_field(self, "initial", initial)
-        set_field(self, "name", name)
+        super().__init__(states, channels, alphabet, transitions, initial, name)
         states = set(self.states)
         channels = set(self.channels)
         if len(states) != len(self.states):
@@ -268,9 +263,7 @@ class BoundedLang(FrozenFields):
         channels: tuple[str, ...],
         blocks: tuple[tuple[tuple[int, ...], ...], ...],  # per channel, per block
     ) -> None:
-        set_field(self, "alphabet", alphabet)
-        set_field(self, "channels", channels)
-        set_field(self, "blocks", blocks)
+        super().__init__(alphabet, channels, blocks)
         if len(self.channels) != len(self.blocks):
             raise ValueError("one block list per channel required")
         for per_channel in self.blocks:
@@ -382,14 +375,8 @@ def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normal
             if (ch, lid) == (t.channel, t.letter)
         ]
         new_transitions.extend(variants or [t])
-    new_machine = FifoMachine(
-        machine.states,
-        machine.channels,
-        new_alphabet,
-        tuple(new_transitions),
-        machine.initial,
-        f"{machine.name}-normalized",
-    )
+    new_machine = machine._replace(alphabet=new_alphabet, transitions=tuple(new_transitions),
+                                   name=f"{machine.name}-normalized")
     return Normalization(new_machine, new_lang, letter_map, positions)
 
 
@@ -539,14 +526,8 @@ def product_machine(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> FifoM
                 names[triple] = "_".join(triple)
                 queue.append(triple)
             transitions.append(FifoTransition(names[q, s, r], *action, names[triple]))
-    return FifoMachine(
-        states=tuple(names.values()),
-        channels=channels,
-        alphabet=machine.alphabet,
-        transitions=tuple(transitions),
-        initial=names[init],
-        name=f"{machine.name}-product",
-    )
+    return machine._replace(states=tuple(names.values()), transitions=tuple(transitions),
+                            initial=names[init], name=f"{machine.name}-product")
 
 
 def _omega_prefix(head: str, period: str, n: int) -> str:

@@ -18,12 +18,10 @@ from typing import Any, Iterator, NamedTuple, Optional
 from ._record import Fields
 from .olts import Olts
 from .orders import Order
-from .verdict import AnalysisVerdict, Outcome
+from .verdict import DEFAULT_BUDGET, AnalysisVerdict, Outcome
 
 LIVE = "live"
 DEAD = "dead"
-
-DEFAULT_BUDGET = 10000
 
 
 class RrtNode(Fields):

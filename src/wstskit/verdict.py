@@ -11,6 +11,9 @@ from __future__ import annotations
 import enum
 from typing import Any, NamedTuple, Optional
 
+#: The tree builds' node budget and the coverability search's round budget.
+DEFAULT_BUDGET = 10000
+
 
 class Outcome(enum.Enum):
     POSITIVE = "positive"

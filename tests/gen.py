@@ -154,5 +154,4 @@ def shuffled(machine, rng: Random):
     """The machine with its transitions declared in a random order."""
     trans = list(machine.transitions)
     rng.shuffle(trans)
-    fields = {f: getattr(machine, f) for f in machine._fields}
-    return type(machine)(**{**fields, "transitions": tuple(trans)})
+    return machine._replace(transitions=tuple(trans))

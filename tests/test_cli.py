@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 import shlex
@@ -386,3 +387,28 @@ def test_readme_sample_output(monkeypatch, capsys):
         return [re.sub(r"^elapsed: .*", "elapsed: ...", line) for line in lines]
 
     assert mask(out.splitlines()) == mask(_readme_block("Sample output:"))
+
+
+def _bench_tracing():
+    """bench/tracing.py, loaded from its file: the tests only read bench/."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", MODELS.parent / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's tracer rebinds names in cli, olts and cover by attribute;
+# a name the program stops importing (cli's downset_post looks unused) would
+# otherwise go unnoticed until a traced benchmark run.
+@pytest.mark.parametrize("argv, count", [
+    (["check", "boundedness", path("m1"), "--json"], "orders.leq_calls"),
+    (["check", "x0-cover", path("m8"), "--target", "q2:(3)", "--json"], "cover.rounds"),
+    (["product", path("m4")], "fifo.product_states"),
+], ids=["boundedness", "x0-cover", "product"])
+def test_benchmark_tracer_finds_its_names(argv, count):
+    tracing = _bench_tracing()
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        code, _, err = tracing.call_main(argv)
+    assert code == 0, err
+    assert tracing.instance_counts(tracer)[count] > 0

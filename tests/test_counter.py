@@ -49,6 +49,8 @@ def test_validation_rejects_bad_machines():
         mk(["q0"], ["c"], [t("q0", OP_INC, None, "q0")], "q0")
     with pytest.raises(ValueError):
         mk(["q0"], ["c"], [t("q0", OP_NOOP, None, "q0", zero=["d"])], "q0")
+    with pytest.raises(ValueError, match="^transition 0 has unknown op 'mul'$"):
+        mk(["q0"], ["c"], [t("q0", "mul", "c", "q0")], "q0")
 
 
 def test_counter_index_names_the_unknown_counter(m8):

@@ -110,6 +110,8 @@ def test_ideal_show_and_membership():
     assert ideal_contains(i, CounterConfig("q0", (2, 999)))
     assert not ideal_contains(i, CounterConfig("q0", (3, 0)))
     assert not ideal_contains(i, CounterConfig("q1", (0, 0)))
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
+        ideal_contains(i, CounterConfig("q0", (2,)))
     assert ideal_subset(Ideal("q0", (1, 3)), i)
     assert not ideal_subset(i, Ideal("q0", (1, 3)))
 

@@ -86,6 +86,8 @@ def test_machine_validation():
         FifoMachine(("q0",), ("ch", "ch"), a, (), "q0")
     with pytest.raises(ValueError):
         FifoMachine(("q0",), ("ch",), a, (), "q9")
+    with pytest.raises(ValueError, match="^transition 0 uses undeclared control state$"):
+        FifoMachine(("q0",), ("ch",), a, (FifoTransition("q0", "ch", SEND, 0, "q9"),), "q0")
     with pytest.raises(ValueError):
         FifoMachine(
             ("q0",), ("ch",), a,
@@ -344,6 +346,12 @@ def test_bounded_lang_shapes(m4):
     assert lang.show() == "ch: (ab)"
     rep = bounded_lang(m4.machine, {"ch": ("ab", "a")})
     assert not rep.distinct_letter
+    with pytest.raises(ValueError, match="must be distinct-letter"):
+        build_send_dfa(m4.machine, rep)
+    with pytest.raises(ValueError, match=r"^bounded language misses channels: \['ch'\]$"):
+        build_send_dfa(m4.machine, BoundedLang(m4.machine.alphabet, (), ()))
+    with pytest.raises(ValueError, match="^one block list per channel required$"):
+        BoundedLang(m4.machine.alphabet, ("ch",), ())
     with pytest.raises(ValueError):
         bounded_lang(m4.machine, {"nope": ("a",)})
     with pytest.raises(ValueError):

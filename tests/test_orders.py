@@ -61,6 +61,8 @@ def test_nat_vec_leq_transitive(triple):
 def test_nat_vec_leq_dimension_mismatch():
     with pytest.raises(ValueError):
         nat_vec_leq((1,), (1, 2))
+    with pytest.raises(ValueError, match="^configurations have different counter signatures$"):
+        counter_state_leq(CounterConfig("q0", (1,)), CounterConfig("q0", (1, 2)))
 
 
 @given(words, words)

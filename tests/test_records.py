@@ -62,6 +62,11 @@ def test_record_semantics(cls, fields, text):
     first, value = next(iter(fields.items()))
     with pytest.raises(AttributeError):
         setattr(by_position, first, value)
+    # _replace copies through the constructor, as NamedTuple's does
+    changed = by_position._replace(**{first: "other"})
+    assert type(changed) is cls
+    assert {f: getattr(changed, f) for f in fields} == {**fields, first: "other"}
+    assert by_position._replace() == by_position and by_position._replace(**fields) == by_keyword
 
 
 def test_record_defaults():
@@ -83,9 +88,26 @@ def test_plain_classes_compare_by_value():
     assert repr(machine()).startswith("CounterMachine(states=('q0', 'q1'), counters=('c',),")
     with pytest.raises(ValueError, match="initial control 'zz' not declared"):
         CounterMachine(("q0",), (), (), "zz")
+    with pytest.raises(AttributeError, match="cannot delete field 'name'"):
+        del machine().name
+    # a copy validates again and builds its own post_index
+    original = machine()
+    index = original.post_index
+    with pytest.raises(ValueError, match="initial control 'zz' not declared"):
+        original._replace(initial="zz")
+    copy = original._replace(transitions=())
+    assert copy == CounterMachine(("q0", "q1"), ("c",), (), "q0")
+    assert copy.post_index == {"q0": [], "q1": []} and original.post_index is index
+    # a configuration copied with a list of values holds a tuple
+    listed = CounterConfig("q0", (0, 2))._replace(values=[1, 2])
+    assert listed.values == (1, 2) and listed == CounterConfig("q0", (1, 2))
+    assert hash(listed) == hash(CounterConfig("q0", (1, 2)))
+    # unlike a named tuple, a plain class never equals a plain tuple
+    assert CounterConfig("q0", ()) != ("q0", ())
 
     node = RrtNode("s", None, None)
     assert node == RrtNode("s", None, None, "live", None)
+    assert node._replace(mark="dead") == RrtNode("s", None, None, "dead", None)
     # slotted, as a tree holds many nodes and configurations
     for small in (node, CounterConfig("q0", ()), FifoConfig("q0", ())):
         assert not hasattr(small, "__dict__")
