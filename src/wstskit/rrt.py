@@ -11,8 +11,8 @@ iterable nodes, whose loop is checked to replay concretely with growth.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
-from itertools import compress, repeat
 from typing import Any, Iterator, NamedTuple, Optional
 
 from ._record import Fields
@@ -101,9 +101,24 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
     from the third on.  Systems that hand out one object per distinct
     state (see ``olts``) thus compute each state's successors at most
     twice; a system that builds fresh objects gets one call per node.
+
+    The cyclic garbage collector is paused while the tree grows, and left
+    enabled or disabled as it was found, also when ``post`` raises.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    # nodes link by int id and the build makes no reference cycles, so a
+    # collection pass would only rescan the growing tree
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _grow(olts, budget)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _grow(olts: Olts, budget: int) -> Rrt:
     leq = olts.order.leq
     post = olts.post
     nodes = [RrtNode(olts.initial, None, None)]
@@ -132,21 +147,23 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
             node.mark = DEAD
             continue
         path = above + (x,)
-        depths = range(len(path))
         for label, y in succs:
             if len(nodes) >= budget:
                 exhausted = True
                 break
-            # the first hit scanning from the root: the subsumer closest to it
-            hit = next(compress(depths, map(leq, path, repeat(y))), None)
-            if hit is None:
+            # the first hit scanning from the root: the subsumer closest to
+            # it; a plain loop, because Python 3.11+ inlines calls from
+            # Python to Python, and not calls made from C, as in ``map``
+            for hit, a in enumerate(path):
+                if leq(a, y):
+                    sid = nid
+                    for _ in range(len(path) - 1 - hit):
+                        sid = nodes[sid].parent
+                    nodes.append(RrtNode(y, nid, label, DEAD, sid))
+                    break
+            else:
                 queue.append((len(nodes), path))
                 nodes.append(RrtNode(y, nid, label))
-            else:
-                sid = nid
-                for _ in range(len(path) - 1 - hit):
-                    sid = nodes[sid].parent
-                nodes.append(RrtNode(y, nid, label, DEAD, sid))
     return Rrt(nodes=nodes, budget_exhausted=exhausted)
 
 
@@ -179,14 +196,14 @@ def decide_boundedness(
     witness = None
     for nid, n in rrt.subsumed_nodes():
         x = n.state
-        ids = rrt.ancestor_ids(nid)
-        states = [nodes[i].state for i in ids]
         # order.strictly_less(a, x) for each ancestor a, root first, with the
         # same leq calls in the same order: leq(x, a) runs only where a <= x
-        below = compress(ids, map(leq, states, repeat(x)))
-        aid = next((i for i in below if not leq(x, nodes[i].state)), None)
-        if aid is not None:
-            witness = (aid, nid)
+        for aid in rrt.ancestor_ids(nid):
+            a = nodes[aid].state
+            if leq(a, x) and not leq(x, a):
+                witness = (aid, nid)
+                break
+        if witness is not None:
             break
     caveat = None if strict_asserted else (
         "unboundedness assumes strict compatibility: transitions fired "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from collections import Counter
@@ -309,6 +310,37 @@ def test_post_with_fresh_equal_objects():
     machine = type("Labels", (), {"transitions": range(3)})
     want = ref_rrt(machine, x0, step, ref_counter_leq_plain, max_nodes=2000)
     assert tree_by_path(rrt) == want
+
+
+@pytest.mark.parametrize(
+    "enabled, fail_at", [(True, None), (False, None), (True, 3)], ids=["enabled", "disabled", "raising"]
+)
+def test_build_pauses_the_cyclic_collector(enabled, fail_at):
+    # nodes link by int id, so the build makes no reference cycles and runs
+    # with the cyclic collector paused; it leaves the collector as it found
+    # it, also when post raises in the middle of the build
+    system = lattice("counter", (2, 2))[0]
+    seen = []
+
+    def post(x):
+        seen.append(gc.isenabled())
+        if len(seen) == fail_at:
+            raise RuntimeError("post failed")
+        return system.post(x)
+
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fail_at is None:
+            assert build_rrt(system._replace(post=post)).complete
+        else:
+            with pytest.raises(RuntimeError, match="post failed"):
+                build_rrt(system._replace(post=post))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert after is enabled
+    assert seen and not any(seen)
 
 
 @pytest.mark.parametrize("kind", ["counter", "fifo"])
