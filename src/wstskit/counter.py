@@ -11,10 +11,10 @@ share source and operation.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
+from ._explore import Explorer
 from ._record import FrozenFields, set_field
 
 OP_INC = "inc"
@@ -140,15 +140,11 @@ def cm_post(machine: CounterMachine, x: CounterConfig) -> list[tuple[int, Counte
 
 def control_reachable(machine: CounterMachine, start: str) -> set[str]:
     """Control states reachable from ``start`` in the control graph."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        q = queue.popleft()
-        for *_, target in machine.post_index.get(q, ()):
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return seen
+    explorer = Explorer(start)
+    for i, q in explorer:
+        for label, *_, target in machine.post_index.get(q, ()):
+            explorer.add(target, i, label)
+    return set(explorer.index)
 
 
 def is_cmrz(
@@ -173,23 +169,17 @@ def is_cmrz(
         if t.op != OP_NOOP and t.counter in t.zero_tests:
             violations.append([ti])
             continue
-        # BFS over the control graph from target(t) for the nearest
-        # transition operating on a tested counter (cycles included).
+        # BFS over the control graph from target(t) for the nearest transition
+        # operating on a tested counter (cycles included; a noop has no index).
         tested = {machine.counter_index(c) for c in t.zero_tests}
-        seen = {t.target}
-        queue: deque[tuple[str, list[int]]] = deque([(t.target, [])])
-        found: list[int] | None = None
-        while queue and found is None:
-            q, path = queue.popleft()
-            for ui, _, i, _, target in machine.post_index[q]:
-                if i in tested:  # a noop has no counter index
-                    found = [ti] + path + [ui]
-                    break
-                if target not in seen:
-                    seen.add(target)
-                    queue.append((target, path + [ui]))
-        if found is not None:
-            violations.append(found)
+        explorer = Explorer(t.target)
+        for i, q in explorer:
+            use = next((ui for ui, _, ci, *_ in machine.post_index[q] if ci in tested), None)
+            if use is not None:
+                violations.append([ti, *explorer.path(i), use])
+                break
+            for ui, *_, target in machine.post_index[q]:
+                explorer.add(target, i, ui)
     best = min(violations, key=len, default=None)
     return best is None, best
 

@@ -22,11 +22,11 @@ machines with zero tests outright.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from functools import partial
 from operator import attrgetter, le
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+from ._explore import Explorer
 from .counter import (
     OP_DEC,
     OP_INC,
@@ -344,8 +344,9 @@ def x0_coverability(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     _check_shapes(machine, (("initial", x0.control, x0.values), ("target", y.control, y.values)))
-    parent: dict[CounterConfig, Optional[tuple[CounterConfig, int]]] = {x0: None}
-    queue = deque([x0])
+    # the forward search; cm_post and counter_state_leq stay global lookups
+    explorer = Explorer(x0)
+    frontier = iter(explorer)
     candidates = downset_candidates(machine)
     # successor ideals per ideal, shared by the candidates' closure tests
     successors: dict[Ideal, tuple[Ideal, ...]] = {}
@@ -359,27 +360,18 @@ def x0_coverability(
     rounds = 0
     while rounds < budget:
         rounds += 1
-        if queue:
-            x = queue.popleft()
-            if counter_state_leq(y, x):
-                labels = []
-                cur = x
-                while parent[cur] is not None:
-                    prev, label = parent[cur]
-                    labels.append(label)
-                    cur = prev
-                labels.reverse()
-                return AnalysisVerdict(Outcome.POSITIVE, tuple(labels), rounds)
-            for label, nxt in cm_post(machine, x):
-                if nxt not in parent:
-                    parent[nxt] = (x, label)
-                    queue.append(nxt)
-        else:
+        popped = next(frontier, None)
+        if popped is None:
             # forward search complete: the reached set is exactly Post*
             certificate = downset_normalize(
-                Ideal(c.control, c.values) for c in parent
+                Ideal(c.control, c.values) for c in explorer.states
             )
             return AnalysisVerdict(Outcome.NEGATIVE, certificate, rounds)
+        i, x = popped
+        if counter_state_leq(y, x):
+            return AnalysisVerdict(Outcome.POSITIVE, tuple(explorer.path(i)), rounds)
+        for label, nxt in cm_post(machine, x):
+            explorer.add(nxt, i, label)
         d = next(candidates, None)
         if d is None:
             break
@@ -415,38 +407,30 @@ def check_cover_monotone_bounded(
     """
     if value_cap < 1 or length_cap < 1:
         raise ValueError("caps must be >= 1")
-    reached = {x0}
-    queue = deque([x0])
-    while queue:
-        x = queue.popleft()
-        for _, nxt in cm_post(machine, x):
-            if max(nxt.values, default=0) > value_cap:
-                continue
-            if nxt not in reached:
-                reached.add(nxt)
-                queue.append(nxt)
+    reached = Explorer(x0)
+    for i, x in reached:
+        for label, nxt in cm_post(machine, x):
+            if max(nxt.values, default=0) <= value_cap:
+                reached.add(nxt, i, label)
 
     cover: set[CounterConfig] = set()
-    for c in reached:
+    for c in reached.states:
         for values in itertools.product(*(range(v + 1) for v in c.values)):
             cover.add(CounterConfig(c.control, values))
 
     control_rank = {q: i for i, q in enumerate(machine.states)}
     for y1 in sorted(cover, key=lambda c: (control_rank[c.control], c.values)):
         # everything y1 reaches in at most length_cap steps, each expanded once
-        reach = {y1}
-        frontier = [y1]
-        for _ in range(length_cap):
-            nxt_frontier = []
-            for y in frontier:
-                for _, y2 in cm_post(machine, y):
-                    if y2 not in reach:
-                        reach.add(y2)
-                        nxt_frontier.append(y2)
-            frontier = nxt_frontier
+        reach = Explorer(y1)
+        depth = [0]  # steps from y1, by index
+        for i, y in reach:
+            if depth[i] < length_cap:
+                for label, y2 in cm_post(machine, y):
+                    if reach.add(y2, i, label) == len(depth):
+                        depth.append(depth[i] + 1)
         for values in itertools.product(*(range(v + 1) for v in y1.values)):
             x1 = CounterConfig(y1.control, values)
             for label, x2 in cm_post(machine, x1):
-                if not any(counter_state_leq(x2, y2) for y2 in reach):
+                if not any(counter_state_leq(x2, y2) for y2 in reach.states):
                     return False, (y1, x1, label, x2)
     return True, None

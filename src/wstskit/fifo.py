@@ -16,10 +16,10 @@ is a product with two deterministic position-tracking automata.
 from __future__ import annotations
 
 import re
-from collections import deque
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from ._explore import Explorer
 from ._record import FrozenFields, set_field
 
 SEND = "!"
@@ -450,35 +450,27 @@ def _build_position_dfa(
         hits = sorted((lid, (bi, oi)) for bi, w in enumerate(blocks) for oi, lid in enumerate(w))
         channel_moves.append((blocks, [((ch, tracked, lid), hit) for lid, hit in hits]))
 
-    initial = ((0, 0),) * len(machine.channels)
-    names: dict[tuple, str] = {initial: f"{prefix}0"}  # in discovery order
-    delta: dict[tuple[str, Action], str] = {}
-    queue = deque([initial])
-    while queue:
-        state = queue.popleft()
+    explorer = Explorer(((0, 0),) * len(machine.channels))
+    moved_to: list[tuple[int, Action, int]] = []  # (state, action, next state) by index
+    for i, state in explorer:
         for ci, (blocks, moves) in enumerate(channel_moves):
             for action, hit in moves:
                 moved = _tracker_step(blocks, hit, state[ci])
-                if moved is None:
-                    continue
-                nxt = state[:ci] + (moved,) + state[ci + 1 :]
-                if nxt not in names:
-                    names[nxt] = f"{prefix}{len(names)}"
-                    queue.append(nxt)
-                delta[(names[state], action)] = names[nxt]
+                if moved is not None:
+                    nxt = state[:ci] + (moved,) + state[ci + 1 :]
+                    moved_to.append((i, action, explorer.add(nxt, i, action)))
 
-    if tracked == SEND:
-        accepting = frozenset(
-            name for s, name in names.items() if all(pos[1] == 0 for pos in s)
-        )
-    else:
-        accepting = frozenset(names.values())
+    names = tuple(f"{prefix}{i}" for i in range(len(explorer.states)))
+    accepting = frozenset(  # a send DFA accepts with every tracker at a block boundary
+        name for s, name in zip(explorer.states, names)
+        if tracked == RECV or all(pos[1] == 0 for pos in s)
+    )
     return Dfa(
-        states=tuple(names.values()),
-        initial=names[initial],
+        states=names,
+        initial=names[0],
         accepting=accepting,
         tracked=tracked,
-        delta=delta,
+        delta={(names[i], action): names[j] for i, action, j in moved_to},
     )
 
 
@@ -509,25 +501,19 @@ def product_machine(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> FifoM
     distinct names.
     """
     channels = machine.channels
-    init = (machine.initial, send_dfa.initial, recv_dfa.initial)
-    names = {init: "_".join(init)}  # the visited triples, in discovery order
-    transitions: list[FifoTransition] = []
-    queue = deque([init])
-    while queue:
-        q, s, r = queue.popleft()
-        for _, ci, send, letter, target in machine.post_index[q]:
+    explorer = Explorer((machine.initial, send_dfa.initial, recv_dfa.initial))
+    moved_to: list[tuple[int, Action, int]] = []  # (triple, action, next triple) by index
+    for i, (q, s, r) in explorer:
+        for label, ci, send, letter, target in machine.post_index[q]:
             action: Action = (channels[ci], SEND if send else RECV, letter)
             s2 = send_dfa.step(s, action)
             r2 = recv_dfa.step(r, action)
-            if s2 is None or r2 is None:
-                continue
-            triple = (target, s2, r2)
-            if triple not in names:
-                names[triple] = "_".join(triple)
-                queue.append(triple)
-            transitions.append(FifoTransition(names[q, s, r], *action, names[triple]))
-    return machine._replace(states=tuple(names.values()), transitions=tuple(transitions),
-                            initial=names[init], name=f"{machine.name}-product")
+            if s2 is not None and r2 is not None:
+                moved_to.append((i, action, explorer.add((target, s2, r2), i, label)))
+    names = tuple("_".join(triple) for triple in explorer.states)
+    transitions = tuple(FifoTransition(names[i], *action, names[j]) for i, action, j in moved_to)
+    return machine._replace(states=names, transitions=transitions,
+                            initial=names[0], name=f"{machine.name}-product")
 
 
 def _omega_prefix(head: str, period: str, n: int) -> str:

@@ -15,15 +15,12 @@ from typing import Any, Callable, NamedTuple, Sequence
 class Order(NamedTuple):
     """A decidable quasi-order together with state equality.
 
-    ``strictly_less`` is derived from ``leq`` and never supplied
-    independently, which rules out inconsistent (leq, lt) pairs.
+    Incomparability, like strictness where a caller writes it out, is
+    derived from ``leq``, which rules out inconsistent (leq, lt) pairs.
     """
 
     leq: Callable[[Any, Any], bool]
     eq: Callable[[Any, Any], bool] = eq  # operator.eq
-
-    def strictly_less(self, x: Any, y: Any) -> bool:
-        return self.leq(x, y) and not self.leq(y, x)
 
     def incomparable(self, x: Any, y: Any) -> bool:
         return not self.leq(x, y) and not self.leq(y, x)

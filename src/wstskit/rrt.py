@@ -196,8 +196,8 @@ def decide_boundedness(
     witness = None
     for nid, n in rrt.subsumed_nodes():
         x = n.state
-        # order.strictly_less(a, x) for each ancestor a, root first, with the
-        # same leq calls in the same order: leq(x, a) runs only where a <= x
+        # the first ancestor a, root first, strictly below x; leq(x, a) runs
+        # only where a <= x, so the recorded leq calls stay the same
         for aid in rrt.ancestor_ids(nid):
             a = nodes[aid].state
             if leq(a, x) and not leq(x, a):

@@ -288,14 +288,13 @@ def ref_rrt(machine, x0, step: Callable, leq: Callable, *, max_nodes: int) -> di
 
 
 def ref_boundedness_witness(nodes: Sequence, order) -> Optional[tuple[int, int]]:
-    """The order checks of ``decide_boundedness`` as it read with
-    ``order.strictly_less``, on a tree's nodes (record fields only; a
-    node's id is its position).
+    """The order checks of ``decide_boundedness``, a strict-ancestor scan,
+    on a tree's nodes (record fields only; a node's id is its position).
 
     First every subsumed node is checked against its subsumer with
     ``leq(node, subsumer)``; then, node by node, each strict ancestor,
-    root first, is tested with ``strictly_less(ancestor, node)``, spelled
-    out as ``leq(ancestor, node) and not leq(node, ancestor)``.  Returns
+    root first, is tested for ancestor < node, spelled out as
+    ``leq(ancestor, node) and not leq(node, ancestor)``.  Returns
     the first strictly increasing pair (ancestor id, node id), or None.  A
     wrapped ``order.leq`` therefore sees the calls that the pinned
     benchmark counts were recorded with.
@@ -384,6 +383,41 @@ def ref_position_dfa(
     else:
         accepting = frozenset(names.values())
     return tuple(names.values()), names[initial], accepting, delta
+
+
+def ref_product_machine(
+    machine: FifoMachine, lang: BoundedLang
+) -> tuple[tuple[str, ...], list[tuple[str, str, str, int, str]]]:
+    """The product with the send and receive position DFAs, as a textbook
+    breadth-first search over ``(q, s, r)`` triples.
+
+    Steps through :func:`ref_position_dfa`'s full tables, takes each
+    control state's transitions in declaration order, and names a triple
+    ``q_s_r``.  Returns the triples' names in discovery order and the
+    product transitions ``(source, channel, kind, letter, target)`` in the
+    order they are found.
+    """
+    _, s0, _, send = ref_position_dfa(machine, lang, SEND, "s")
+    _, r0, _, recv = ref_position_dfa(machine, lang, RECV, "r")
+    init = (machine.initial, s0, r0)
+    names = {init: "_".join(init)}
+    transitions = []
+    queue = deque([init])
+    while queue:
+        q, s, r = queue.popleft()
+        for t in machine.transitions:
+            if t.source != q:
+                continue
+            action = (t.channel, t.kind, t.letter)
+            s2, r2 = send.get((s, action)), recv.get((r, action))
+            if s2 is None or r2 is None:
+                continue
+            triple = (t.target, s2, r2)
+            if triple not in names:
+                names[triple] = "_".join(triple)
+                queue.append(triple)
+            transitions.append((names[q, s, r], *action, names[triple]))
+    return tuple(names.values()), transitions
 
 
 def ref_completable_pairs(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> set[tuple[str, str]]:

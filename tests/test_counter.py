@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from gen import random_counter_machine
-from oracles import ref_counter_step, ref_is_cmrz, ref_run
+from oracles import _ref_control_reachable, ref_counter_step, ref_is_cmrz, ref_run
 from wstskit.counter import (
     OP_DEC,
     OP_INC,
@@ -241,6 +241,7 @@ def test_is_cmrz_matches_the_transition_scan_on_random_machines():
         assert "zz" not in m.states
         for q in m.states + ("zz",):
             assert is_cmrz(m, q) == ref_is_cmrz(m, q), (m, q)
+            assert control_reachable(m, q) == _ref_control_reachable(m, q), (m, q)
         assert is_cmrz(m, "zz") == (True, None)
     assert violations >= 400, violations
 

@@ -19,6 +19,7 @@ from oracles import (
     ref_completable_pairs,
     ref_fifo_step,
     ref_position_dfa,
+    ref_product_machine,
     ref_run,
     simulate_iterations,
 )
@@ -639,6 +640,23 @@ def test_position_dfas_match_the_explicit_table():
             for state in states:
                 for a in actions:
                     assert dfa.step(state, a) == delta.get((state, a)), (lang.show(), state, a)
+        seen |= language_kinds(m, lang)
+    assert seen == ALL_LANGUAGE_KINDS
+
+
+def test_product_matches_the_textbook_product():
+    # the product's states are named and ordered by its search, and its
+    # transitions listed in the order found; check both against a plain
+    # queue search over the explicit DFA tables
+    seen = set()
+    for m, lang, norm in random_languages(20261018, 150):
+        machine = norm.machine
+        prod = product_machine(
+            machine, build_send_dfa(machine, norm.lang), build_recv_dfa(machine, norm.lang)
+        )
+        states, transitions = ref_product_machine(machine, norm.lang)
+        assert (prod.states, prod.initial) == (states, states[0]), lang.show()
+        assert list(prod.transitions) == transitions, lang.show()
         seen |= language_kinds(m, lang)
     assert seen == ALL_LANGUAGE_KINDS
 

@@ -614,7 +614,7 @@ def counted(leq):
 def test_tree_and_boundedness_make_the_pinned_leq_calls(fifo):
     # The benchmark pins the number of order checks.  The build must make
     # those of the textbook root-first scan (ref_rrt, on complete trees),
-    # and decide_boundedness those of its strictly_less scan, with the
+    # and decide_boundedness those of its strict-ancestor scan, with the
     # same witness, on complete and cut trees alike.
     rng = Random(20261026 + fifo)
     ref_leq, step = (
