@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Any, Container, Iterable, NamedTuple, Optional, Union
+from typing import Any, Container, NamedTuple, Optional, Union
 
 from .counter import (
     OP_NOOP,
@@ -265,8 +265,8 @@ def _build_fifo(name, states, found) -> ModelFile:
         _require(states, source, "state", lineno, base + m.start(1))
         _require(states, target, "state", lineno, base + m.start(5))
         _require(channels, channel, "channel", lineno, base + m.start(2))
-        _require(alphabet, letter, "letter", lineno, base + m.start(4))
-        parsed.append(FifoTransition(source, channel, kind_ch, alphabet.id(letter), target))
+        _require(alphabet.letters, letter, "letter", lineno, base + m.start(4))
+        parsed.append(FifoTransition(source, channel, kind_ch, alphabet.letter(letter), target))
 
     bound_words: dict[str, list[list[str]]] = {}
     for lineno, base, body in found["bound"]:
@@ -278,7 +278,7 @@ def _build_fifo(name, states, found) -> ModelFile:
         bound_words[ch] = []
         for w in _bound_words(lineno, base, m):
             for letter, col in w:
-                _require(alphabet, letter, "letter", lineno, col)
+                _require(alphabet.letters, letter, "letter", lineno, col)
             bound_words[ch].append([letter for letter, _ in w])
 
     lineno, base, body = found["init"][0]
@@ -295,7 +295,7 @@ def _build_fifo(name, states, found) -> ModelFile:
         if ch in contents:
             raise ParseError(lineno, start + c.start(1), f"duplicate channel {ch!r} in init")
         for i, letter in enumerate(word):
-            _require(alphabet, letter, "letter", lineno, start + c.start(2) + i)
+            _require(alphabet.letters, letter, "letter", lineno, start + c.start(2) + i)
         contents[ch] = word
 
     machine = _machine(
@@ -336,12 +336,12 @@ def print_model(mf: ModelFile) -> str:
         init_line = f"init {mf.initial.control}"
         for ch, word in zip(machine.channels, mf.initial.contents):
             if word:
-                init_line += f' {ch}:"{_word_text(machine.alphabet, ch, map(ord, word))}"'
+                init_line += f' {ch}:"{_word_text(machine.alphabet, ch, word)}"'
         lines.append(init_line)
     return "\n".join(lines) + "\n"
 
 
-def _word_text(alphabet: Alphabet, ch: str, word: Iterable[int]) -> str:
+def _word_text(alphabet: Alphabet, ch: str, word: str) -> str:
     """A word of channel ``ch`` as model text, one character per letter;
     a ValueError when a letter's name is longer, since the text would
     parse back as other letters."""

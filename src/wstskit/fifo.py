@@ -1,11 +1,10 @@
 """FIFO machines: syntax, semantics, bounded-language automata, and the
 input-bounded product construction.
 
-Letters are interned in an :class:`Alphabet` and compared by integer id.
-Transitions, bounded-language words and projections spell words as tuples
-of letter ids; channel contents are ``str`` words with one code point per
-letter, ``chr(id)`` (see :func:`channel_word`), so the prefix order is a
-C-level ``str.startswith``.  Transition labels are
+A letter is a one-character ``str`` that an :class:`Alphabet` maps to and
+from its name, and every word is a ``str`` of letters: transition letters,
+channel contents, bounded-language words, projections and DFA actions.  So
+the prefix order is a C-level ``str.startswith``.  Transition labels are
 declaration indices, as for counter machines.  The product construction
 restricts a machine to behaviours whose per-channel send projections stay
 inside a bounded language w_1^* ... w_n^* and whose receive projections
@@ -25,12 +24,13 @@ from ._record import FrozenFields, set_field
 SEND = "!"
 RECV = "?"
 
-# A DFA action: (channel, direction, letter id).
-Action = tuple[str, str, int]
+# A DFA action: (channel, direction, letter).
+Action = tuple[str, str, str]
 
 
 class Alphabet(FrozenFields):
-    """Interned letter table; words are tuples of integer letter ids."""
+    """Letter names and their letters: the i-th name's letter is ``chr(i)``,
+    so letters sort in name order.  The only code that maps between the two."""
 
     _fields = ("letters",)
 
@@ -41,29 +41,30 @@ class Alphabet(FrozenFields):
         for name in self.letters:
             if not name:
                 raise ValueError("empty letter name")
-        set_field(self, "_ids", {a: i for i, a in enumerate(self.letters)})
+        set_field(self, "_letters", {a: chr(i) for i, a in enumerate(self.letters)})
 
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
+    def __contains__(self, letter: object) -> bool:
+        """True iff ``letter`` is one of this alphabet's letters (not names)."""
+        return isinstance(letter, str) and len(letter) == 1 and ord(letter) < len(self.letters)
 
-    def id(self, name: str) -> int:
+    def letter(self, name: str) -> str:
         try:
-            return self._ids[name]
+            return self._letters[name]
         except KeyError:
             raise ValueError(f"unknown letter {name!r}") from None
 
-    def name(self, lid: int) -> str:
-        return self.letters[lid]
+    def name(self, letter: str) -> str:
+        return self.letters[ord(letter)]
 
-    def word(self, text: str | Iterable[str]) -> tuple[int, ...]:
-        """Intern a word; a plain string is read one character per letter."""
-        return tuple(self.id(a) for a in text)
+    def word(self, names: str | Iterable[str]) -> str:
+        """The word of some letter names; a plain string is one name per character."""
+        return "".join(map(self.letter, names))
 
-    def show(self, word: Iterable[int]) -> str:
-        names = [self.name(lid) for lid in word]
+    def show(self, word: str) -> str:
+        names = [self.name(letter) for letter in word]
         if not names:
             return "ε"
         if all(len(n) == 1 for n in names):
@@ -71,17 +72,11 @@ class Alphabet(FrozenFields):
         return ".".join(names)
 
 
-def channel_word(word: Iterable[int]) -> str:
-    """A word of letter ids as channel contents: one code point per letter,
-    ``chr(id)``; ``map(ord, ...)`` gives the ids back."""
-    return "".join(map(chr, word))
-
-
 class FifoTransition(NamedTuple):
     source: str
     channel: str
     kind: str  # SEND or RECV
-    letter: int
+    letter: str
     target: str
 
 
@@ -91,7 +86,7 @@ class FifoConfig(FrozenFields):
     def __init__(
         self,
         control: str,
-        contents: Sequence[str],  # channel words by declaration order, see channel_word
+        contents: Sequence[str],  # channel words by declaration order
     ) -> None:
         set_field(self, "control", control)
         set_field(self, "contents", tuple(contents))  # a tuple, as in CounterConfig
@@ -128,8 +123,8 @@ class FifoMachine(FrozenFields):
                 raise ValueError(f"transition {i} uses undeclared channel {t.channel!r}")
             if t.kind not in (SEND, RECV):
                 raise ValueError(f"transition {i} has unknown direction {t.kind!r}")
-            if not 0 <= t.letter < len(self.alphabet):
-                raise ValueError(f"transition {i} uses an unknown letter id")
+            if t.letter not in self.alphabet:
+                raise ValueError(f"transition {i} uses unknown letter {t.letter!r}")
 
     def channel_index(self, ch: str) -> int:
         if ch not in self.channels:
@@ -137,7 +132,7 @@ class FifoMachine(FrozenFields):
         return self.channels.index(ch)
 
     @cached_property
-    def post_index(self) -> dict[str, list[tuple[int, int, bool, int, str]]]:
+    def post_index(self) -> dict[str, list[tuple[int, int, bool, str, str]]]:
         """Transitions by source control, in declaration order, with channel
         indices resolved: ``(label, channel index, is send, letter,
         target)``.  Built on first use."""
@@ -154,7 +149,7 @@ class FifoMachine(FrozenFields):
         per_channel = [""] * len(self.channels)
         if contents:
             for ch, word in contents.items():
-                per_channel[self.channel_index(ch)] = channel_word(self.alphabet.word(word))
+                per_channel[self.channel_index(ch)] = self.alphabet.word(word)
         return FifoConfig(self.initial, per_channel)
 
     def describe_transition(self, label: int) -> str:
@@ -164,23 +159,22 @@ class FifoMachine(FrozenFields):
 
 
 def fifo_config_str(machine: FifoMachine, x: FifoConfig) -> str:
-    show = machine.alphabet.show
-    return f"{x.control}:(" + "|".join(show(map(ord, w)) for w in x.contents) + ")"
+    return f"{x.control}:(" + "|".join(map(machine.alphabet.show, x.contents)) + ")"
 
 
 def fifo_post(machine: FifoMachine, x: FifoConfig) -> list[tuple[int, FifoConfig]]:
     """All enabled one-step successors, in transition declaration order.
 
-    A send appends ``chr(letter)`` to the channel tail; a receive consumes
-    the head letter and is disabled unless the channel starts with it.
+    A send appends its letter to the channel tail; a receive consumes the
+    head letter and is disabled unless the channel starts with it.
     """
     contents = x.contents
     out = []
     for label, ci, send, letter, target in machine.post_index.get(x.control, ()):
         word = contents[ci]
         if send:
-            word += chr(letter)
-        elif word and ord(word[0]) == letter:
+            word += letter
+        elif word.startswith(letter):
             word = word[1:]
         else:
             continue
@@ -206,7 +200,7 @@ def resolve_action_run(
         tokens = actions.split()
     else:
         tokens = list(actions)
-    parsed: list[tuple[str, str, int]] = []
+    parsed: list[Action] = []
     for tok in tokens:
         m = _ACTION_RE.match(tok)
         if not m:
@@ -216,7 +210,7 @@ def resolve_action_run(
             if len(machine.channels) != 1:
                 raise ValueError(f"action {tok!r} omits the channel on a multi-channel machine")
             ch = machine.channels[0]
-        parsed.append((ch, kind, machine.alphabet.id(letter)))
+        parsed.append((ch, kind, machine.alphabet.letter(letter)))
 
     spelled = [(t.channel, t.kind, t.letter) for t in machine.transitions]
     reached: dict[FifoConfig, tuple[int, list[int]]] = {x0: (1, [])}
@@ -237,17 +231,17 @@ def resolve_action_run(
     return next(iter(reached.values()))[1]
 
 
-def _proj(machine: FifoMachine, labels: Iterable[int], channel: str, kind: str) -> tuple[int, ...]:
+def _proj(machine: FifoMachine, labels: Iterable[int], channel: str, kind: str) -> str:
     picked = (machine.transitions[label] for label in labels)
-    return tuple(t.letter for t in picked if t.channel == channel and t.kind == kind)
+    return "".join(t.letter for t in picked if t.channel == channel and t.kind == kind)
 
 
-def send_proj(machine: FifoMachine, labels: Iterable[int], channel: str) -> tuple[int, ...]:
+def send_proj(machine: FifoMachine, labels: Iterable[int], channel: str) -> str:
     """Word of letters sent on ``channel`` along the label sequence."""
     return _proj(machine, labels, channel, SEND)
 
 
-def recv_proj(machine: FifoMachine, labels: Iterable[int], channel: str) -> tuple[int, ...]:
+def recv_proj(machine: FifoMachine, labels: Iterable[int], channel: str) -> str:
     """Word of letters received on ``channel`` along the label sequence."""
     return _proj(machine, labels, channel, RECV)
 
@@ -261,17 +255,22 @@ class BoundedLang(FrozenFields):
         self,
         alphabet: Alphabet,
         channels: tuple[str, ...],
-        blocks: tuple[tuple[tuple[int, ...], ...], ...],  # per channel, per block
+        blocks: tuple[tuple[str, ...], ...],  # per channel, per block
     ) -> None:
         super().__init__(alphabet, channels, blocks)
         if len(self.channels) != len(self.blocks):
             raise ValueError("one block list per channel required")
-        for per_channel in self.blocks:
+        for i, (ch, per_channel) in enumerate(zip(self.channels, self.blocks)):
+            if ch in self.channels[:i]:
+                raise ValueError(f"bounded language repeats channel {ch!r}")
             for w in per_channel:
                 if not w:
                     raise ValueError("bounded-language words must be non-empty")
+                for letter in w:
+                    if letter not in self.alphabet:
+                        raise ValueError(f"a word of channel {ch!r} uses unknown letter {letter!r}")
 
-    def blocks_for(self, channel: str) -> tuple[tuple[int, ...], ...]:
+    def blocks_for(self, channel: str) -> tuple[str, ...]:
         if channel not in self.channels:
             raise ValueError(f"unknown channel {channel!r}")
         return self.blocks[self.channels.index(channel)]
@@ -279,7 +278,7 @@ class BoundedLang(FrozenFields):
     @property
     def distinct_letter(self) -> bool:
         """True iff no letter occurs twice across all words of all channels."""
-        letters = [lid for per_channel in self.blocks for w in per_channel for lid in w]
+        letters = [letter for per_channel in self.blocks for w in per_channel for letter in w]
         return len(letters) == len(set(letters))
 
     def show(self) -> str:
@@ -333,33 +332,33 @@ def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normal
     alphabet = machine.alphabet
     # every letter occurrence, in declaration order: channel, block, offset
     occurrences = [
-        (ch, bi, oi, lid)
+        (ch, bi, oi, letter)
         for ch, per_channel in zip(lang.channels, lang.blocks)
         for bi, w in enumerate(per_channel)
-        for oi, lid in enumerate(w)
+        for oi, letter in enumerate(w)
     ]
     letter_map = {name: name for name in alphabet.letters}
     if lang.distinct_letter:
-        positions = {alphabet.name(lid): (ch, bi, oi) for ch, bi, oi, lid in occurrences}
+        positions = {alphabet.name(letter): (ch, bi, oi) for ch, bi, oi, letter in occurrences}
         return Normalization(machine, lang, letter_map, positions)
 
-    # The new alphabet extends the old one, so old letter ids stay valid and
-    # the k-th occurrence becomes letter len(alphabet) + k; positions lists
-    # the new names in that order.
-    base = len(alphabet)
+    # The new alphabet extends the old one, so old letters stay valid, and
+    # the k-th occurrence becomes the k-th new name's letter; positions
+    # lists the new names in that order.
     positions = {}
-    counts: dict[int, int] = {}
-    for ch, bi, oi, lid in occurrences:
-        counts[lid] = counts.get(lid, 0) + 1
-        name = f"{alphabet.name(lid)}{counts[lid]}"
+    counts: dict[str, int] = {}
+    for ch, bi, oi, letter in occurrences:
+        counts[letter] = counts.get(letter, 0) + 1
+        name = f"{alphabet.name(letter)}{counts[letter]}"
         while name in letter_map:  # an old letter or an earlier new name
             name += "_"
-        letter_map[name] = alphabet.name(lid)
+        letter_map[name] = alphabet.name(letter)
         positions[name] = (ch, bi, oi)
     new_alphabet = Alphabet(alphabet.letters + tuple(positions))
-    fresh = iter(range(base, len(new_alphabet)))  # each word becomes a run of new ids
+    fresh = new_alphabet.word(positions)
+    letters = iter(fresh)  # each word becomes a run of new letters
     new_blocks = tuple(
-        tuple(tuple(next(fresh) for _ in w) for w in per_channel) for per_channel in lang.blocks
+        tuple("".join(next(letters) for _ in w) for w in words) for words in lang.blocks
     )
     new_lang = BoundedLang(new_alphabet, lang.channels, new_blocks)
 
@@ -370,9 +369,9 @@ def normalize_distinct_letter(machine: FifoMachine, lang: BoundedLang) -> Normal
     new_transitions = []
     for t in machine.transitions:
         variants = [
-            t._replace(letter=base + k)
-            for k, (ch, _, _, lid) in enumerate(occurrences)
-            if (ch, lid) == (t.channel, t.letter)
+            t._replace(letter=fresh[k])
+            for k, (ch, _, _, letter) in enumerate(occurrences)
+            if (ch, letter) == (t.channel, t.letter)
         ]
         new_transitions.extend(variants or [t])
     new_machine = machine._replace(alphabet=new_alphabet, transitions=tuple(new_transitions),
@@ -414,7 +413,7 @@ class Dfa(NamedTuple):
 
 
 def _tracker_step(
-    blocks: tuple[tuple[int, ...], ...], hit: tuple[int, int], pos: tuple[int, int]
+    blocks: tuple[str, ...], hit: tuple[int, int], pos: tuple[int, int]
 ) -> tuple[int, int] | None:
     """Advance a cyclic position tracker through w_1^* ... w_n^* on the
     letter at position ``hit``.
@@ -442,13 +441,13 @@ def _build_position_dfa(
         raise ValueError(f"bounded language misses channels: {missing}")
 
     # per channel: its blocks and its letters, each with the action it
-    # labels and its (block, offset); letter-id order fixes the order in
-    # which states are discovered, and so their names
+    # labels and its (block, offset); letter order fixes the order in which
+    # states are discovered, and so their names
     channel_moves = []
     for ch in machine.channels:
         blocks = lang.blocks_for(ch)
-        hits = sorted((lid, (bi, oi)) for bi, w in enumerate(blocks) for oi, lid in enumerate(w))
-        channel_moves.append((blocks, [((ch, tracked, lid), hit) for lid, hit in hits]))
+        hits = sorted((a, (bi, oi)) for bi, w in enumerate(blocks) for oi, a in enumerate(w))
+        channel_moves.append((blocks, [((ch, tracked, a), hit) for a, hit in hits]))
 
     explorer = Explorer(((0, 0),) * len(machine.channels))
     moved_to: list[tuple[int, Action, int]] = []  # (state, action, next state) by index
@@ -543,9 +542,8 @@ def check_fifo_infinite_iterability(
     if stuck is not None or final.control != x.control:
         return False
     for ci, ch in enumerate(machine.channels):
-        # the projections in the channel word form, like x's contents
-        s = channel_word(send_proj(machine, labels, ch))
-        r = channel_word(recv_proj(machine, labels, ch))
+        s = send_proj(machine, labels, ch)
+        r = recv_proj(machine, labels, ch)
         if not r:
             continue
         if len(r) > len(s):

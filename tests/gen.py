@@ -68,7 +68,7 @@ def random_fifo_machine(
                 rng.choice(states),
                 rng.choice(channels),
                 rng.choice((SEND, RECV)),
-                rng.randrange(len(alphabet)),
+                alphabet.letter(rng.choice(letters)),
                 rng.choice(states),
             )
         )
@@ -98,7 +98,7 @@ def random_loop_instance(rng: Random, *, max_len: int = 6, letters: str = "ab"):
     alphabet = Alphabet(letters)
     states = tuple(f"q{i}" for i in range(len(acts)))
     trans = tuple(
-        FifoTransition(states[i], "ch", kind, alphabet.id(ch), states[(i + 1) % len(acts)])
+        FifoTransition(states[i], "ch", kind, alphabet.letter(ch), states[(i + 1) % len(acts)])
         for i, (kind, ch) in enumerate(acts)
     )
     machine = FifoMachine(states, ("ch",), alphabet, trans, states[0], name="loop")

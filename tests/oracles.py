@@ -72,11 +72,10 @@ def ref_fifo_step(machine: FifoMachine, x: FifoConfig, label: int) -> Optional[F
         return None
     ci = machine.channels.index(t.channel)
     word = x.contents[ci]
-    # a channel word holds one code point per letter id
     if t.kind == SEND:
-        word = word + chr(t.letter)
+        word = word + t.letter
     elif t.kind == RECV:
-        if not word or ord(word[0]) != t.letter:
+        if not word or word[0] != t.letter:
             return None
         word = word[1:]
     contents = x.contents[:ci] + (word,) + x.contents[ci + 1 :]
@@ -337,18 +336,18 @@ def ref_position_dfa(
     """
     per_channel_blocks = [lang.blocks[lang.channels.index(ch)] for ch in machine.channels]
     posmaps = [
-        {lid: (bi, oi) for bi, w in enumerate(blocks) for oi, lid in enumerate(w)}
+        {letter: (bi, oi) for bi, w in enumerate(blocks) for oi, letter in enumerate(w)}
         for blocks in per_channel_blocks
     ]
     actions = [
-        (ch, kind, lid)
+        (ch, kind, letter)
         for ch in machine.channels
         for kind in (SEND, RECV)
-        for lid in range(len(machine.alphabet))
+        for letter in machine.alphabet.word(machine.alphabet.letters)
     ]
 
-    def tracker_step(ci: int, pos: tuple[int, int], lid: int):
-        hit = posmaps[ci].get(lid)
+    def tracker_step(ci: int, pos: tuple[int, int], letter: str):
+        hit = posmaps[ci].get(letter)
         if hit is None:
             return None
         k, l = hit
@@ -364,12 +363,12 @@ def ref_position_dfa(
     while queue:
         state = queue.popleft()
         for a in actions:
-            ch, kind, lid = a
+            ch, kind, letter = a
             if kind != tracked:
                 nxt = state
             else:
                 ci = machine.channels.index(ch)
-                moved = tracker_step(ci, state[ci], lid)
+                moved = tracker_step(ci, state[ci], letter)
                 if moved is None:
                     continue
                 nxt = state[:ci] + (moved,) + state[ci + 1 :]
@@ -387,7 +386,7 @@ def ref_position_dfa(
 
 def ref_product_machine(
     machine: FifoMachine, lang: BoundedLang
-) -> tuple[tuple[str, ...], list[tuple[str, str, str, int, str]]]:
+) -> tuple[tuple[str, ...], list[tuple[str, str, str, str, str]]]:
     """The product with the send and receive position DFAs, as a textbook
     breadth-first search over ``(q, s, r)`` triples.
 
@@ -423,10 +422,10 @@ def ref_product_machine(
 def ref_completable_pairs(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> set[tuple[str, str]]:
     """DFA state pairs from which some action word reaches acceptance in both."""
     actions = [
-        (ch, kind, lid)
+        (ch, kind, letter)
         for ch in machine.channels
         for kind in (SEND, RECV)
-        for lid in range(len(machine.alphabet))
+        for letter in machine.alphabet.word(machine.alphabet.letters)
     ]
     pairs = [(s, r) for s in send_dfa.states for r in recv_dfa.states]
     preds: dict[tuple[str, str], set[tuple[str, str]]] = {p: set() for p in pairs}

@@ -48,8 +48,8 @@ from wstskit.cover import (
     x0_coverability,
 )
 from wstskit.fifo import (
+    Alphabet,
     FifoConfig,
-    channel_word,
     check_fifo_infinite_iterability,
     recv_proj,
     resolve_action_run,
@@ -94,9 +94,9 @@ def test_criterion_1_m1_verdicts_and_tree(m1, capsys):
     assert rrt.complete and len(rrt.nodes) == 3
     a = m1.machine.alphabet
     by_state = {n.state: n for n in rrt.nodes}
-    subsumed = by_state[FifoConfig("q0", (channel_word(a.word("a")),))]
+    subsumed = by_state[FifoConfig("q0", (a.word("a"),))]
     assert subsumed.subsumed_by == 0
-    deadlocked = by_state[FifoConfig("q1", (channel_word(a.word("b")),))]
+    deadlocked = by_state[FifoConfig("q1", (a.word("b"),))]
     assert deadlocked.mark == "dead" and deadlocked.subsumed_by is None
     assert time.perf_counter() - started < 1.0
 
@@ -121,7 +121,7 @@ def test_criterion_2_exhausts_budget_from_q2(m2):
     reach, complete = bfs_reach(machine, start, ref_fifo_step, max_nodes=200)
     assert not complete  # the exact search exhausts its budget of 200
     a = machine.alphabet
-    antichain = [FifoConfig("q1", (channel_word(a.word("c" * n + "b")),)) for n in range(1, 9)]
+    antichain = [FifoConfig("q1", (a.word("c" * n + "b"),)) for n in range(1, 9)]
     assert set(antichain) <= reach
     assert pairwise_incomparable(antichain, ref_ext_prefix_leq)
     # (q2, c) is subsumed by the root and (q1, b) deadlocks
@@ -136,8 +136,8 @@ def test_criterion_2_antichain_on_run(m2):
     assert len(found) >= 2
     assert pairwise_incomparable(found, ref_ext_prefix_leq)
     a = m2.machine.alphabet
-    assert FifoConfig("q1", (channel_word(a.word("cb")),)) in found
-    assert FifoConfig("q1", (channel_word(a.word("ccb")),)) in found
+    assert FifoConfig("q1", (a.word("cb"),)) in found
+    assert FifoConfig("q1", (a.word("ccb"),)) in found
     assert time.perf_counter() - started < 5.0
 
 
@@ -149,10 +149,10 @@ def test_criterion_3_triangle_and_product(m3, tmp_path, capsys):
     machine = m3.machine
     labels = resolve_action_run(machine, machine.initial_config(), "!a !b ?a")
     assert labels == [0, 1, 2]
-    b_state = FifoConfig("q0", (channel_word(machine.alphabet.word("b")),))
+    b_state = FifoConfig("q0", (machine.alphabet.word("b"),))
     last, stuck = fifo_olts(machine).run(labels, b_state)
     assert stuck == 2  # the receive of a is the failing step
-    assert last == FifoConfig("q2", (channel_word(machine.alphabet.word("bab")),))
+    assert last == FifoConfig("q2", (machine.alphabet.word("bab"),))
 
     out_file = tmp_path / "m4-product.model"
     assert main(["product", path("m4"), "-o", str(out_file)]) == 0
@@ -325,11 +325,12 @@ def test_criterion_7_order_laws():
         assert COUNTER_ORDER.incomparable(x, y) == (
             not counter_state_leq(x, y) and not counter_state_leq(y, x)
         )
+    ab = Alphabet("ab").word("ab")
     for _ in range(300):
         def fcfg():
             return FifoConfig(
                 rng.choice("pq"),
-                (channel_word(rng.randint(0, 1) for _ in range(rng.randint(0, 3))),),
+                ("".join(ab[rng.randint(0, 1)] for _ in range(rng.randint(0, 3))),),
             )
         x, y = fcfg(), fcfg()
         assert ext_prefix_leq(x, y) == ref_ext_prefix_leq(x, y)
@@ -380,8 +381,8 @@ def test_criterion_7_fifo_subsumption_word_equations():
                 uv = node.state.contents[ci]
                 assert uv[: len(u)] == u
                 v = uv[len(u):]
-                s = channel_word(send_proj(machine, sigma, channel))
-                r = channel_word(recv_proj(machine, sigma, channel))
+                s = send_proj(machine, sigma, channel)
+                r = recv_proj(machine, sigma, channel)
                 assert u + s == r + u + v
             checked += 1
             if nid not in lrrt.iterable:
@@ -393,7 +394,7 @@ def test_criterion_7_fifo_subsumption_word_equations():
                 uv = node.state.contents[ci]
                 v = uv[len(u):]
                 v2 = again.contents[ci][len(uv):]
-                s = channel_word(send_proj(machine, sigma, channel))
+                s = send_proj(machine, sigma, channel)
                 assert v2 == v
                 assert v + s == s + v
             done, _ = simulate_iterations(machine, node.state, sigma, 25)

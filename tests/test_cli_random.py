@@ -32,7 +32,7 @@ from wstskit.cli import main
 from wstskit.counter import CounterConfig
 from wstskit.cover import OMEGA, DownSet, Ideal
 from wstskit.dsl import ModelFile, parse_model, print_model
-from wstskit.fifo import FifoConfig, bounded_lang, channel_word
+from wstskit.fifo import FifoConfig, bounded_lang
 
 BUDGET = 200
 
@@ -45,8 +45,9 @@ def _counter_model(rng: Random) -> ModelFile:
 
 def _fifo_model(rng: Random) -> ModelFile:
     machine = random_fifo_machine(rng, max_states=3, max_transitions=5)
+    letters = machine.alphabet.word("ab")
     contents = tuple(
-        channel_word(rng.randrange(2) for _ in range(rng.choice((0, 0, 1, 2))))
+        "".join(rng.choice(letters) for _ in range(rng.choice((0, 0, 1, 2))))
         for _ in machine.channels
     )
     lang = None

@@ -9,7 +9,7 @@ import pytest
 from conftest import load_model
 from wstskit.counter import CounterConfig
 from wstskit.dsl import ParseError, parse_model, parse_target, print_model
-from wstskit.fifo import BoundedLang, FifoConfig, channel_word
+from wstskit.fifo import BoundedLang, FifoConfig
 
 CORPUS = ["m1", "m2", "m3", "m4", "m6", "m7", "m8"]
 
@@ -69,7 +69,7 @@ q0 -- ch!a --> q0
 init q0 ch:"ab"  # comment after quoted content
 """
     mf = parse_model(text)
-    assert mf.initial.contents == (channel_word((0, 1)),)
+    assert mf.initial.contents == (mf.machine.alphabet.word("ab"),)
 
 
 def err(text):
@@ -235,13 +235,13 @@ def test_multi_character_letters_in_words_are_refused():
     a1, b = mf.machine.alphabet.word(["a1", "b"])
     message = "^cannot print letter 'a1' in a word of channel 'ch'"
     with pytest.raises(ValueError, match=message):
-        print_model(mf._replace(initial=FifoConfig("q0", (channel_word((b, a1)),))))
-    lang = BoundedLang(mf.machine.alphabet, ("ch",), (((b,), (a1, b)),))
+        print_model(mf._replace(initial=FifoConfig("q0", (b + a1,))))
+    lang = BoundedLang(mf.machine.alphabet, ("ch",), ((b, a1 + b),))
     with pytest.raises(ValueError, match=message):
         print_model(mf._replace(lang=lang))
     # one-character letters still print in words
-    text = print_model(mf._replace(initial=FifoConfig("q0", (channel_word((b,)),)),
-                                   lang=BoundedLang(mf.machine.alphabet, ("ch",), (((b,),),))))
+    text = print_model(mf._replace(initial=FifoConfig("q0", (b,)),
+                                   lang=BoundedLang(mf.machine.alphabet, ("ch",), ((b,),))))
     assert 'bound ch: (b)\ninit q0 ch:"b"\n' in text
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,9 +18,11 @@ from conftest import MODELS
 from gen import random_fifo_machine, random_loop_instance
 from oracles import (
     ref_completable_pairs,
+    ref_ext_prefix_leq,
     ref_fifo_step,
     ref_position_dfa,
     ref_product_machine,
+    ref_rrt,
     ref_run,
     simulate_iterations,
 )
@@ -33,7 +36,6 @@ from wstskit.fifo import (
     FifoTransition,
     bounded_lang,
     build_recv_dfa,
-    channel_word,
     build_send_dfa,
     check_fifo_infinite_iterability,
     fifo_config_str,
@@ -46,6 +48,7 @@ from wstskit.fifo import (
 )
 from wstskit.cli import main
 from wstskit.olts import fifo_olts
+from wstskit.rrt import build_rrt
 
 
 def chain_machine(actions: str, letters: str = "ab", channel: str = "ch"):
@@ -55,7 +58,7 @@ def chain_machine(actions: str, letters: str = "ab", channel: str = "ch"):
     states = tuple(f"p{i}" for i in range(len(toks)))
     trans = tuple(
         FifoTransition(
-            states[i], channel, tok[0], alphabet.id(tok[1:]), states[(i + 1) % len(toks)]
+            states[i], channel, tok[0], alphabet.letter(tok[1:]), states[(i + 1) % len(toks)]
         )
         for i, tok in enumerate(toks)
     )
@@ -64,15 +67,17 @@ def chain_machine(actions: str, letters: str = "ab", channel: str = "ch"):
 
 def test_alphabet_basics():
     a = Alphabet(["a", "b", "req"])
-    assert a.id("a") == 0 and a.name(2) == "req"
-    assert a.word("ab") == (0, 1)
-    assert a.word(["req", "a"]) == (2, 0)
-    assert a.show(()) == "ε"
-    assert a.show((0, 1)) == "ab"
-    assert a.show((2, 0)) == "req.a"
-    assert "b" in a and "z" not in a
+    assert a.letter("a") == "\x00" and a.name("\x02") == "req"
+    assert a.word("ab") == "\x00\x01"
+    assert a.word(["req", "a"]) == "\x02\x00"
+    assert a.show("") == "ε"
+    assert a.show("\x00\x01") == "ab"
+    assert a.show("\x02\x00") == "req.a"
+    # membership asks for letters, not names
+    assert a.letter("b") in a and "b" not in a and "\x03" not in a
+    assert 0 not in a and "" not in a and a.word("ab") not in a
     with pytest.raises(ValueError):
-        a.id("z")
+        a.letter("z")
     with pytest.raises(ValueError):
         Alphabet(["a", "a"])
     with pytest.raises(ValueError):
@@ -81,6 +86,7 @@ def test_alphabet_basics():
 
 def test_machine_validation():
     a = Alphabet("ab")
+    x = a.letter("a")
     with pytest.raises(ValueError):
         FifoMachine(("q0", "q0"), ("ch",), a, (), "q0")
     with pytest.raises(ValueError):
@@ -88,22 +94,22 @@ def test_machine_validation():
     with pytest.raises(ValueError):
         FifoMachine(("q0",), ("ch",), a, (), "q9")
     with pytest.raises(ValueError, match="^transition 0 uses undeclared control state$"):
-        FifoMachine(("q0",), ("ch",), a, (FifoTransition("q0", "ch", SEND, 0, "q9"),), "q0")
+        FifoMachine(("q0",), ("ch",), a, (FifoTransition("q0", "ch", SEND, x, "q9"),), "q0")
     with pytest.raises(ValueError):
         FifoMachine(
             ("q0",), ("ch",), a,
-            (FifoTransition("q0", "xx", SEND, 0, "q0"),), "q0",
+            (FifoTransition("q0", "xx", SEND, x, "q0"),), "q0",
         )
     with pytest.raises(ValueError):
         FifoMachine(
             ("q0",), ("ch",), a,
-            (FifoTransition("q0", "ch", "x", 0, "q0"),), "q0",
+            (FifoTransition("q0", "ch", "x", x, "q0"),), "q0",
         )
-    with pytest.raises(ValueError):
-        FifoMachine(
-            ("q0",), ("ch",), a,
-            (FifoTransition("q0", "ch", SEND, 9, "q0"),), "q0",
-        )
+    # ints, a float, a two-letter word and the empty word are not letters
+    for bad in (9, 0, 0.5, a.word("ab"), ""):
+        message = f"^transition 0 uses unknown letter {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            FifoMachine(("q0",), ("ch",), a, (FifoTransition("q0", "ch", SEND, bad, "q0"),), "q0")
 
 
 def test_step_semantics_hand_cases(m2):
@@ -112,11 +118,11 @@ def test_step_semantics_hand_cases(m2):
     assert x == FifoConfig("q0", ("",))
     step = fifo_olts(m).step
     y = step(x, 0)  # send a
-    assert y == FifoConfig("q0", (channel_word(m.alphabet.word("a")),))
+    assert y == FifoConfig("q0", (m.alphabet.word("a"),))
     assert step(x, 2) is None  # wrong control
-    z = step(FifoConfig("q1", (channel_word(m.alphabet.word("ca")),)), 2)  # recv c
-    assert z == FifoConfig("q2", (channel_word(m.alphabet.word("a")),))
-    assert step(FifoConfig("q1", (channel_word(m.alphabet.word("ac")),)), 2) is None
+    z = step(FifoConfig("q1", (m.alphabet.word("ca"),)), 2)  # recv c
+    assert z == FifoConfig("q2", (m.alphabet.word("a"),))
+    assert step(FifoConfig("q1", (m.alphabet.word("ac"),)), 2) is None
     assert step(FifoConfig("q1", ("",)), 2) is None
     with pytest.raises(ValueError):
         step(x, 99)
@@ -126,10 +132,10 @@ def test_step_agrees_with_reference_on_random_machines():
     rng = Random(20260823)
     for _ in range(60):
         m = random_fifo_machine(rng)
+        letters = m.alphabet.word(m.alphabet.letters)
         for _ in range(15):
             contents = tuple(
-                channel_word(rng.randrange(len(m.alphabet)) for _ in range(rng.randint(0, 3)))
-                for _ in m.channels
+                "".join(rng.choice(letters) for _ in range(rng.randint(0, 3))) for _ in m.channels
             )
             x = FifoConfig(rng.choice(m.states), contents)
             for label in range(len(m.transitions)):
@@ -138,7 +144,7 @@ def test_step_agrees_with_reference_on_random_machines():
 
 def test_post_and_run(m2):
     m = m2.machine
-    x = FifoConfig("q2", (channel_word(m.alphabet.word("b")),))
+    x = FifoConfig("q2", (m.alphabet.word("b"),))
     post = fifo_post(m, x)
     assert [label for label, _ in post] == [3, 4, 6]
     got = fifo_olts(m).run([0, 0, 1, 2])
@@ -178,12 +184,13 @@ def test_post_matches_reference_steps_on_random_machines():
     rng = Random(20261020)
     for _ in range(150):
         m = random_fifo_machine(rng, max_channels=3, letters="abc", max_transitions=10)
+        letters = m.alphabet.word("abc")
         for q in m.states + ("nowhere",):
             for _ in range(5):
                 x = FifoConfig(
                     q,
                     tuple(
-                        channel_word(rng.randrange(3) for _ in range(rng.randint(0, 3)))
+                        "".join(rng.choice(letters) for _ in range(rng.randint(0, 3)))
                         for _ in m.channels
                     ),
                 )
@@ -206,11 +213,11 @@ def test_olts_rejects_initial_config_of_other_signature(m2):
 
 def test_initial_config_takes_letter_names(m2):
     m = m2.machine
-    want = FifoConfig("q0", (channel_word(m.alphabet.word("ca")),))
+    want = FifoConfig("q0", (m.alphabet.word("ca"),))
     assert m.initial_config({"ch": "ca"}) == want
     assert m.initial_config({"ch": ["c", "a"]}) == want
     with pytest.raises(ValueError, match="unknown letter 0"):
-        m.initial_config({"ch": (0, 1)})  # letter ids are not names
+        m.initial_config({"ch": (0, 1)})  # ints are not letter names
     with pytest.raises(ValueError, match="unknown channel 'zz'"):
         m.initial_config({"zz": "a"})
 
@@ -219,13 +226,14 @@ def test_describe_and_config_str(m2):
     m = m2.machine
     assert m.describe_transition(0) == "!a"
     assert m.describe_transition(2) == "?c"
+    ab = Alphabet("ab")
     two = FifoMachine(
-        ("q0",), ("c1", "c2"), Alphabet("ab"),
-        (FifoTransition("q0", "c2", SEND, 0, "q0"),), "q0",
+        ("q0",), ("c1", "c2"), ab,
+        (FifoTransition("q0", "c2", SEND, ab.letter("a"), "q0"),), "q0",
     )
     assert two.describe_transition(0) == "c2!a"
-    assert fifo_config_str(m, FifoConfig("q1", (channel_word(m.alphabet.word("ab")),))) == "q1:(ab)"
-    assert fifo_config_str(two, FifoConfig("q0", ("", channel_word((0,))))) == "q0:(ε|a)"
+    assert fifo_config_str(m, FifoConfig("q1", (m.alphabet.word("ab"),))) == "q1:(ab)"
+    assert fifo_config_str(two, FifoConfig("q0", ("", ab.word("a")))) == "q0:(ε|a)"
 
 
 def test_resolve_action_run(m2):
@@ -236,11 +244,12 @@ def test_resolve_action_run(m2):
         resolve_action_run(m, m.initial_config(), "?c")  # not executable
     with pytest.raises(ValueError):
         resolve_action_run(m, m.initial_config(), "!a !!")  # bad token
+    a = Alphabet("a").letter("a")
     fork = FifoMachine(
         ("q0", "q1", "q2"), ("ch",), Alphabet("a"),
         (
-            FifoTransition("q0", "ch", SEND, 0, "q1"),
-            FifoTransition("q0", "ch", SEND, 0, "q2"),
+            FifoTransition("q0", "ch", SEND, a, "q1"),
+            FifoTransition("q0", "ch", SEND, a, "q2"),
         ),
         "q0",
     )
@@ -248,7 +257,7 @@ def test_resolve_action_run(m2):
         resolve_action_run(fork, fork.initial_config(), "!a")  # ambiguous
     two = FifoMachine(
         ("q0",), ("c1", "c2"), Alphabet("a"),
-        (FifoTransition("q0", "c1", SEND, 0, "q0"),), "q0",
+        (FifoTransition("q0", "c1", SEND, a, "q0"),), "q0",
     )
     with pytest.raises(ValueError):
         resolve_action_run(two, two.initial_config(), "!a")  # channel required
@@ -270,8 +279,9 @@ def test_resolve_action_run_is_polynomial_on_ambiguous_dead_ends():
         """
         from wstskit.fifo import Alphabet, FifoMachine, FifoTransition, resolve_action_run
 
-        loop = FifoTransition("q0", "ch", "!", 0, "q0")
-        m = FifoMachine(("q0",), ("ch",), Alphabet("ab"), (loop, loop), "q0")
+        ab = Alphabet("ab")
+        loop = FifoTransition("q0", "ch", "!", ab.letter("a"), "q0")
+        m = FifoMachine(("q0",), ("ch",), ab, (loop, loop), "q0")
         for actions in ("!a " * 40 + "?b", "!a " * 40):
             try:
                 resolve_action_run(m, m.initial_config(), actions)
@@ -298,11 +308,11 @@ def brute_resolutions(machine, x0, actions):
     """Every label sequence whose transitions spell the actions and replay."""
     per_action = []
     for tok in actions:
-        ch, kind, letter = (tok[:-2] or machine.channels[0]), tok[-2], tok[-1]
-        lid = machine.alphabet.id(letter)
+        ch, kind, name = (tok[:-2] or machine.channels[0]), tok[-2], tok[-1]
+        letter = machine.alphabet.letter(name)
         per_action.append([
             label for label, t in enumerate(machine.transitions)
-            if (t.channel, t.kind, t.letter) == (ch, kind, lid)
+            if (t.channel, t.kind, t.letter) == (ch, kind, letter)
         ])
     return [
         list(seq) for seq in iproduct(*per_action)
@@ -356,9 +366,18 @@ def test_bounded_lang_shapes(m4):
     with pytest.raises(ValueError):
         bounded_lang(m4.machine, {"nope": ("a",)})
     with pytest.raises(ValueError):
-        BoundedLang(m4.machine.alphabet, ("ch",), (((),),))  # empty word
+        BoundedLang(m4.machine.alphabet, ("ch",), (("",),))  # empty word
     with pytest.raises(ValueError, match="^unknown channel 'zz'$"):
         lang.blocks_for("zz")
+    # a letter outside the alphabet: an int, or a letter of a larger alphabet
+    ab = m4.machine.alphabet.word("ab")
+    h = Alphabet("abcdefgh").letter("h")
+    for word, bad in (((0, 7), 0), (ab + h, h)):
+        message = f"^a word of channel 'ch' uses unknown letter {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            BoundedLang(m4.machine.alphabet, ("ch",), ((word,),))
+    with pytest.raises(ValueError, match="^bounded language repeats channel 'ch'$"):
+        BoundedLang(m4.machine.alphabet, ("ch", "ch"), ((ab,), (ab,)))
 
 
 def test_normalization_identity(m4):
@@ -369,15 +388,15 @@ def test_normalization_identity(m4):
     assert norm.positions == {"a": ("ch", 0, 0), "b": ("ch", 0, 1)}
 
 
+def free_machine():
+    """One control state that sends a or b on one channel."""
+    ab = Alphabet("ab")
+    sends = tuple(FifoTransition("p0", "ch", SEND, letter, "p0") for letter in ab.word("ab"))
+    return FifoMachine(("p0",), ("ch",), ab, sends, "p0")
+
+
 def test_normalization_renames_occurrences_apart():
-    free = FifoMachine(
-        ("p0",), ("ch",), Alphabet("ab"),
-        (
-            FifoTransition("p0", "ch", SEND, 0, "p0"),
-            FifoTransition("p0", "ch", SEND, 1, "p0"),
-        ),
-        "p0",
-    )
+    free = free_machine()
     lang = bounded_lang(free, {"ch": ("ab", "a")})
     norm = normalize_distinct_letter(free, lang)
     assert norm.lang.distinct_letter
@@ -401,12 +420,13 @@ def test_normalization_renames_occurrences_apart():
 
 
 def test_normalization_name_clash_and_letters_of_other_channels():
+    a, a1 = Alphabet(["a", "a1"]).word(["a", "a1"])
     m = FifoMachine(
         ("p0",), ("c", "d"), Alphabet(["a", "a1"]),
         (
-            FifoTransition("p0", "c", SEND, 0, "p0"),
-            FifoTransition("p0", "d", SEND, 0, "p0"),  # a is only in c's words
-            FifoTransition("p0", "c", RECV, 1, "p0"),  # a1 is in no word
+            FifoTransition("p0", "c", SEND, a, "p0"),
+            FifoTransition("p0", "d", SEND, a, "p0"),  # a is only in c's words
+            FifoTransition("p0", "c", RECV, a1, "p0"),  # a1 is in no word
         ),
         "p0",
     )
@@ -415,13 +435,14 @@ def test_normalization_name_clash_and_letters_of_other_channels():
     assert norm.machine.alphabet.letters == ("a", "a1", "a1_", "a2")
     assert norm.letter_map == {"a": "a", "a1": "a1", "a1_": "a", "a2": "a"}
     assert norm.positions == {"a1_": ("c", 0, 0), "a2": ("c", 0, 1)}
-    assert norm.lang.blocks == (((2, 3),), ())
+    fresh1, fresh2 = norm.machine.alphabet.word(["a1_", "a2"])
+    assert norm.lang.blocks == ((fresh1 + fresh2,), ())
     # transitions whose letter no word of their channel uses are kept verbatim
     assert norm.machine.transitions == (
-        FifoTransition("p0", "c", SEND, 2, "p0"),
-        FifoTransition("p0", "c", SEND, 3, "p0"),
-        FifoTransition("p0", "d", SEND, 0, "p0"),
-        FifoTransition("p0", "c", RECV, 1, "p0"),
+        FifoTransition("p0", "c", SEND, fresh1, "p0"),
+        FifoTransition("p0", "c", SEND, fresh2, "p0"),
+        FifoTransition("p0", "d", SEND, a, "p0"),
+        FifoTransition("p0", "c", RECV, a1, "p0"),
     )
 
 
@@ -498,6 +519,24 @@ def test_product_output_is_pinned(tmp_path, capsys):
         assert capsys.readouterr().out == expected
 
 
+def test_product_output_does_not_depend_on_string_hashing(tmp_path):
+    # letters are str keys of the DFA tables, and str hashes change with
+    # PYTHONHASHSEED; the product text must not
+    mix = tmp_path / "mix.model"
+    mix.write_text(MIX_MODEL, encoding="utf-8")
+    src = str(Path(wstskit.__file__).resolve().parent.parent)
+    for model, expected in ((MODELS / "m4.model", M4_PRODUCT), (mix, MIX_PRODUCT)):
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "wstskit", "product", str(model)],
+                capture_output=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == expected.encode(), (model.name, seed)
+
+
 def test_product_letter_comments_sort_numbers_as_numbers(tmp_path, capsys):
     # eleven occurrences of one letter: a10 and a11 come after a9, not after a1
     model = tmp_path / "eleven.model"
@@ -516,9 +555,9 @@ def test_product_letter_comments_sort_numbers_as_numbers(tmp_path, capsys):
 def test_send_dfa_acceptance(m4):
     m = m4.machine
     dfa = build_send_dfa(m, m4.lang)
-    aid, bid = m.alphabet.id("a"), m.alphabet.id("b")
-    send_a, send_b = ("ch", SEND, aid), ("ch", SEND, bid)
-    recv_a = ("ch", RECV, aid)
+    a, b = m.alphabet.word("ab")
+    send_a, send_b = ("ch", SEND, a), ("ch", SEND, b)
+    recv_a = ("ch", RECV, a)
     assert dfa.accepts([])
     assert dfa.accepts([send_a, send_b])
     assert dfa.accepts([send_a, send_b, send_a, send_b])
@@ -530,9 +569,9 @@ def test_send_dfa_acceptance(m4):
 def test_recv_dfa_accepts_prefixes(m4):
     m = m4.machine
     dfa = build_recv_dfa(m, m4.lang)
-    aid, bid = m.alphabet.id("a"), m.alphabet.id("b")
-    recv_a, recv_b = ("ch", RECV, aid), ("ch", RECV, bid)
-    send_b = ("ch", SEND, bid)
+    a, b = m.alphabet.word("ab")
+    recv_a, recv_b = ("ch", RECV, a), ("ch", RECV, b)
+    send_b = ("ch", SEND, b)
     assert dfa.accepts([])
     assert dfa.accepts([recv_a])  # proper prefix is fine
     assert dfa.accepts([recv_a, recv_b, recv_a])
@@ -541,18 +580,11 @@ def test_recv_dfa_accepts_prefixes(m4):
 
 
 def test_block_skipping():
-    free = FifoMachine(
-        ("p0",), ("ch",), Alphabet("ab"),
-        (
-            FifoTransition("p0", "ch", SEND, 0, "p0"),
-            FifoTransition("p0", "ch", SEND, 1, "p0"),
-        ),
-        "p0",
-    )
+    free = free_machine()
     lang = bounded_lang(free, {"ch": ("a", "b")})
     dfa = build_send_dfa(free, lang)
-    send_a = ("ch", SEND, free.alphabet.id("a"))
-    send_b = ("ch", SEND, free.alphabet.id("b"))
+    send_a = ("ch", SEND, free.alphabet.letter("a"))
+    send_b = ("ch", SEND, free.alphabet.letter("b"))
     assert dfa.accepts([send_b])  # may skip the a-block entirely
     assert dfa.accepts([send_a, send_a, send_b])
     assert dfa.run([send_b, send_a]) is None  # no going back
@@ -632,7 +664,8 @@ def test_position_dfas_match_the_explicit_table():
     seen = set()
     for m, lang, norm in random_languages(20261018, 150):
         machine = norm.machine
-        actions = list(iproduct(machine.channels, (SEND, RECV), range(len(machine.alphabet))))
+        letters = machine.alphabet.word(machine.alphabet.letters)
+        actions = list(iproduct(machine.channels, (SEND, RECV), letters))
         for build, tracked, prefix in ((build_send_dfa, SEND, "s"), (build_recv_dfa, RECV, "r")):
             dfa = build(machine, norm.lang)
             states, initial, accepting, delta = ref_position_dfa(machine, norm.lang, tracked, prefix)
@@ -680,14 +713,7 @@ def trace_actions(machine: FifoMachine, depth: int):
 
 
 def test_normalized_product_traces_erase_to_bounded_originals():
-    free = FifoMachine(
-        ("p0",), ("ch",), Alphabet("ab"),
-        (
-            FifoTransition("p0", "ch", SEND, 0, "p0"),
-            FifoTransition("p0", "ch", SEND, 1, "p0"),
-        ),
-        "p0",
-    )
+    free = free_machine()
     lang = bounded_lang(free, {"ch": ("aa", "b")})
     norm = normalize_distinct_letter(free, lang)
     prod = product_machine(
@@ -738,7 +764,7 @@ def test_iterability_hand_cases():
 
     onestep = FifoMachine(
         ("q0", "q1"), ("ch",), Alphabet("a"),
-        (FifoTransition("q0", "ch", SEND, 0, "q1"),), "q0",
+        (FifoTransition("q0", "ch", SEND, Alphabet("a").letter("a"), "q1"),), "q0",
     )
     # fires but ends in a different control state: no second round possible
     assert not check_fifo_infinite_iterability(onestep, onestep.initial_config(), [0])
@@ -749,13 +775,57 @@ def test_iterability_two_channels():
     m = FifoMachine(
         ("q0", "q1"), ("c1", "c2"), a,
         (
-            FifoTransition("q0", "c1", RECV, 0, "q1"),
-            FifoTransition("q1", "c1", SEND, 0, "q0"),
+            FifoTransition("q0", "c1", RECV, a.letter("a"), "q1"),
+            FifoTransition("q1", "c1", SEND, a.letter("a"), "q0"),
         ),
         "q0",
     )
     x = m.initial_config({"c1": "a", "c2": "b"})
     assert check_fifo_infinite_iterability(m, x, [0, 1])  # c2 never received
+
+
+def test_letters_past_one_byte():
+    # rotate-with-drop over the first and the last of 300 letters, whose
+    # letter is U+012B: the semantics must not assume one-byte letters
+    alphabet = Alphabet(f"l{i}" for i in range(300))
+    a, b = alphabet.word(["l299", "l0"])
+    assert a == "\u012b"
+    m = FifoMachine(
+        ("q", "ra", "rb"), ("ch",), alphabet,
+        (
+            FifoTransition("q", "ch", RECV, a, "q"),
+            FifoTransition("q", "ch", RECV, a, "ra"),
+            FifoTransition("ra", "ch", SEND, a, "q"),
+            FifoTransition("q", "ch", RECV, b, "rb"),
+            FifoTransition("rb", "ch", SEND, b, "q"),
+        ),
+        "q",
+    )
+    x = m.initial_config({"ch": ["l299", "l0", "l299", "l299", "l0"]})
+    assert fifo_config_str(m, x) == "q:(l299.l0.l299.l299.l0)"
+
+    rrt = build_rrt(fifo_olts(m, x), budget=200)
+    want = ref_rrt(m, x, ref_fifo_step, ref_ext_prefix_leq, max_nodes=200)
+    assert rrt.complete and len(rrt.nodes) == 70
+    assert {tuple(rrt.path_labels(i)): n.state for i, n in enumerate(rrt.nodes)} == {
+        path: state for path, (state, _, _) in want.items()
+    }
+    for n in rrt.nodes:
+        assert fifo_post(m, n.state) == [
+            (label, y)
+            for label in range(len(m.transitions))
+            if (y := ref_fifo_step(m, n.state, label)) is not None
+        ]
+
+    labels = resolve_action_run(m, x, "?l299 !l299 ?l0 !l0")
+    assert labels == [1, 2, 3, 4] and ref_run(m, x, labels, ref_fifo_step)[1] is None
+    y = m.initial_config({"ch": ["l299", "l0"]})
+    verdicts = []
+    for start, loop in ((x, [0]), (x, [1, 2]), (x, labels), (y, labels), (y, [1, 2, 3, 4, 1, 2])):
+        claimed = check_fifo_infinite_iterability(m, start, loop)
+        assert claimed == (simulate_iterations(m, start, loop, 60)[0] == 60), loop
+        verdicts.append(claimed)
+    assert verdicts == [False, False, False, True, False]
 
 
 def test_iterability_agrees_with_simulation():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import pairwise_incomparable, ref_counter_leq, ref_ext_prefix_leq
 from wstskit.counter import CounterConfig, CounterMachine
-from wstskit.fifo import Alphabet, FifoConfig, FifoMachine, channel_word
+from wstskit.fifo import Alphabet, FifoConfig, FifoMachine
 from wstskit.olts import counter_olts, fifo_olts
 from wstskit.orders import (
     COUNTER_ORDER,
@@ -133,7 +133,7 @@ def fifo_pair(draw):
     def cfg():
         control = draw(st.sampled_from(["q0", "q1"]))
         contents = tuple(
-            channel_word(draw(st.lists(st.integers(0, 1), max_size=4))) for _ in range(n)
+            draw(st.text(Alphabet("ab").word("ab"), max_size=4)) for _ in range(n)
         )
         return FifoConfig(control, contents)
     return cfg(), cfg()
@@ -215,8 +215,8 @@ def test_find_antichain_on_known_run(m2):
     a = m2.machine.alphabet
     assert shown == [
         ("q2", ""),
-        ("q1", channel_word(a.word("cb"))),
-        ("q1", channel_word(a.word("ccb"))),
+        ("q1", a.word("cb")),
+        ("q1", a.word("ccb")),
     ]
     assert pairwise_incomparable(found, ref_ext_prefix_leq)
 

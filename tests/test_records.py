@@ -31,10 +31,10 @@ RECORDS = [
      "target='q1')"),
     (CounterConfig, dict(control="q0", values=(0, 2)),
      "CounterConfig(control='q0', values=(0, 2))"),
-    (FifoTransition, dict(source="q0", channel="ch", kind="!", letter=1, target="q1"),
-     "FifoTransition(source='q0', channel='ch', kind='!', letter=1, target='q1')"),
-    (FifoConfig, dict(control="q0", contents=((0, 1), ())),
-     "FifoConfig(control='q0', contents=((0, 1), ()))"),
+    (FifoTransition, dict(source="q0", channel="ch", kind="!", letter="\x01", target="q1"),
+     "FifoTransition(source='q0', channel='ch', kind='!', letter='\\x01', target='q1')"),
+    (FifoConfig, dict(control="q0", contents=("\x00\x01", "")),
+     "FifoConfig(control='q0', contents=('\\x00\\x01', ''))"),
     (Ideal, dict(control="q0", bounds=(0,)), "Ideal(control='q0', bounds=(0,))"),
     (DownSet, dict(ideals=(Ideal("q0", (1,)),)),
      "DownSet(ideals=(Ideal(control='q0', bounds=(1,)),))"),

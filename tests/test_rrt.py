@@ -38,7 +38,7 @@ from wstskit.counter import (
     CounterTransition,
 )
 from wstskit.dsl import parse_model
-from wstskit.fifo import RECV, SEND, Alphabet, FifoConfig, FifoMachine, FifoTransition, channel_word
+from wstskit.fifo import RECV, SEND, Alphabet, FifoConfig, FifoMachine, FifoTransition
 from wstskit.olts import Olts, counter_olts, fifo_olts
 from wstskit.orders import Order
 from wstskit.rrt import (
@@ -70,9 +70,9 @@ def test_m1_tree_shape(m1):
     root, na, nb = rrt.nodes
     assert root.mark == LIVE and root.parent is None
     a = m1.machine.alphabet
-    assert na.state == FifoConfig("q0", (channel_word(a.word("a")),))
+    assert na.state == FifoConfig("q0", (a.word("a"),))
     assert na.mark == DEAD and na.subsumed_by == 0
-    assert nb.state == FifoConfig("q1", (channel_word(a.word("b")),))
+    assert nb.state == FifoConfig("q1", (a.word("b"),))
     assert nb.mark == DEAD and nb.subsumed_by is None  # deadlock, not subsumed
     assert rrt.ancestor_ids(2) == [0]
     assert rrt.path_labels(1) == [0] and rrt.path_labels(2) == [1]
@@ -215,9 +215,10 @@ def test_systems_share_equal_configurations(kind):
         )
         make = counter_olts
     else:
+        a, b = Alphabet("ab").word("ab")
         send = [
-            FifoTransition("q", "c1", SEND, 0, "l"), FifoTransition("l", "c2", SEND, 1, "p"),
-            FifoTransition("q", "c2", SEND, 1, "r"), FifoTransition("r", "c1", SEND, 0, "p"),
+            FifoTransition("q", "c1", SEND, a, "l"), FifoTransition("l", "c2", SEND, b, "p"),
+            FifoTransition("q", "c2", SEND, b, "r"), FifoTransition("r", "c1", SEND, a, "p"),
         ]
         machine = FifoMachine(("q", "l", "r", "p"), ("c1", "c2"), Alphabet("ab"), tuple(send), "q")
         make = fifo_olts
@@ -244,9 +245,10 @@ def lattice(kind: str, sizes: tuple[int, ...]):
         machine = cm(["q0"], names, [t("q0", OP_DEC, c, "q0") for c in names])
         olts = counter_olts(machine, CounterConfig("q0", sizes))
         return olts, machine, ref_counter_step, ref_counter_leq
-    recv = tuple(FifoTransition("q0", c, RECV, 0, "q0") for c in names)
+    a = Alphabet("a").letter("a")
+    recv = tuple(FifoTransition("q0", c, RECV, a, "q0") for c in names)
     machine = FifoMachine(("q0",), names, Alphabet("a"), recv, "q0")
-    olts = fifo_olts(machine, FifoConfig("q0", [channel_word((0,) * n) for n in sizes]))
+    olts = fifo_olts(machine, FifoConfig("q0", [a * n for n in sizes]))
     return olts, machine, ref_fifo_step, ref_ext_prefix_leq
 
 
@@ -350,7 +352,8 @@ def test_undeclared_initial_control_gives_one_dead_node(kind):
         olts = counter_olts(machine, CounterConfig("zz", (0,)))
     else:
         machine = FifoMachine(("q0",), ("ch",), Alphabet("a"),
-                              (FifoTransition("q0", "ch", SEND, 0, "q0"),), "q0")
+                              (FifoTransition("q0", "ch", SEND, Alphabet("a").letter("a"), "q0"),),
+                              "q0")
         olts = fifo_olts(machine, FifoConfig("zz", ("",)))
     rrt = build_rrt(olts)
     assert rrt.complete and len(rrt.nodes) == 1
