@@ -86,7 +86,7 @@ def test_alphabet_basics():
 
 def test_machine_validation():
     a = Alphabet("ab")
-    x = a.letter("a")
+    letter = a.letter("a")
     with pytest.raises(ValueError):
         FifoMachine(("q0", "q0"), ("ch",), a, (), "q0")
     with pytest.raises(ValueError):
@@ -94,16 +94,16 @@ def test_machine_validation():
     with pytest.raises(ValueError):
         FifoMachine(("q0",), ("ch",), a, (), "q9")
     with pytest.raises(ValueError, match="^transition 0 uses undeclared control state$"):
-        FifoMachine(("q0",), ("ch",), a, (FifoTransition("q0", "ch", SEND, x, "q9"),), "q0")
+        FifoMachine(("q0",), ("ch",), a, (FifoTransition("q0", "ch", SEND, letter, "q9"),), "q0")
     with pytest.raises(ValueError):
         FifoMachine(
             ("q0",), ("ch",), a,
-            (FifoTransition("q0", "xx", SEND, x, "q0"),), "q0",
+            (FifoTransition("q0", "xx", SEND, letter, "q0"),), "q0",
         )
     with pytest.raises(ValueError):
         FifoMachine(
             ("q0",), ("ch",), a,
-            (FifoTransition("q0", "ch", "x", x, "q0"),), "q0",
+            (FifoTransition("q0", "ch", "x", letter, "q0"),), "q0",
         )
     # ints, a float, a two-letter word and the empty word are not letters
     for bad in (9, 0, 0.5, a.word("ab"), ""):
@@ -420,9 +420,10 @@ def test_normalization_renames_occurrences_apart():
 
 
 def test_normalization_name_clash_and_letters_of_other_channels():
-    a, a1 = Alphabet(["a", "a1"]).word(["a", "a1"])
+    alphabet = Alphabet(["a", "a1"])
+    a, a1 = alphabet.word(alphabet.letters)
     m = FifoMachine(
-        ("p0",), ("c", "d"), Alphabet(["a", "a1"]),
+        ("p0",), ("c", "d"), alphabet,
         (
             FifoTransition("p0", "c", SEND, a, "p0"),
             FifoTransition("p0", "d", SEND, a, "p0"),  # a is only in c's words
