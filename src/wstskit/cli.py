@@ -30,6 +30,7 @@ from .fifo import (
 )
 from .olts import counter_olts, fifo_olts
 from .rrt import (
+    Rrt,
     build_lrrt,
     build_rrt,
     decide_boundedness,
@@ -124,7 +125,7 @@ class _Report(NamedTuple):
     witness: Optional[dict]
     notes: tuple[str, ...] = ()
     exhausted: bool = False  # the budget ran out (read on an inconclusive answer)
-    dot: tuple = ()  # export_dot's arguments: the tree and its two formatters
+    tree: Optional[Rrt] = None  # a tree analysis's tree, for --dot
 
 
 def _cmd_check(parser: _Parser, args) -> int:
@@ -158,8 +159,8 @@ def _cmd_check(parser: _Parser, args) -> int:
         report = _cover_report(mf, initial, target, args.budget)
     elapsed_ms = (time.perf_counter() - started) * 1000
 
-    if args.dot and report.dot:
-        _write_file(parser, args.dot, export_dot(*report.dot))
+    if args.dot and report.tree is not None:
+        _write_file(parser, args.dot, export_dot(report.tree))
 
     verdict = report.verdict
     word = dict(zip(Outcome, _WORDS[args.analysis])).get(verdict.outcome, "inconclusive")
@@ -204,10 +205,8 @@ def _tree_report(analysis, mf, initial, budget, asserted) -> _Report:
         verdict = decide_nonterm_by_iterable(tree)
     else:
         tree = build_rrt(olts, budget)
-        if analysis == "boundedness":
-            verdict = decide_boundedness(tree, olts.order, strict_asserted=asserted)
-        else:
-            verdict = decide_nontermination(tree, olts.order, monotone_asserted=asserted)
+        decide = decide_boundedness if analysis == "boundedness" else decide_nontermination
+        verdict = decide(tree, asserted)
     witness = None
     if verdict.witness is not None:
         fmt = olts.state_fmt
@@ -223,8 +222,7 @@ def _tree_report(analysis, mf, initial, budget, asserted) -> _Report:
         # both non-termination witnesses name the loop that repeats
         if analysis != "boundedness":
             witness["loop"] = [olts.label_fmt(l) for l in loop]
-    return _Report(verdict, witness, notes, tree.budget_exhausted,
-                   (tree, olts.state_fmt, olts.label_fmt))
+    return _Report(verdict, witness, notes, not tree.complete, tree)
 
 
 def _cmrz_report(mf: ModelFile, initial) -> _Report:

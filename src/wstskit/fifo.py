@@ -43,9 +43,6 @@ class Alphabet(FrozenFields):
                 raise ValueError("empty letter name")
         set_field(self, "_letters", {a: chr(i) for i, a in enumerate(self.letters)})
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __contains__(self, letter: object) -> bool:
         """True iff ``letter`` is one of this alphabet's letters (not names)."""
         return isinstance(letter, str) and len(letter) == 1 and ord(letter) < len(self.letters)
@@ -269,6 +266,8 @@ class BoundedLang(FrozenFields):
                 for letter in w:
                     if letter not in self.alphabet:
                         raise ValueError(f"a word of channel {ch!r} uses unknown letter {letter!r}")
+                if not isinstance(w, str):
+                    raise ValueError(f"a word of channel {ch!r} is not a str: {w!r}")
 
     def blocks_for(self, channel: str) -> tuple[str, ...]:
         if channel not in self.channels:

@@ -1,9 +1,10 @@
-"""Quasi-orderings on states and words, plus antichain witness search.
+"""Quasi-orderings on states and vectors, plus antichain witness search.
 
-Every analysis in this package is parametrised by an order on states.
-Orders are passed around as first-class :class:`Order` values that bundle
-the relation with the matching state-equality predicate, so strictness is
-always derived from one source of truth.
+Every analysis in this package is parametrised by an order on states,
+carried by the analysed system as ``Olts.order``; a tree reads it from
+its ``system``.  An :class:`Order` bundles the relation with the matching
+state-equality predicate, so strictness is always derived from one
+source of truth.
 """
 
 from __future__ import annotations
@@ -32,13 +33,6 @@ def nat_vec_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return all(a <= b for a, b in zip(u, v))
-
-
-def prefix_leq(u: Sequence, w: Sequence) -> bool:
-    """True iff u is a prefix of w.  Works on strings and letter tuples."""
-    if len(u) > len(w):
-        return False
-    return all(a == b for a, b in zip(u, w))
 
 
 def _ext_prefix_leq(x, y) -> bool:

@@ -17,7 +17,6 @@ from typing import Any, Iterator, NamedTuple, Optional
 
 from ._record import Fields
 from .olts import Olts
-from .orders import Order
 from .verdict import DEFAULT_BUDGET, AnalysisVerdict, Outcome
 
 LIVE = "live"
@@ -45,16 +44,15 @@ class RrtNode(Fields):
 
 
 class Rrt(NamedTuple):
-    """Tree nodes in creation (breadth-first) order, plus budget facts and,
-    for a tree from :func:`build_lrrt`, the ids of its iterable nodes."""
+    """Tree nodes in creation (breadth-first) order; ``complete`` unless
+    the budget cut the build; the system that was unfolded, whose order
+    and formatters the analyses and :func:`export_dot` read; and, for a
+    tree from :func:`build_lrrt`, the ids of its iterable nodes."""
 
     nodes: list[RrtNode]
-    budget_exhausted: bool
+    complete: bool
+    system: Olts
     iterable: tuple[int, ...] = ()
-
-    @property
-    def complete(self) -> bool:
-        return not self.budget_exhausted
 
     def ancestor_ids(self, node_id: int) -> list[int]:
         """Strict ancestors of a node, root first."""
@@ -93,8 +91,9 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
     such ancestor to the root; it is not expanded further.  A live node
     with no enabled transitions is re-marked dead at expansion time, with
     no subsumer.  When creating one more node would exceed the budget,
-    construction stops and ``budget_exhausted`` is set; marks already
-    assigned remain valid for the partial tree.
+    construction stops and the tree is not ``complete``; marks already
+    assigned remain valid for the partial tree.  The tree keeps ``olts``
+    as its ``system``.
 
     ``olts.post`` must depend on its state alone: the successor list of a
     state object is computed on its first and second expansion and reused
@@ -164,13 +163,11 @@ def _grow(olts: Olts, budget: int) -> Rrt:
             else:
                 queue.append((len(nodes), path))
                 nodes.append(RrtNode(y, nid, label))
-    return Rrt(nodes=nodes, budget_exhausted=exhausted)
+    return Rrt(nodes, not exhausted, olts)
 
 
-def decide_boundedness(
-    rrt: Rrt, order: Order, strict_asserted: bool = False
-) -> AnalysisVerdict:
-    """Is the reachability set infinite?
+def decide_boundedness(rrt: Rrt, strict_asserted: bool = False) -> AnalysisVerdict:
+    """Is the reachability set infinite, by the order of the tree's system?
 
     Positive (unbounded) on an ancestor pair that strictly increases along
     a branch; the witness is ``(ancestor_id, node_id)``.  Unless
@@ -185,6 +182,7 @@ def decide_boundedness(
     antisymmetric: the bounded verdict needs a partial order.
     """
     nodes = rrt.nodes
+    order = rrt.system.order
     for _, n in rrt.subsumed_nodes():
         a = nodes[n.subsumed_by]
         if order.leq(n.state, a.state) and not order.eq(a.state, n.state):
@@ -212,26 +210,25 @@ def decide_boundedness(
     return _tree_verdict(rrt, witness, caveat)
 
 
-def decide_nontermination(
-    rrt: Rrt, order: Order, monotone_asserted: bool = False
-) -> AnalysisVerdict:
-    """Does some infinite run exist?
+def decide_nontermination(rrt: Rrt, monotone_asserted: bool = False) -> AnalysisVerdict:
+    """Does some infinite run of the tree's system exist?
 
     Positive on any subsumed node; the witness is ``(subsumer_id,
     node_id)`` and the run is the branch to the subsumer followed by the
     loop forever.  A witness whose two states are equal is preferred,
     because the loop then literally repeats and the answer needs no
-    assumption.  A strictly increasing witness carries a caveat unless
-    ``monotone_asserted``: replaying the loop from the larger state must
-    stay enabled.  Negative when the tree is complete and nothing was
-    subsumed: every branch of the full unfolding ends in a deadlock.
+    assumption; equality is the ``eq`` of the system's order.  A strictly
+    increasing witness carries a caveat unless ``monotone_asserted``:
+    replaying the loop from the larger state must stay enabled.  Negative
+    when the tree is complete and nothing was subsumed: every branch of
+    the full unfolding ends in a deadlock.
     """
     eq_witness = None
     any_witness = None
     for nid, n in rrt.subsumed_nodes():
         if any_witness is None:
             any_witness = (n.subsumed_by, nid)
-        if order.eq(rrt.nodes[n.subsumed_by].state, n.state):
+        if rrt.system.order.eq(rrt.nodes[n.subsumed_by].state, n.state):
             eq_witness = (n.subsumed_by, nid)
             break
     if eq_witness is not None:
@@ -292,13 +289,14 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_dot(rrt: Rrt, state_fmt=str, label_fmt=str) -> str:
-    """Graphviz text for a tree: dead nodes dashed, iterable ones doubled,
-    subsumption shown as a dashed back-edge to the subsumer."""
+def export_dot(rrt: Rrt) -> str:
+    """Graphviz text for a tree, states and labels shown by the formatters
+    of its system: dead nodes dashed, iterable ones doubled, subsumption
+    shown as a dashed back-edge to the subsumer."""
     lines = ["digraph rrt {", "  rankdir=TB;", '  node [shape=box, fontname="monospace"];']
     iterable = set(rrt.iterable)
     for i, n in enumerate(rrt.nodes):
-        attrs = [f'label="{_dot_escape(state_fmt(n.state))}"']
+        attrs = [f'label="{_dot_escape(rrt.system.state_fmt(n.state))}"']
         if n.mark == DEAD:
             attrs.append("style=dashed")
         if i in iterable:
@@ -307,11 +305,11 @@ def export_dot(rrt: Rrt, state_fmt=str, label_fmt=str) -> str:
     for i, n in enumerate(rrt.nodes):
         if n.parent is not None:
             lines.append(
-                f'  n{n.parent} -> n{i} [label="{_dot_escape(label_fmt(n.label))}"];'
+                f'  n{n.parent} -> n{i} [label="{_dot_escape(rrt.system.label_fmt(n.label))}"];'
             )
     for i, n in rrt.subsumed_nodes():
         lines.append(f"  n{i} -> n{n.subsumed_by} [style=dashed, constraint=false];")
-    if rrt.budget_exhausted:
+    if not rrt.complete:
         lines.append('  budget [shape=plaintext, label="budget exhausted"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -63,7 +63,6 @@ from wstskit.orders import (
     ext_prefix_leq,
     find_antichain_on_run,
     nat_vec_leq,
-    prefix_leq,
 )
 from wstskit.rrt import build_lrrt, build_rrt, decide_boundedness, decide_nontermination
 from wstskit.verdict import Outcome
@@ -272,8 +271,8 @@ def test_criterion_6_tree_verdicts_vs_explicit_oracles():
         machine = random_cmrz_machine(rng, max_states=4, max_counters=2)
         olts = counter_olts(machine)
         rrt = build_rrt(olts, budget=2000)
-        bound = decide_boundedness(rrt, olts.order, strict_asserted=True)
-        nonterm = decide_nontermination(rrt, olts.order, monotone_asserted=True)
+        bound = decide_boundedness(rrt, strict_asserted=True)
+        nonterm = decide_nontermination(rrt, monotone_asserted=True)
         x0 = machine.initial_config()
         _, finite = bfs_reach(machine, x0, ref_counter_step, max_nodes=4000)
         inf_run, inf_known = has_infinite_run(
@@ -307,16 +306,18 @@ def test_criterion_7_order_laws():
             assert u == v
         if nat_vec_leq(u, v) and nat_vec_leq(v, w):
             assert nat_vec_leq(u, w)
+    # the prefix laws on the order the FIFO trees use, over one channel
+    xy = Alphabet("xy").word("xy")
     for _ in range(300):
         a, b, c = (
-            "".join(rng.choice("xy") for _ in range(rng.randint(0, 4)))
+            FifoConfig("q0", ("".join(rng.choice(xy) for _ in range(rng.randint(0, 4))),))
             for _ in range(3)
         )
-        assert prefix_leq(a, a)
-        if prefix_leq(a, b) and prefix_leq(b, a):
+        assert ext_prefix_leq(a, a)
+        if ext_prefix_leq(a, b) and ext_prefix_leq(b, a):
             assert a == b
-        if prefix_leq(a, b) and prefix_leq(b, c):
-            assert prefix_leq(a, c)
+        if ext_prefix_leq(a, b) and ext_prefix_leq(b, c):
+            assert ext_prefix_leq(a, c)
     for _ in range(300):
         def cfg():
             return CounterConfig(rng.choice("pq"), (rng.randint(0, 2), rng.randint(0, 2)))

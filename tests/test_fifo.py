@@ -378,6 +378,11 @@ def test_bounded_lang_shapes(m4):
             BoundedLang(m4.machine.alphabet, ("ch",), ((word,),))
     with pytest.raises(ValueError, match="^bounded language repeats channel 'ch'$"):
         BoundedLang(m4.machine.alphabet, ("ch", "ch"), ((ab,), (ab,)))
+    # a word of letters that is not a str would show as ch: (ab), yet
+    # compare unequal to the parsed language
+    message = f"^a word of channel 'ch' is not a str: {re.escape(repr(tuple(ab)))}$"
+    with pytest.raises(ValueError, match=message):
+        BoundedLang(m4.machine.alphabet, ("ch",), ((tuple(ab),),))
 
 
 def test_normalization_identity(m4):

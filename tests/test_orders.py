@@ -20,7 +20,6 @@ from wstskit.orders import (
     ext_prefix_leq,
     find_antichain_on_run,
     nat_vec_leq,
-    prefix_leq,
 )
 
 
@@ -40,7 +39,12 @@ def vec_triple(draw):
     return draw(vec(n)), draw(vec(n)), draw(vec(n))
 
 
-words = st.text(alphabet="ab", max_size=6)
+words = st.text(alphabet=Alphabet("ab").word("ab"), max_size=6)
+
+
+def one_channel(word: str) -> FifoConfig:
+    """A configuration of one control state and one channel holding ``word``."""
+    return FifoConfig("q0", (word,))
 
 
 @given(vec_pair())
@@ -66,17 +70,18 @@ def test_nat_vec_leq_dimension_mismatch():
 
 
 @given(words, words)
-def test_prefix_leq_matches_startswith(u, w):
-    assert prefix_leq(u, w) == w.startswith(u)
+def test_ext_prefix_leq_one_channel_matches_startswith(u, w):
+    assert ext_prefix_leq(one_channel(u), one_channel(w)) == w.startswith(u)
 
 
 @given(words, words, words)
-def test_prefix_leq_partial_order(u, v, w):
-    assert prefix_leq(u, u)
-    if prefix_leq(u, v) and prefix_leq(v, u):
+def test_ext_prefix_leq_one_channel_partial_order(u, v, w):
+    x, y, z = map(one_channel, (u, v, w))
+    assert ext_prefix_leq(x, x)
+    if ext_prefix_leq(x, y) and ext_prefix_leq(y, x):
         assert u == v
-    if prefix_leq(u, v) and prefix_leq(v, w):
-        assert prefix_leq(u, w)
+    if ext_prefix_leq(x, y) and ext_prefix_leq(y, z):
+        assert ext_prefix_leq(x, z)
 
 
 @st.composite

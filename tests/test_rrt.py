@@ -86,9 +86,9 @@ def test_m2_from_q2_completes(m2):
     rrt = build_rrt(olts, budget=200)
     assert rrt.complete and len(rrt.nodes) == 3
     assert [n.subsumed_by for n in rrt.nodes] == [None, None, 0]
-    bound = decide_boundedness(rrt, olts.order)
+    bound = decide_boundedness(rrt)
     assert bound.outcome is Outcome.POSITIVE and bound.witness == (0, 2)
-    nonterm = decide_nontermination(rrt, olts.order)
+    nonterm = decide_nontermination(rrt)
     assert nonterm.outcome is Outcome.POSITIVE and nonterm.witness == (0, 2)
     assert nonterm.caveats  # strict pair, nothing asserted
 
@@ -198,7 +198,7 @@ def test_budget_cut_trees_are_prefixes_of_the_complete_tree(kind):
         for b in range(1, len(want) + 1):
             cut = build_rrt(olts, budget=b)
             assert cut_tree_facts(cut) == want[:b], (olts, b)
-            assert cut.budget_exhausted == (b < len(want))
+            assert cut.complete == (b >= len(want))
         compared += len(want) > 5
     assert compared >= 25
 
@@ -364,10 +364,10 @@ def test_undeclared_initial_control_gives_one_dead_node(kind):
 def test_boundedness_verdict_and_caveats(m1):
     olts = fifo_olts(m1.machine)
     rrt = build_rrt(olts)
-    v = decide_boundedness(rrt, olts.order)
+    v = decide_boundedness(rrt)
     assert v.outcome is Outcome.POSITIVE and v.witness == (0, 1)
     assert v.caveats and "strict" in v.caveats[0]
-    assert not decide_boundedness(rrt, olts.order, strict_asserted=True).caveats
+    assert not decide_boundedness(rrt, strict_asserted=True).caveats
     assert v.budget_used == 3
 
 
@@ -375,9 +375,9 @@ def test_budget_exhaustion_is_inconclusive():
     loop = cm(["q0", "q1"], ["c"], [t("q0", OP_NOOP, None, "q1"), t("q1", OP_NOOP, None, "q0")])
     olts = counter_olts(loop)
     small = build_rrt(olts, budget=2)
-    assert small.budget_exhausted and not small.complete
-    assert decide_boundedness(small, olts.order).outcome is Outcome.INCONCLUSIVE
-    assert decide_nontermination(small, olts.order).outcome is Outcome.INCONCLUSIVE
+    assert not small.complete
+    assert decide_boundedness(small).outcome is Outcome.INCONCLUSIVE
+    assert decide_nontermination(small).outcome is Outcome.INCONCLUSIVE
     with pytest.raises(ValueError):
         build_rrt(olts, budget=0)
 
@@ -387,9 +387,9 @@ def test_noop_cycle_closes_with_equality():
     olts = counter_olts(loop)
     rrt = build_rrt(olts, budget=10)
     assert rrt.complete and len(rrt.nodes) == 3
-    bound = decide_boundedness(rrt, olts.order)
+    bound = decide_boundedness(rrt)
     assert bound.outcome is Outcome.NEGATIVE and not bound.caveats
-    nonterm = decide_nontermination(rrt, olts.order)
+    nonterm = decide_nontermination(rrt)
     assert nonterm.outcome is Outcome.POSITIVE and nonterm.witness == (0, 2)
     assert not nonterm.caveats  # equal states: the loop literally repeats
 
@@ -398,8 +398,8 @@ def test_all_runs_deadlock_means_terminating():
     line = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
     olts = counter_olts(line)
     rrt = build_rrt(olts)
-    assert decide_nontermination(rrt, olts.order).outcome is Outcome.NEGATIVE
-    assert decide_boundedness(rrt, olts.order).outcome is Outcome.NEGATIVE
+    assert decide_nontermination(rrt).outcome is Outcome.NEGATIVE
+    assert decide_boundedness(rrt).outcome is Outcome.NEGATIVE
 
 
 def test_adhoc_olts_step_and_run():
@@ -431,7 +431,7 @@ def test_non_antisymmetric_order_is_rejected():
     )
     rrt = build_rrt(olts)
     with pytest.raises(ValueError):
-        decide_boundedness(rrt, sloppy)
+        decide_boundedness(rrt)
 
 
 def test_verdicts_against_exhaustive_oracle_on_random_machines():
@@ -441,8 +441,8 @@ def test_verdicts_against_exhaustive_oracle_on_random_machines():
         m = random_cmrz_machine(rng, max_states=3, max_counters=2, max_transitions=6)
         olts = counter_olts(m)
         rrt = build_rrt(olts, budget=400)
-        bound = decide_boundedness(rrt, olts.order)
-        nonterm = decide_nontermination(rrt, olts.order)
+        bound = decide_boundedness(rrt)
+        nonterm = decide_nontermination(rrt)
         seen, complete = bfs_reach(m, m.initial_config(), ref_counter_step, max_nodes=3000)
         inf_run, inf_known = has_infinite_run(m, m.initial_config(), ref_counter_step, max_nodes=3000)
 
@@ -495,7 +495,7 @@ def test_iterable_marking_rejects_failing_replay():
     lrrt = build_lrrt(olts)
     assert [i in lrrt.iterable for i in range(len(lrrt.nodes))] == [False, False, False]
     assert decide_nonterm_by_iterable(lrrt).outcome is Outcome.INCONCLUSIVE
-    sub = decide_nontermination(lrrt, olts.order)
+    sub = decide_nontermination(lrrt)
     assert sub.outcome is Outcome.POSITIVE and sub.caveats
     assert has_infinite_run(tricky, tricky.initial_config(), ref_counter_step, max_nodes=100) == (False, True)
 
@@ -523,7 +523,7 @@ def test_iterable_never_negative_on_complete_trees():
 
 def test_export_dot_shape(m1):
     olts = fifo_olts(m1.machine)
-    text = export_dot(build_lrrt(olts), olts.state_fmt, olts.label_fmt)
+    text = export_dot(build_lrrt(olts))
     assert text.startswith("digraph rrt {")
     assert 'n0 [label="q0:(ε)"]' in text
     assert 'n1 [label="q0:(a)", style=dashed, peripheries=2]' in text
@@ -533,8 +533,27 @@ def test_export_dot_shape(m1):
 
     loop = cm(["q0", "q1"], ["c"], [t("q0", OP_NOOP, None, "q1"), t("q1", OP_NOOP, None, "q0")])
     colts = counter_olts(loop)
-    partial = export_dot(build_rrt(colts, budget=2), colts.state_fmt, colts.label_fmt)
+    partial = export_dot(build_rrt(colts, budget=2))
     assert "budget exhausted" in partial
+
+
+def test_analyses_read_the_system_of_their_tree(m1):
+    # a tree keeps the system it unfolded, and the analyses compare states
+    # by that system's order (test_export_dot_shape checks that the DOT
+    # text shows them by its formatters)
+    olts = fifo_olts(m1.machine)
+    assert build_rrt(olts).system is olts and build_lrrt(olts).system is olts
+    leq, leq_calls = counted(olts.order.leq)
+    eq, eq_calls = counted(olts.order.eq)
+    counting_olts = olts._replace(order=Order(leq=leq, eq=eq))
+    rrt = build_rrt(counting_olts)
+    assert rrt.system is counting_olts and len(rrt.nodes) == 3
+    leq_calls[0] = 0
+    assert decide_boundedness(rrt).outcome is Outcome.POSITIVE
+    assert leq_calls[0] > 0
+    leq_calls[0] = eq_calls[0] = 0
+    assert decide_nontermination(rrt).outcome is Outcome.POSITIVE
+    assert (leq_calls[0], eq_calls[0]) == (0, 1)
 
 
 def test_rrt_helpers_on_random_trees():
@@ -578,8 +597,8 @@ def tree_verdicts(olts: Olts, budget: int) -> tuple:
     return tuple(
         (v.outcome, v.witness, v.budget_used)
         for v in (
-            decide_boundedness(rrt, olts.order),
-            decide_nontermination(rrt, olts.order),
+            decide_boundedness(rrt),
+            decide_nontermination(rrt),
             decide_nonterm_by_iterable(build_lrrt(olts, budget)),
         )
     )
@@ -635,7 +654,7 @@ def test_tree_and_boundedness_make_the_pinned_leq_calls(fifo):
             ref_rrt(machine, x0, step, want_leq, max_nodes=50)
             assert calls == want_calls, (machine, x0)
         calls[0] = 0
-        got = decide_boundedness(rrt, order).witness
+        got = decide_boundedness(rrt).witness
         want_leq, want_calls = counted(ref_leq)
         want = ref_boundedness_witness(rrt.nodes, order._replace(leq=want_leq))
         assert (got, calls) == (want, want_calls), (machine, x0)
@@ -661,7 +680,7 @@ def test_dec_lattice_makes_the_closed_form_leq_calls(start, pinned):
     leq, calls = counted(olts.order.leq)
     order = Order(leq=leq)
     rrt = build_rrt(olts._replace(order=order))
-    verdict = decide_nontermination(rrt, order)
+    verdict = decide_nontermination(rrt)
     assert rrt.complete and verdict.outcome is Outcome.NEGATIVE
     assert not any(n.subsumed_by is not None for n in rrt.nodes)
     assert calls == [pinned]
@@ -698,7 +717,7 @@ def test_reordering_transitions_keeps_definite_verdicts(fifo):
                 rrt = build_rrt(olts, budget)
                 outcomes = tuple(
                     v.outcome
-                    for v in (decide_boundedness(rrt, olts.order), decide_nontermination(rrt, olts.order))
+                    for v in (decide_boundedness(rrt), decide_nontermination(rrt))
                 )
                 got.append((rrt.complete, len(rrt.nodes), outcomes))
             (complete, size, want), (other_complete, other_size, outcomes) = got
