@@ -71,8 +71,8 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check", help="run one analysis on a model file")
     check.add_argument("analysis", choices=ANALYSES)
     check.add_argument("model", help="path to a .model file")
-    check.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
-                       help="node / round budget (default %(default)s)")
+    check.add_argument("--budget", type=int, metavar="N",
+                       help=f"node / round budget (default {DEFAULT_BUDGET})")
     check.add_argument("--target", metavar="TARGET",
                        help="x0-cover target on a counter machine, e.g. q2:(3) or q1:(1,0)")
     check.add_argument("--init", metavar="STATE", dest="init_state",
@@ -130,7 +130,8 @@ class _Report(NamedTuple):
 
 def _cmd_check(parser: _Parser, args) -> int:
     mf = _load_model(parser, args.model)
-    if args.budget < 1:
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    if budget < 1:
         parser.error("--budget must be >= 1")
     if args.analysis not in TREE_ANALYSES and mf.kind != "counter":
         parser.error(f"analysis {args.analysis!r} applies to counter machines only")
@@ -138,6 +139,8 @@ def _cmd_check(parser: _Parser, args) -> int:
         parser.error("x0-cover needs --target")
     if args.target and args.analysis != "x0-cover":
         print("note: --target is ignored by this analysis", file=sys.stderr)
+    if args.budget is not None and args.analysis == "cmrz":
+        print("note: --budget is ignored by this analysis", file=sys.stderr)
     initial = _override_init(parser, mf, args.init_state)
     if args.analysis == "x0-cover":
         try:
@@ -152,11 +155,11 @@ def _cmd_check(parser: _Parser, args) -> int:
 
     started = time.perf_counter()
     if args.analysis in TREE_ANALYSES:
-        report = _tree_report(args.analysis, mf, initial, args.budget, args.assert_strict_monotone)
+        report = _tree_report(args.analysis, mf, initial, budget, args.assert_strict_monotone)
     elif args.analysis == "cmrz":
         report = _cmrz_report(mf, initial)
     else:
-        report = _cover_report(mf, initial, target, args.budget)
+        report = _cover_report(mf, initial, target, budget)
     elapsed_ms = (time.perf_counter() - started) * 1000
 
     if args.dot and report.tree is not None:
@@ -185,7 +188,7 @@ def _cmd_check(parser: _Parser, args) -> int:
             print(f"budget used: {verdict.budget_used}")
         else:
             mark = " (exhausted)" if report.exhausted else ""
-            print(f"budget used: {verdict.budget_used} of {args.budget}{mark}")
+            print(f"budget used: {verdict.budget_used} of {budget}{mark}")
         print(f"elapsed: {elapsed_ms:.1f} ms")
         for caveat in verdict.caveats:
             print(f"caveat: {caveat}")

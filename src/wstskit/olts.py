@@ -5,23 +5,14 @@ only, so counter machines, FIFO machines, and ad hoc test systems plug in
 the same way: an initial state, a successor enumerator, the number of
 transition labels, and a quasi-ordering on states.  Single steps and runs
 are derived from the successor enumerator, so each machine kind's
-semantics is written once, in its ``post``.
-
-The counter and FIFO systems return one object per distinct
-configuration: each keeps a dict from each control to a dict from
-``values`` or ``contents`` to the initial configuration or the first
-successor built with that data, and its ``post`` hands that object out
-again for an equal successor.  Sharing is the system ``post``'s job
-alone: a direct call to ``cm_post`` or ``fifo_post`` returns fresh
-objects.  A tree build meets most configurations many times, so this
-saves storing a copy each time, and lets the build reuse the successor
-list of a state object it expands again.  Configurations are frozen, so
-sharing them is safe.  Two systems built from one machine share nothing.
+semantics is written once, in its ``post``.  A ``post`` is a plain
+successor function: the machine systems return fresh configurations, and
+the tree build keeps one object per distinct state itself.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .counter import CounterConfig, CounterMachine, cm_post, counter_config_str
@@ -67,29 +58,16 @@ class Olts(NamedTuple):
 
 
 def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) -> Olts:
-    return _machine_olts(machine, initial, "values", "counters", cm_post, COUNTER_ORDER,
-                         counter_config_str)
+    x0 = initial if initial is not None else machine.initial_config()
+    if len(x0.values) != len(machine.counters):
+        raise ValueError("initial configuration has a different number of counters")
+    return Olts(x0, partial(cm_post, machine), len(machine.transitions), COUNTER_ORDER,
+                counter_config_str, machine.describe_transition)
 
 
 def fifo_olts(machine: FifoMachine, initial: FifoConfig | None = None) -> Olts:
-    return _machine_olts(machine, initial, "contents", "channels", fifo_post, EXT_PREFIX_ORDER,
-                         lambda x: fifo_config_str(machine, x))
-
-
-def _machine_olts(machine, initial, field, signature, post, order, state_fmt) -> Olts:
-    """The system of a machine from ``initial`` (default: its initial
-    configuration), whose ``field`` has one entry per ``signature`` name."""
     x0 = initial if initial is not None else machine.initial_config()
-    data = attrgetter(field)
-    if len(data(x0)) != len(getattr(machine, signature)):
-        raise ValueError(f"initial configuration has a different number of {signature}")
-    # one object per distinct configuration, by control then data; the initial
-    # control need not be declared (it then has no transitions)
-    seen = {q: {} for q in machine.states}
-    seen.setdefault(x0.control, {})[data(x0)] = x0
-
-    def shared_post(x):
-        return [(label, seen[y.control].setdefault(data(y), y)) for label, y in post(machine, x)]
-
-    return Olts(x0, shared_post, len(machine.transitions), order, state_fmt,
-                machine.describe_transition)
+    if len(x0.contents) != len(machine.channels):
+        raise ValueError("initial configuration has a different number of channels")
+    return Olts(x0, partial(fifo_post, machine), len(machine.transitions), EXT_PREFIX_ORDER,
+                lambda x: fifo_config_str(machine, x), machine.describe_transition)

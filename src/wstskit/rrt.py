@@ -95,11 +95,12 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
     assigned remain valid for the partial tree.  The tree keeps ``olts``
     as its ``system``.
 
-    ``olts.post`` must depend on its state alone: the successor list of a
-    state object is computed on its first and second expansion and reused
-    from the third on.  Systems that hand out one object per distinct
-    state (see ``olts``) thus compute each state's successors at most
-    twice; a system that builds fresh objects gets one call per node.
+    ``olts.post`` must depend on its state alone, and states must hash.
+    The build replaces each successor that ``post`` returns by the first
+    equal state it met, so the tree holds one object per distinct state;
+    a state's successor list is computed on its first and second expansion
+    and reused from the third on, so ``post`` runs at most twice per
+    distinct state.
 
     The cyclic garbage collector is paused while the tree grows, and left
     enabled or disabled as it was found, also when ``post`` raises.
@@ -120,8 +121,12 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
 def _grow(olts: Olts, budget: int) -> Rrt:
     leq = olts.order.leq
     post = olts.post
-    nodes = [RrtNode(olts.initial, None, None)]
+    x0 = olts.initial
+    nodes = [RrtNode(x0, None, None)]
     exhausted = False
+    # one object per distinct state: the first equal state met stands in
+    # for every successor that ``post`` returns
+    canon = {x0: x0}
     # successor lists by state id, kept from a state's second expansion on so
     # that a state met once costs no list; ids are stable because every
     # state stays alive in ``nodes`` until the build returns
@@ -137,7 +142,7 @@ def _grow(olts: Olts, budget: int) -> Rrt:
         key = id(x)
         succs = memo.get(key)
         if succs is None:
-            succs = post(x)
+            succs = [(label, canon.setdefault(y, y)) for label, y in post(x)]
             if key in once:
                 memo[key] = succs
             else:

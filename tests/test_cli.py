@@ -270,6 +270,20 @@ def test_target_note_for_other_analyses(capsys):
     assert "note: --target is ignored" in err
 
 
+def test_budget_note_for_cmrz(capsys):
+    # cmrz is a syntactic check and uses no budget; only a given --budget gets the note
+    note = "note: --budget is ignored by this analysis\n"
+    plain = run(capsys, "check", "cmrz", path("m8"))
+    flagged = run(capsys, "check", "cmrz", path("m8"), "--budget", "5")
+    assert plain[0] == flagged[0] == 0 and note not in plain[2]
+    assert flagged[2] == note + plain[2]
+    elapsed = re.compile(r"^elapsed: .*$", re.M)
+    assert elapsed.sub("", plain[1]) == elapsed.sub("", flagged[1])
+    for argv in (("boundedness", path("m1")), ("x0-cover", path("m8"), "--target", "q2:(3)")):
+        _, _, err = run(capsys, "check", *argv, "--budget", "5")
+        assert note not in err
+
+
 def test_assert_strict_monotone_note_for_other_analyses(capsys):
     # the flag changes nothing but stderr where it does not apply
     note = "note: --assert-strict-monotone applies to boundedness and termination only; ignored"

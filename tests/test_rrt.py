@@ -159,21 +159,51 @@ def assert_trees_match_textbook(machines, make_olts, step, leq):
     assert compared >= 150 and bushy >= 40
 
 
-def test_rrt_matches_textbook_unfolding_on_random_fifo_machines():
+def seeded_fifo_machines():
     rng = Random(20261018)
-    machines = (random_fifo_machine(rng, max_transitions=10) for _ in range(200))
-    assert_trees_match_textbook(machines, fifo_olts, ref_fifo_step, ref_ext_prefix_leq)
+    return (random_fifo_machine(rng, max_transitions=10) for _ in range(200))
+
+
+def seeded_counter_machines():
+    rng = Random(20261022)
+    return (
+        random_counter_machine(rng, max_counters=3, max_transitions=8, zero_tests=True)
+        for _ in range(200)
+    )
+
+
+def test_rrt_matches_textbook_unfolding_on_random_fifo_machines():
+    assert_trees_match_textbook(
+        seeded_fifo_machines(), fifo_olts, ref_fifo_step, ref_ext_prefix_leq
+    )
 
 
 def test_rrt_matches_textbook_unfolding_on_random_counter_machines():
     # zero tests included: the counter order skips its signature check and
     # successors come from the per-machine index, and the tree must not move
-    rng = Random(20261022)
-    machines = (
-        random_counter_machine(rng, max_counters=3, max_transitions=8, zero_tests=True)
-        for _ in range(200)
+    assert_trees_match_textbook(
+        seeded_counter_machines(), counter_olts, ref_counter_step, ref_counter_leq
     )
-    assert_trees_match_textbook(machines, counter_olts, ref_counter_step, ref_counter_leq)
+
+
+@pytest.mark.parametrize(
+    "machines, make_olts",
+    [(seeded_counter_machines, counter_olts), (seeded_fifo_machines, fifo_olts)],
+    ids=["counter", "fifo"],
+)
+def test_post_runs_at_most_twice_per_distinct_state_on_random_machines(machines, make_olts):
+    # the machine systems return fresh configurations; the build shares them
+    shared = expanded_again = 0
+    for machine in machines():
+        olts, calls = counting(make_olts(machine))
+        rrt = build_rrt(olts, budget=300)
+        if not rrt.complete:
+            continue
+        expanded = assert_post_runs_at_most_twice(rrt, calls)
+        shared += len({n.state for n in rrt.nodes}) < len(rrt.nodes)
+        expanded_again += max(expanded.values()) > 1
+    # equal states meet in many trees, and in some a state is expanded again
+    assert shared >= 40 and expanded_again >= 10
 
 
 def cut_tree_facts(rrt: Rrt) -> list:
@@ -204,7 +234,7 @@ def test_budget_cut_trees_are_prefixes_of_the_complete_tree(kind):
 
 
 @pytest.mark.parametrize("kind", ["counter", "fifo"])
-def test_systems_share_equal_configurations(kind):
+def test_tree_shares_equal_configurations(kind):
     # both machines reach p:(1,1) / p:("a","b") along two different branches
     if kind == "counter":
         machine = cm(
@@ -226,11 +256,17 @@ def test_systems_share_equal_configurations(kind):
     left, stuck_left = olts.run([0, 1])
     right, stuck_right = olts.run([2, 3])
     assert stuck_left is None and stuck_right is None
-    assert left is right
-    # a second system built from the same machine shares no object with the first
-    other = make(machine)
-    again, _ = other.run([0, 1])
-    assert again == left and again is not left
+    # the system's post is a plain successor function: equal, fresh objects
+    assert left == right and left is not right
+    # the tree holds one object for p, reached on both branches
+    tree = build_rrt(olts)
+    ends = [n.state for n in tree.nodes if n.state.control == "p"]
+    assert ends == [left, left] and ends[0] is ends[1]
+    # a second build shares no object with the first but the initial state
+    again = build_rrt(olts)
+    assert [n.state for n in again.nodes] == [n.state for n in tree.nodes]
+    ids = {id(n.state) for n in tree.nodes} & {id(n.state) for n in again.nodes}
+    assert ids == {id(olts.initial)}
 
 
 def lattice(kind: str, sizes: tuple[int, ...]):
@@ -272,6 +308,16 @@ def counting(olts: Olts) -> tuple[Olts, Counter]:
     return olts._replace(post=post), calls
 
 
+def assert_post_runs_at_most_twice(rrt: Rrt, calls: Counter) -> Counter:
+    """On a complete tree: one object per distinct state, and ``calls[x] ==
+    min(k, 2)`` for a state expanded k times.  Returns the expansion counts."""
+    assert len({id(n.state) for n in rrt.nodes}) == len({n.state for n in rrt.nodes})
+    expanded = Counter(n.state for n in rrt.nodes if n.subsumed_by is None)
+    assert calls.keys() == expanded.keys()
+    assert all(calls[x] == min(k, 2) for x, k in expanded.items())
+    return expanded
+
+
 @pytest.mark.parametrize(
     "kind, sizes, nodes", [("counter", (2, 2, 3), 650), ("fifo", (2, 3), 34)], ids=["counter", "fifo"]
 )
@@ -280,10 +326,9 @@ def test_post_runs_at_most_twice_per_distinct_state(kind, sizes, nodes):
     system, machine, step, leq = lattice(kind, sizes)
     olts, calls = counting(system)
     rrt = build_rrt(olts)
-    expanded = Counter(n.state for n in rrt.nodes if n.subsumed_by is None)
-    assert rrt.complete and len(rrt.nodes) == sum(expanded.values()) == nodes
-    assert calls.keys() == expanded.keys()
-    assert all(calls[x] == min(k, 2) for x, k in expanded.items())
+    assert rrt.complete
+    expanded = assert_post_runs_at_most_twice(rrt, calls)
+    assert len(rrt.nodes) == sum(expanded.values()) == nodes
     assert max(expanded.values()) > 2
     # the same tree as the textbook unfolding, node for node
     want = ref_rrt(machine, olts.initial, step, leq, max_nodes=2000)
@@ -295,8 +340,9 @@ def ref_counter_leq_plain(x, y) -> bool:
 
 
 def test_post_with_fresh_equal_objects():
-    # an ad hoc system whose post builds new, equal tuples on every call:
-    # each node's successors are its own, and the tree is the textbook one
+    # an ad hoc system whose post builds new, equal tuples on every call: the
+    # build still keeps one object per distinct state and calls post at most
+    # twice on it, and the tree is the textbook one
     def successors(x):
         return [(i, x[:i] + (x[i] - 1,) + x[i + 1:]) for i in range(len(x)) if x[i] > 0]
 
@@ -307,8 +353,8 @@ def test_post_with_fresh_equal_objects():
     olts, calls = counting(Olts(x0, successors, 3, Order(leq=ref_counter_leq_plain)))
     rrt = build_rrt(olts)
     assert rrt.complete
-    assert calls.total() == sum(1 for n in rrt.nodes if n.subsumed_by is None)
-    assert max(calls.values()) > 2  # equal states, each reached by many objects
+    expanded = assert_post_runs_at_most_twice(rrt, calls)
+    assert max(expanded.values()) > 2  # equal states, each reached along many branches
     machine = type("Labels", (), {"transitions": range(3)})
     want = ref_rrt(machine, x0, step, ref_counter_leq_plain, max_nodes=2000)
     assert tree_by_path(rrt) == want
