@@ -234,7 +234,7 @@ def test_budget_cut_trees_are_prefixes_of_the_complete_tree(kind):
 
 
 @pytest.mark.parametrize("kind", ["counter", "fifo"])
-def test_tree_shares_equal_configurations(kind):
+def test_systems_share_equal_configurations(kind):
     # both machines reach p:(1,1) / p:("a","b") along two different branches
     if kind == "counter":
         machine = cm(
