@@ -44,15 +44,18 @@ EXIT_DEFINITE = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 
-# Each analysis with its JSON words for Outcome.POSITIVE and NEGATIVE, tree analyses first.
-_WORDS = {
-    "boundedness": ("unbounded", "bounded"),
-    "termination": ("non-terminating", "terminating"),
-    "nonterm-iterable": ("non-terminating", "terminating"),
-    "cmrz": ("cmrz", "not-cmrz"),
-    "x0-cover": ("coverable", "not-coverable"),
+# Each analysis: its JSON words for Outcome.POSITIVE and NEGATIVE, the machine kinds it
+# applies to, and the options it reads besides --init and --json; tree analyses first.
+_ANY = ("counter", "fifo")
+_TREE = ("--budget", "--dot", "--assert-strict-monotone")
+_ANALYSES = {
+    "boundedness": (("unbounded", "bounded"), _ANY, _TREE),
+    "termination": (("non-terminating", "terminating"), _ANY, _TREE),
+    "nonterm-iterable": (("non-terminating", "terminating"), _ANY, ("--budget", "--dot")),
+    "cmrz": (("cmrz", "not-cmrz"), ("counter",), ()),
+    "x0-cover": (("coverable", "not-coverable"), ("counter",), ("--budget", "--target")),
 }
-ANALYSES = tuple(_WORDS)
+ANALYSES = tuple(_ANALYSES)
 TREE_ANALYSES = ANALYSES[:3]
 
 class _Parser(argparse.ArgumentParser):
@@ -133,25 +136,20 @@ def _cmd_check(parser: _Parser, args) -> int:
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     if budget < 1:
         parser.error("--budget must be >= 1")
-    if args.analysis not in TREE_ANALYSES and mf.kind != "counter":
-        parser.error(f"analysis {args.analysis!r} applies to counter machines only")
+    words, kinds, reads = _ANALYSES[args.analysis]
+    if mf.kind not in kinds:
+        parser.error(f"analysis {args.analysis!r} applies to {' and '.join(kinds)} machines only")
     if args.analysis == "x0-cover" and not args.target:
         parser.error("x0-cover needs --target")
-    if args.target and args.analysis != "x0-cover":
-        print("note: --target is ignored by this analysis", file=sys.stderr)
-    if args.budget is not None and args.analysis == "cmrz":
-        print("note: --budget is ignored by this analysis", file=sys.stderr)
+    for flag in ("--budget", "--target", "--dot", "--assert-strict-monotone"):
+        if getattr(args, flag[2:].replace("-", "_")) and flag not in reads:
+            print(f"note: {flag} is ignored by this analysis", file=sys.stderr)
     initial = _override_init(parser, mf, args.init_state)
     if args.analysis == "x0-cover":
         try:
             target = parse_target(mf, args.target)
         except ValueError as exc:
             parser.error(str(exc))
-    if args.dot and args.analysis not in TREE_ANALYSES:
-        print("note: --dot applies to tree analyses only; ignored", file=sys.stderr)
-    if args.assert_strict_monotone and args.analysis not in ("boundedness", "termination"):
-        print("note: --assert-strict-monotone applies to boundedness and termination only; ignored",
-              file=sys.stderr)
 
     started = time.perf_counter()
     if args.analysis in TREE_ANALYSES:
@@ -166,7 +164,7 @@ def _cmd_check(parser: _Parser, args) -> int:
         _write_file(parser, args.dot, export_dot(report.tree))
 
     verdict = report.verdict
-    word = dict(zip(Outcome, _WORDS[args.analysis])).get(verdict.outcome, "inconclusive")
+    word = dict(zip(Outcome, words)).get(verdict.outcome, "inconclusive")
     if args.json:
         print(json.dumps({
             "command": f"check {args.analysis} {args.model}",

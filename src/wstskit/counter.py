@@ -98,6 +98,8 @@ class CounterMachine(FrozenFields):
             values = (0,) * len(self.counters)
         if len(values) != len(self.counters):
             raise ValueError("initial valuation has wrong dimension")
+        if any(v < 0 for v in values):
+            raise ValueError("initial values must be non-negative")
         return CounterConfig(self.initial, values)
 
     def describe_transition(self, label: int) -> str:

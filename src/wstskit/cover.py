@@ -124,13 +124,15 @@ def downset_of_config(x: CounterConfig) -> DownSet:
 
 def _check_shapes(machine: CounterMachine, named: Iterable[tuple[str, str, tuple]]) -> None:
     """Raise ValueError unless each ``(name, control, entries)`` has a
-    declared control state and one entry per counter."""
+    declared control state and one non-negative entry per counter."""
     k = len(machine.counters)
     for name, control, entries in named:
         if control not in machine.states:
             raise ValueError(f"{name} control {control!r} not a machine state")
         if len(entries) != k:
             raise ValueError(f"{name} dimension {len(entries)} != machine dimension {k}")
+        if any(e < 0 for e in entries):
+            raise ValueError(f"{name} values must be non-negative")
 
 
 def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
@@ -372,9 +374,8 @@ def x0_coverability(
             return AnalysisVerdict(Outcome.POSITIVE, tuple(explorer.path(i)), rounds)
         for label, nxt in cm_post(machine, x):
             explorer.add(nxt, i, label)
-        d = next(candidates, None)
-        if d is None:
-            break
+        # endless with counters; without them the forward search answers first
+        d = next(candidates)
         # the candidates are built from the machine's controls and dimension
         if _covers(d, x0) and not _covers(d, y) and _closed(d, post):
             return AnalysisVerdict(Outcome.NEGATIVE, d, rounds)

@@ -533,8 +533,11 @@ def check_fifo_infinite_iterability(
     decided on a prefix of length |w_c| + |send|·|recv| + |send| + |recv|,
     which is safe by periodicity.  A sequence that does not fire, or that
     ends in a different control state (so a second iteration is
-    impossible), yields False.
+    impossible), yields False, and so does the empty sequence, which is
+    no loop at all.
     """
+    if not labels:
+        return False
     from .olts import fifo_olts  # olts imports this module
 
     final, stuck = fifo_olts(machine, x).run(labels)

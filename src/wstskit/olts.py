@@ -61,6 +61,8 @@ def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) 
     x0 = initial if initial is not None else machine.initial_config()
     if len(x0.values) != len(machine.counters):
         raise ValueError("initial configuration has a different number of counters")
+    if any(v < 0 for v in x0.values):
+        raise ValueError("initial values must be non-negative")
     return Olts(x0, partial(cm_post, machine), len(machine.transitions), COUNTER_ORDER,
                 counter_config_str, machine.describe_transition)
 
@@ -69,5 +71,9 @@ def fifo_olts(machine: FifoMachine, initial: FifoConfig | None = None) -> Olts:
     x0 = initial if initial is not None else machine.initial_config()
     if len(x0.contents) != len(machine.channels):
         raise ValueError("initial configuration has a different number of channels")
+    for ch, word in zip(machine.channels, x0.contents):
+        for letter in word:
+            if letter not in machine.alphabet:
+                raise ValueError(f"initial word of channel {ch!r} uses unknown letter {letter!r}")
     return Olts(x0, partial(fifo_post, machine), len(machine.transitions), EXT_PREFIX_ORDER,
                 lambda x: fifo_config_str(machine, x), machine.describe_transition)

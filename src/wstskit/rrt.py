@@ -220,29 +220,24 @@ def decide_nontermination(rrt: Rrt, monotone_asserted: bool = False) -> Analysis
 
     Positive on any subsumed node; the witness is ``(subsumer_id,
     node_id)`` and the run is the branch to the subsumer followed by the
-    loop forever.  A witness whose two states are equal is preferred,
-    because the loop then literally repeats and the answer needs no
-    assumption; equality is the ``eq`` of the system's order.  A strictly
-    increasing witness carries a caveat unless ``monotone_asserted``:
-    replaying the loop from the larger state must stay enabled.  Negative
+    loop forever.  It is the first such pair, by node id, whose states are
+    equal by the ``eq`` of the system's order, else the first pair: with
+    equal states the loop literally repeats and the answer needs no
+    assumption.  A strictly increasing witness carries a caveat unless
+    ``monotone_asserted``: replaying the loop must stay enabled.  Negative
     when the tree is complete and nothing was subsumed: every branch of
     the full unfolding ends in a deadlock.
     """
-    eq_witness = None
-    any_witness = None
-    for nid, n in rrt.subsumed_nodes():
-        if any_witness is None:
-            any_witness = (n.subsumed_by, nid)
-        if rrt.system.order.eq(rrt.nodes[n.subsumed_by].state, n.state):
-            eq_witness = (n.subsumed_by, nid)
-            break
-    if eq_witness is not None:
-        return _tree_verdict(rrt, eq_witness, None)
+    eq, nodes = rrt.system.order.eq, rrt.nodes
+    pairs = [(n.subsumed_by, nid) for nid, n in rrt.subsumed_nodes()]
+    equal = next(((a, b) for a, b in pairs if eq(nodes[a].state, nodes[b].state)), None)
+    if equal is not None:
+        return _tree_verdict(rrt, equal, None)
     caveat = None if monotone_asserted else (
         "non-termination assumes compatibility: the loop stays "
         "fireable from the larger state it reaches"
     )
-    return _tree_verdict(rrt, any_witness, caveat)
+    return _tree_verdict(rrt, pairs[0] if pairs else None, caveat)
 
 
 def _tree_verdict(rrt: Rrt, witness: Any, caveat: Optional[str]) -> AnalysisVerdict:

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from conftest import MODELS
-from wstskit.cli import main
+from wstskit.cli import ANALYSES, TREE_ANALYSES, main
 from wstskit.dsl import parse_model
 
 REPORT_KEYS = ["command", "verdict", "witness", "budget", "elapsed_ms", "caveats"]
@@ -221,6 +221,17 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert fails("check", "boundedness", str(bad)) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cmrz", path("m1")], "analysis 'cmrz' applies to counter machines only"),
+    (["x0-cover", path("m1"), "--target", "q0:(0)"],
+     "analysis 'x0-cover' applies to counter machines only"),
+    (["x0-cover", path("m8")], "x0-cover needs --target"),
+], ids=["cmrz-on-fifo", "x0-cover-on-fifo", "x0-cover-without-target"])
+def test_analysis_rules_name_the_usage_error(argv, message, capsys):
+    assert fails("check", *argv) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_target_beyond_the_int_digit_limit_exits_one(capsys):
     limit = sys.get_int_max_str_digits()
     target = f"q2:({'7' * (limit + 1)})"
@@ -262,50 +273,47 @@ def test_unwritable_product_output_exits_one(tmp_path, capsys):
     assert f"cannot write {target}" in capsys.readouterr().err
 
 
-def test_target_note_for_other_analyses(capsys):
-    code, _, err = run(
-        capsys, "check", "boundedness", path("m1"), "--target", "q0:(0)"
-    )
-    assert code == 0
-    assert "note: --target is ignored" in err
+# What each analysis reads besides --init and --json; every other option
+# given to an analysis gets one note.
+READS = {
+    "boundedness": ("--budget", "--dot", "--assert-strict-monotone"),
+    "termination": ("--budget", "--dot", "--assert-strict-monotone"),
+    "nonterm-iterable": ("--budget", "--dot"),
+    "cmrz": (),
+    "x0-cover": ("--budget", "--target"),
+}
 
 
-def test_budget_note_for_cmrz(capsys):
-    # cmrz is a syntactic check and uses no budget; only a given --budget gets the note
-    note = "note: --budget is ignored by this analysis\n"
-    plain = run(capsys, "check", "cmrz", path("m8"))
-    flagged = run(capsys, "check", "cmrz", path("m8"), "--budget", "5")
-    assert plain[0] == flagged[0] == 0 and note not in plain[2]
-    assert flagged[2] == note + plain[2]
+@pytest.mark.parametrize("option", ["--budget", "--target", "--dot", "--assert-strict-monotone"])
+@pytest.mark.parametrize("analysis", ANALYSES)
+def test_ignored_option_gets_one_note_and_changes_nothing(analysis, option, tmp_path, capsys):
+    # the tree analyses run on a FIFO and a counter model, the others on
+    # the counter model; x0-cover always has its target, so its run with
+    # --target is the plain one
+    dot = tmp_path / "tree.dot"
+    values = {"--budget": ["7"], "--target": ["q2:(3)"], "--dot": [str(dot)]}
+    ignored = option not in READS[analysis]
     elapsed = re.compile(r"^elapsed: .*$", re.M)
-    assert elapsed.sub("", plain[1]) == elapsed.sub("", flagged[1])
-    for argv in (("boundedness", path("m1")), ("x0-cover", path("m8"), "--target", "q2:(3)")):
-        _, _, err = run(capsys, "check", *argv, "--budget", "5")
-        assert note not in err
-
-
-def test_assert_strict_monotone_note_for_other_analyses(capsys):
-    # the flag changes nothing but stderr where it does not apply
-    note = "note: --assert-strict-monotone applies to boundedness and termination only; ignored"
-    elapsed = re.compile(r"^elapsed: .*$", re.M)
-    for argv in (
-        ("cmrz", path("m8")),
-        ("x0-cover", path("m8"), "--target", "q2:(3)"),
-        ("nonterm-iterable", path("m2"), "--init", "q2"),
-    ):
-        plain = run(capsys, "check", *argv)
-        flagged = run(capsys, "check", *argv, "--assert-strict-monotone")
-        assert plain[0] == flagged[0] and note not in plain[2]
-        assert elapsed.sub("", plain[1]) == elapsed.sub("", flagged[1])
-        assert flagged[2] == plain[2] + note + "\n"
-        plain, flagged = (
-            run_json(capsys, "check", *argv, *flag)[1] for flag in ((), ("--assert-strict-monotone",))
-        )
-        del plain["elapsed_ms"], flagged["elapsed_ms"]
-        assert plain == flagged
-    for analysis in ("boundedness", "termination"):
-        _, _, err = run(capsys, "check", analysis, path("m1"), "--assert-strict-monotone")
-        assert note not in err
+    for model in ("m1", "m8") if analysis in TREE_ANALYSES else ("m8",):
+        plain_argv = ["check", analysis, path(model)]
+        if analysis == "x0-cover":
+            plain_argv += ["--target", "q2:(3)"]
+        argv = plain_argv + ([] if option in plain_argv else [option, *values.get(option, [])])
+        for form in ((), ("--json",)):
+            plain = run(capsys, *plain_argv, *form)
+            given = run(capsys, *argv, *form)
+            assert plain[2] == ""
+            assert given[2] == (f"note: {option} is ignored by this analysis\n" if ignored else "")
+            if ignored:
+                assert given[0] == plain[0]
+                if form:
+                    reports = [json.loads(out) for _, out, _ in (plain, given)]
+                    for report in reports:
+                        del report["elapsed_ms"]
+                    assert reports[0] == reports[1]
+                else:
+                    assert elapsed.sub("", given[1]) == elapsed.sub("", plain[1])
+    assert dot.exists() == (option == "--dot" and analysis in TREE_ANALYSES)
 
 
 def test_dot_output(tmp_path, capsys):
@@ -314,12 +322,6 @@ def test_dot_output(tmp_path, capsys):
     assert code == 0
     text = dot.read_text(encoding="utf-8")
     assert text.startswith("digraph rrt {") and 'label="q0:(ε)"' in text
-
-    other = tmp_path / "nope.dot"
-    code, _, err = run(capsys, "check", "cmrz", path("m7"), "--dot", str(other))
-    assert code == 0
-    assert "applies to tree analyses only" in err
-    assert not other.exists()
 
 
 def test_product_stdout(capsys):

@@ -67,6 +67,12 @@ def test_initial_config_shapes():
         m.initial_config([1])
 
 
+def test_initial_config_refuses_negative_values():
+    m = mk(["q0"], ["a", "b"], [], "q0")
+    with pytest.raises(ValueError, match="^initial values must be non-negative$"):
+        m.initial_config([0, -3])
+
+
 def test_step_semantics_on_hand_cases():
     m = mk(
         ["q0", "q1"],

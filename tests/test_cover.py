@@ -597,6 +597,48 @@ def test_cover_procedures_reject_configurations_the_machine_lacks(procedure):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "procedure", [x0_coverability, backward_coverability], ids=lambda f: f.__name__,
+)
+def test_cover_procedures_refuse_negative_values(procedure):
+    # x0_coverability from q0:(-1) once answered COVERABLE
+    two_state = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
+    for x0, y, what in ((CounterConfig("q0", (-1,)), CounterConfig("q1", (0,)), "initial"),
+                        (CounterConfig("q0", (0,)), CounterConfig("q1", (-2,)), "target")):
+        with pytest.raises(ValueError, match=f"^{what} values must be non-negative$"):
+            procedure(two_state, x0, y)
+
+
+def test_downset_procedures_refuse_negative_bounds(m8):
+    d = DownSet((Ideal("q0", (-1,)),))
+    for procedure in (downset_post, downset_closed):
+        with pytest.raises(ValueError, match="^ideal values must be non-negative$"):
+            procedure(m8.machine, d)
+
+
+def test_x0_coverability_without_counters_answers_within_one_round_per_state():
+    # with no counters the forward search reaches at most n states, so it
+    # answers by round n + 1, having asked for at most n of the 2^n - 1
+    # candidates: the candidates never run out inside x0_coverability
+    rng = Random(20261030)
+    outcomes = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        states = [f"q{i}" for i in range(n)]
+        trans = [t(rng.choice(states), OP_NOOP, None, rng.choice(states))
+                 for _ in range(rng.randint(0, 2 * n))]
+        m = cm(states, [], trans)
+        x0, y = (CounterConfig(rng.choice(states), ()) for _ in range(2))
+        v = x0_coverability(m, x0, y, n + 1)
+        reach = {x0.control}
+        for _ in range(n):
+            reach |= {tr.target for tr in trans if tr.source in reach}
+        want = Outcome.POSITIVE if y.control in reach else Outcome.NEGATIVE
+        assert v.outcome is want, (m, x0, y)
+        outcomes[v.outcome] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_x0_coverability_matches_the_reference_loop(m8):
     # the memoised candidates and successor ideals against the round loop
     # they replaced: same outcome, witness and rounds

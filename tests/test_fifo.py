@@ -775,6 +775,9 @@ def test_iterability_hand_cases():
     # fires but ends in a different control state: no second round possible
     assert not check_fifo_infinite_iterability(onestep, onestep.initial_config(), [0])
 
+    # the empty sequence is no loop: it fires nothing, so nothing repeats
+    assert not check_fifo_infinite_iterability(grow, grow.initial_config(), [])
+
 
 def test_iterability_two_channels():
     a = Alphabet("ab")

@@ -407,6 +407,18 @@ def test_undeclared_initial_control_gives_one_dead_node(kind):
     assert root.mark == DEAD and root.subsumed_by is None and root.state is olts.initial
 
 
+def test_systems_refuse_starts_their_machine_cannot_have(m1, m8):
+    # once answered UNBOUNDED from q0:(-1), and from a channel word with a
+    # letter m1 lacks, whose DOT export then raised IndexError
+    with pytest.raises(ValueError, match="^initial values must be non-negative$"):
+        counter_olts(m8.machine, CounterConfig("q0", (-1,)))
+    message = r"^initial word of channel 'ch' uses unknown letter '\\x07'$"
+    with pytest.raises(ValueError, match=message):
+        fifo_olts(m1.machine, FifoConfig("q0", ("\x07",)))
+    with pytest.raises(ValueError, match="unknown letter 7"):
+        fifo_olts(m1.machine, FifoConfig("q0", ((7,),)))
+
+
 def test_boundedness_verdict_and_caveats(m1):
     olts = fifo_olts(m1.machine)
     rrt = build_rrt(olts)
@@ -648,6 +660,29 @@ def tree_verdicts(olts: Olts, budget: int) -> tuple:
             decide_nonterm_by_iterable(build_lrrt(olts, budget)),
         )
     )
+
+
+def ref_nontermination_witness(rrt: Rrt):
+    """The first subsumed pair, by node id, with equal states, else the
+    first subsumed pair, else None."""
+    nodes = rrt.nodes
+    pairs = [(n.subsumed_by, i) for i, n in enumerate(nodes) if n.subsumed_by is not None]
+    equal = [(a, i) for a, i in pairs if nodes[a].state == nodes[i].state]
+    return (equal + pairs + [None])[0]
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
+def test_nontermination_witness_matches_the_reference(fifo):
+    rng = Random(20261030 + fifo)
+    seen = Counter()
+    for _ in range(150):
+        rrt = build_rrt(random_olts(rng, fifo), 50)
+        want = ref_nontermination_witness(rrt)
+        assert decide_nontermination(rrt).witness == want, rrt.system.initial
+        pairs = [(n.subsumed_by, i) for i, n in rrt.subsumed_nodes()]
+        seen["none" if not pairs else "first" if want == pairs[0] else "later"] += 1
+    # a later equal pair must beat an earlier strictly increasing one
+    assert min(seen[key] for key in ("none", "first", "later")) >= 5, seen
 
 
 @pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
