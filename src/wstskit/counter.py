@@ -98,8 +98,7 @@ class CounterMachine(FrozenFields):
             values = (0,) * len(self.counters)
         if len(values) != len(self.counters):
             raise ValueError("initial valuation has wrong dimension")
-        if any(v < 0 for v in values):
-            raise ValueError("initial values must be non-negative")
+        check_values(values, "initial")
         return CounterConfig(self.initial, values)
 
     def describe_transition(self, label: int) -> str:
@@ -111,6 +110,15 @@ class CounterMachine(FrozenFields):
         if t.zero_tests:
             text += " [zero: " + ",".join(sorted(t.zero_tests)) + "]"
         return text
+
+
+def check_values(values: Sequence[int], what: str) -> None:
+    """Raise ValueError unless every value is a non-negative ``int``; a
+    ``bool`` is not one, though Python counts it as an ``int``."""
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"{what} values must be integers")
+    if any(v < 0 for v in values):
+        raise ValueError(f"{what} values must be non-negative")
 
 
 def counter_config_str(x: CounterConfig) -> str:

@@ -32,6 +32,7 @@ from .counter import (
     OP_INC,
     CounterConfig,
     CounterMachine,
+    check_values,
     cm_post,
     counter_config_str,
     require_no_zero_tests,
@@ -124,15 +125,15 @@ def downset_of_config(x: CounterConfig) -> DownSet:
 
 def _check_shapes(machine: CounterMachine, named: Iterable[tuple[str, str, tuple]]) -> None:
     """Raise ValueError unless each ``(name, control, entries)`` has a
-    declared control state and one non-negative entry per counter."""
+    declared control state and one entry per counter, each a non-negative
+    ``int``, or ω in an ideal."""
     k = len(machine.counters)
     for name, control, entries in named:
         if control not in machine.states:
             raise ValueError(f"{name} control {control!r} not a machine state")
         if len(entries) != k:
             raise ValueError(f"{name} dimension {len(entries)} != machine dimension {k}")
-        if any(e < 0 for e in entries):
-            raise ValueError(f"{name} values must be non-negative")
+        check_values([e for e in entries if name != "ideal" or e != OMEGA], name)
 
 
 def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:

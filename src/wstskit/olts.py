@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .counter import CounterConfig, CounterMachine, cm_post, counter_config_str
+from .counter import CounterConfig, CounterMachine, check_values, cm_post, counter_config_str
 from .fifo import FifoConfig, FifoMachine, fifo_config_str, fifo_post
 from .orders import COUNTER_ORDER, EXT_PREFIX_ORDER, Order
 
@@ -61,8 +61,7 @@ def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) 
     x0 = initial if initial is not None else machine.initial_config()
     if len(x0.values) != len(machine.counters):
         raise ValueError("initial configuration has a different number of counters")
-    if any(v < 0 for v in x0.values):
-        raise ValueError("initial values must be non-negative")
+    check_values(x0.values, "initial")
     return Olts(x0, partial(cm_post, machine), len(machine.transitions), COUNTER_ORDER,
                 counter_config_str, machine.describe_transition)
 

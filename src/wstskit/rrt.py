@@ -46,12 +46,14 @@ class RrtNode(Fields):
 class Rrt(NamedTuple):
     """Tree nodes in creation (breadth-first) order; ``complete`` unless
     the budget cut the build; the system that was unfolded, whose order
-    and formatters the analyses and :func:`export_dot` read; and, for a
+    and formatters the analyses and :func:`export_dot` read; the ids of
+    the subsumed nodes, in id order, as the build made them; and, for a
     tree from :func:`build_lrrt`, the ids of its iterable nodes."""
 
     nodes: list[RrtNode]
     complete: bool
     system: Olts
+    subsumed: list[int]
     iterable: tuple[int, ...] = ()
 
     def ancestor_ids(self, node_id: int) -> list[int]:
@@ -79,8 +81,10 @@ class Rrt(NamedTuple):
         return self.path_labels(node_id)[skip:]
 
     def subsumed_nodes(self) -> Iterator[tuple[int, RrtNode]]:
-        """``(id, node)`` for each subsumed node, in id order."""
-        return ((i, n) for i, n in enumerate(self.nodes) if n.subsumed_by is not None)
+        """``(id, node)`` for each subsumed node, in id order, read from
+        ``subsumed``."""
+        nodes = self.nodes
+        return ((i, nodes[i]) for i in self.subsumed)
 
 
 def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
@@ -93,7 +97,9 @@ def build_rrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
     no subsumer.  When creating one more node would exceed the budget,
     construction stops and the tree is not ``complete``; marks already
     assigned remain valid for the partial tree.  The tree keeps ``olts``
-    as its ``system``.
+    as its ``system``, and lists the ids of its subsumed nodes in
+    ``subsumed`` as it makes them, so no analysis scans the whole tree for
+    them.
 
     ``olts.post`` must depend on its state alone, and states must hash.
     The build replaces each successor that ``post`` returns by the first
@@ -123,6 +129,7 @@ def _grow(olts: Olts, budget: int) -> Rrt:
     post = olts.post
     x0 = olts.initial
     nodes = [RrtNode(x0, None, None)]
+    subsumed: list[int] = []
     exhausted = False
     # one object per distinct state: the first equal state met stands in
     # for every successor that ``post`` returns
@@ -158,17 +165,24 @@ def _grow(olts: Olts, budget: int) -> Rrt:
             # the first hit scanning from the root: the subsumer closest to
             # it; a plain loop, because Python 3.11+ inlines calls from
             # Python to Python, and not calls made from C, as in ``map``
-            for hit, a in enumerate(path):
+            for a in path:
                 if leq(a, y):
+                    # the hit's depth, found only on a hit and by identity
+                    # from the root, so a repeated object names its
+                    # root-most node
+                    hit = 0
+                    while path[hit] is not a:
+                        hit += 1
                     sid = nid
                     for _ in range(len(path) - 1 - hit):
                         sid = nodes[sid].parent
+                    subsumed.append(len(nodes))
                     nodes.append(RrtNode(y, nid, label, DEAD, sid))
                     break
             else:
                 queue.append((len(nodes), path))
                 nodes.append(RrtNode(y, nid, label))
-    return Rrt(nodes, not exhausted, olts)
+    return Rrt(nodes, not exhausted, olts, subsumed)
 
 
 def decide_boundedness(rrt: Rrt, strict_asserted: bool = False) -> AnalysisVerdict:

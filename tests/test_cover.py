@@ -609,11 +609,31 @@ def test_cover_procedures_refuse_negative_values(procedure):
             procedure(two_state, x0, y)
 
 
+@pytest.mark.parametrize("value", [0.5, True, "a", OMEGA], ids=repr)
+def test_cover_procedures_refuse_values_that_are_not_ints(m8, value):
+    # on m8, x0_coverability from q0:(0.5) or q0:(True) to q2:(1) once
+    # answered COVERABLE, and "a" raised a bare TypeError; ω bounds an
+    # ideal but is no configuration value
+    two_state = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
+    for x0, y, what in ((CounterConfig("q0", (value,)), CounterConfig("q1", (1,)), "initial"),
+                        (CounterConfig("q0", (0,)), CounterConfig("q1", (value,)), "target")):
+        for procedure, machine in ((x0_coverability, m8.machine),
+                                   (backward_coverability, two_state)):
+            with pytest.raises(ValueError, match=f"^{what} values must be integers$"):
+                procedure(machine, x0, y)
+
+
 def test_downset_procedures_refuse_negative_bounds(m8):
     d = DownSet((Ideal("q0", (-1,)),))
     for procedure in (downset_post, downset_closed):
         with pytest.raises(ValueError, match="^ideal values must be non-negative$"):
             procedure(m8.machine, d)
+    # ω is an ideal bound; a float, a bool or a str is not
+    assert not downset_closed(m8.machine, DownSet((Ideal("q0", (OMEGA,)),)))
+    for value in (0.5, True, "a"):
+        for procedure in (downset_post, downset_closed):
+            with pytest.raises(ValueError, match="^ideal values must be integers$"):
+                procedure(m8.machine, DownSet((Ideal("q0", (value,)),)))
 
 
 def test_x0_coverability_without_counters_answers_within_one_round_per_state():

@@ -419,6 +419,16 @@ def test_systems_refuse_starts_their_machine_cannot_have(m1, m8):
         fifo_olts(m1.machine, FifoConfig("q0", ((7,),)))
 
 
+@pytest.mark.parametrize("value", [0.5, True, "a"], ids=repr)
+def test_counter_starts_refuse_values_that_are_not_ints(m8, value):
+    # from q0:(0.5) and q0:(True), m8 once answered UNBOUNDED and
+    # NON-TERMINATING; q0:("a") raised a bare TypeError from the order
+    with pytest.raises(ValueError, match="^initial values must be integers$"):
+        counter_olts(m8.machine, CounterConfig("q0", (value,)))
+    with pytest.raises(ValueError, match="^initial values must be integers$"):
+        m8.machine.initial_config((value,))
+
+
 def test_boundedness_verdict_and_caveats(m1):
     olts = fifo_olts(m1.machine)
     rrt = build_rrt(olts)
@@ -741,6 +751,77 @@ def test_tree_and_boundedness_make_the_pinned_leq_calls(fifo):
         assert (got, calls) == (want, want_calls), (machine, x0)
         seen[rrt.complete, want is not None] += 1
     assert min(seen[key] for key in ((True, True), (True, False), (False, True))) >= 10, seen
+
+
+def logged(leq):
+    """``leq`` that logs its arguments: (wrapped, [(x, y), ...])."""
+    log = []
+
+    def wrapped(x, y):
+        log.append((x, y))
+        return leq(x, y)
+
+    return wrapped, log
+
+
+def scan_log(rrt: Rrt) -> list:
+    """The (ancestor state, node state) pairs of the root-first subsumer
+    scan, as the finished tree implies them: for each node in id order,
+    its strict ancestors root first, up to and with its subsumer."""
+    nodes = rrt.nodes
+    log = []
+    for i, n in enumerate(nodes):
+        scan = rrt.ancestor_ids(i)
+        if n.subsumed_by is not None:
+            scan = scan[: scan.index(n.subsumed_by) + 1]
+        log += [(nodes[a].state, n.state) for a in scan]
+    return log
+
+
+def same_objects(got: list, want: list) -> bool:
+    return [tuple(map(id, p)) for p in got] == [tuple(map(id, p)) for p in want]
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
+def test_tree_and_boundedness_make_the_pinned_leq_calls_in_order(fifo):
+    # The benchmark pins the number of order checks; the build and
+    # decide_boundedness must also make them in the pinned order, on the
+    # same state objects, on complete and cut trees alike.
+    rng = Random(20261031 + fifo)
+    ref_leq = ref_ext_prefix_leq if fifo else ref_counter_leq
+    seen = Counter()
+    for _ in range(100):
+        olts = random_olts(rng, fifo)
+        leq, log = logged(olts.order.leq)
+        order = olts.order._replace(leq=leq)
+        # a budget below the tree's size cuts it, often before anything
+        # is subsumed
+        for budget in (50, rng.randint(1, len(build_rrt(olts, 50).nodes))):
+            log.clear()
+            rrt = build_rrt(olts._replace(order=order), budget)
+            assert same_objects(log, scan_log(rrt)), (olts.initial, budget)
+            log.clear()
+            decide_boundedness(rrt)
+            want_leq, want_log = logged(ref_leq)
+            ref_boundedness_witness(rrt.nodes, order._replace(leq=want_leq))
+            assert same_objects(log, want_log), (olts.initial, budget)
+            seen[rrt.complete, bool(rrt.subsumed)] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
+def test_subsumed_lists_the_subsumed_node_ids(fifo):
+    rng = Random(20261032 + fifo)
+    seen = Counter()
+    for _ in range(100):
+        olts = random_olts(rng, fifo)
+        for budget in (50, rng.randint(1, len(build_rrt(olts, 50).nodes))):
+            for rrt in (build_rrt(olts, budget), build_lrrt(olts, budget)):
+                want = [i for i, n in enumerate(rrt.nodes) if n.subsumed_by is not None]
+                assert rrt.subsumed == want, (olts.initial, budget)
+                assert [i for i, _ in rrt.subsumed_nodes()] == want
+            seen[rrt.complete, bool(want)] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
 
 
 @pytest.mark.parametrize("start, pinned", [((2, 2), 52), ((1, 2, 3), 888), ((3, 1), 36),
