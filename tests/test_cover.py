@@ -615,12 +615,11 @@ def test_cover_procedures_refuse_values_that_are_not_ints(m8, value):
     # answered COVERABLE, and "a" raised a bare TypeError; ω bounds an
     # ideal but is no configuration value
     two_state = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
-    for x0, y, what in ((CounterConfig("q0", (value,)), CounterConfig("q1", (1,)), "initial"),
-                        (CounterConfig("q0", (0,)), CounterConfig("q1", (value,)), "target")):
-        for procedure, machine in ((x0_coverability, m8.machine),
-                                   (backward_coverability, two_state)):
+    for procedure, machine, target in ((x0_coverability, m8.machine, "q2"),
+                                       (backward_coverability, two_state, "q1")):
+        for x0, y, what in (((value,), (1,), "initial"), ((0,), (value,), "target")):
             with pytest.raises(ValueError, match=f"^{what} values must be integers$"):
-                procedure(machine, x0, y)
+                procedure(machine, CounterConfig("q0", x0), CounterConfig(target, y))
 
 
 def test_downset_procedures_refuse_negative_bounds(m8):
