@@ -21,6 +21,7 @@ OP_INC = "inc"
 OP_DEC = "dec"
 OP_NOOP = "noop"
 _OPS = (OP_INC, OP_DEC, OP_NOOP)
+OMEGA = float("inf")  # ω, an unbounded entry of a cover ideal
 
 
 class CounterTransition(NamedTuple):
@@ -94,12 +95,21 @@ class CounterMachine(FrozenFields):
         return index
 
     def initial_config(self, values: Sequence[int] | None = None) -> CounterConfig:
-        if values is None:
-            values = (0,) * len(self.counters)
-        if len(values) != len(self.counters):
-            raise ValueError("initial valuation has wrong dimension")
-        check_values(values, "initial")
-        return CounterConfig(self.initial, values)
+        values = (0,) * len(self.counters) if values is None else values
+        return self.check(CounterConfig(self.initial, values), "initial")
+
+    def check(self, x, what: str):
+        """x, or a ValueError naming ``what`` unless x has one ``int`` ≥ 0, not a
+        ``bool``, per counter; a cover ideal (``what == "ideal"``) may use ω."""
+        values = x.bounds if what == "ideal" else x.values
+        k = len(self.counters)
+        if len(values) != k:
+            raise ValueError(f"{what} dimension {len(values)} != machine dimension {k}")
+        if any(type(v) is not int for v in values if what != "ideal" or v != OMEGA):
+            raise ValueError(f"{what} values must be integers")
+        if any(v < 0 for v in values):
+            raise ValueError(f"{what} values must be non-negative")
+        return x
 
     def describe_transition(self, label: int) -> str:
         t = self.transitions[label]
@@ -110,15 +120,6 @@ class CounterMachine(FrozenFields):
         if t.zero_tests:
             text += " [zero: " + ",".join(sorted(t.zero_tests)) + "]"
         return text
-
-
-def check_values(values: Sequence[int], what: str) -> None:
-    """Raise ValueError unless every value is a non-negative ``int``; a
-    ``bool`` is not one, though Python counts it as an ``int``."""
-    if any(type(v) is not int for v in values):
-        raise ValueError(f"{what} values must be integers")
-    if any(v < 0 for v in values):
-        raise ValueError(f"{what} values must be non-negative")
 
 
 def counter_config_str(x: CounterConfig) -> str:

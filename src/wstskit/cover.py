@@ -28,19 +28,17 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ._explore import Explorer
 from .counter import (
+    OMEGA,
     OP_DEC,
     OP_INC,
     CounterConfig,
     CounterMachine,
-    check_values,
     cm_post,
     counter_config_str,
     require_no_zero_tests,
 )
 from .orders import counter_state_leq, nat_vec_leq
 from .verdict import DEFAULT_BUDGET, AnalysisVerdict, Outcome
-
-OMEGA = float("inf")
 
 Vec = tuple  # entries are ints, or OMEGA
 
@@ -123,17 +121,13 @@ def downset_of_config(x: CounterConfig) -> DownSet:
     return DownSet((Ideal(x.control, x.values),))
 
 
-def _check_shapes(machine: CounterMachine, named: Iterable[tuple[str, str, tuple]]) -> None:
-    """Raise ValueError unless each ``(name, control, entries)`` has a
-    declared control state and one entry per counter, each a non-negative
-    ``int``, or ω in an ideal."""
-    k = len(machine.counters)
-    for name, control, entries in named:
-        if control not in machine.states:
-            raise ValueError(f"{name} control {control!r} not a machine state")
-        if len(entries) != k:
-            raise ValueError(f"{name} dimension {len(entries)} != machine dimension {k}")
-        check_values([e for e in entries if name != "ideal" or e != OMEGA], name)
+def _check(machine: CounterMachine, *named: tuple) -> None:
+    """Raise ValueError unless each ``(what, x)`` has a declared control
+    state and passes ``machine.check(x, what)``."""
+    for what, x in named:
+        if x.control not in machine.states:
+            raise ValueError(f"{what} control {x.control!r} not a machine state")
+        machine.check(x, what)
 
 
 def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
@@ -161,7 +155,7 @@ def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
 def downset_post(machine: CounterMachine, d: DownSet) -> DownSet:
     """Exact one-step image, downward closed: the union of the successor
     ideals of every ideal of d."""
-    _check_shapes(machine, (("ideal", i.control, i.bounds) for i in d.ideals))
+    _check(machine, *(("ideal", i) for i in d.ideals))
     return downset_normalize(s for ideal in d.ideals for s in _ideal_post(machine, ideal))
 
 
@@ -172,7 +166,7 @@ def downset_closed(machine: CounterMachine, d: DownSet) -> bool:
     each successor ideal is tested against d as it is made, and the test
     stops at the first one outside d, without normalising the image.
     """
-    _check_shapes(machine, (("ideal", i.control, i.bounds) for i in d.ideals))
+    _check(machine, *(("ideal", i) for i in d.ideals))
     return _closed(d, partial(_ideal_post, machine))
 
 
@@ -243,7 +237,7 @@ def backward_coverability(
     :func:`x0_coverability` does on configurations the machine lacks.
     """
     require_no_zero_tests(machine)
-    _check_shapes(machine, (("initial", x0.control, x0.values), ("target", y.control, y.values)))
+    _check(machine, ("initial", x0), ("target", y))
     basis = upset_normalize([y])
     while True:
         if upset_contains(basis, x0):
@@ -340,13 +334,13 @@ def x0_coverability(
     reached configurations as certificate.  Both definite answers are
     exact facts; the budget bounds the number of rounds, and termination
     within any budget is only guaranteed for systems that are monotone
-    relative to x0.  Raises ValueError when x0 or y has a control state the
-    machine does not declare or a dimension other than its counter count,
-    and when the budget is below 1.
+    relative to x0.  Raises ValueError when the budget is below 1, and when
+    x0 or y has a control state the machine does not declare or values
+    that :meth:`CounterMachine.check` refuses.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    _check_shapes(machine, (("initial", x0.control, x0.values), ("target", y.control, y.values)))
+    _check(machine, ("initial", x0), ("target", y))
     # the forward search; cm_post and counter_state_leq stay global lookups
     explorer = Explorer(x0)
     frontier = iter(explorer)
@@ -405,10 +399,12 @@ def check_cover_monotone_bounded(
     y1 →* y2 (at most ``length_cap`` steps, values uncapped) and x2 ≤ y2.
     Returns (True, None) when no violation shows up within the caps; this
     is evidence, not proof.  A violation is returned as (y1, x1, label,
-    x2), the first one in canonical order.
+    x2), the first one in canonical order.  Raises ValueError on a cap
+    below 1 and on an x0 that :func:`x0_coverability` refuses.
     """
     if value_cap < 1 or length_cap < 1:
         raise ValueError("caps must be >= 1")
+    _check(machine, ("initial", x0))
     reached = Explorer(x0)
     for i, x in reached:
         for label, nxt in cm_post(machine, x):

@@ -60,6 +60,15 @@ class Alphabet(FrozenFields):
         """The word of some letter names; a plain string is one name per character."""
         return "".join(map(self.letter, names))
 
+    def check_word(self, word: str, what: str) -> None:
+        """Raise ValueError naming ``what`` unless ``word`` is valid: a ``str`` of
+        this alphabet's letters; a letter outside it is reported first."""
+        for letter in word if isinstance(word, Iterable) else ():
+            if letter not in self:
+                raise ValueError(f"{what} uses unknown letter {letter!r}")
+        if not isinstance(word, str):
+            raise ValueError(f"{what} is not a str: {word!r}")
+
     def show(self, word: str) -> str:
         names = [self.name(letter) for letter in word]
         if not names:
@@ -149,6 +158,15 @@ class FifoMachine(FrozenFields):
                 per_channel[self.channel_index(ch)] = self.alphabet.word(word)
         return FifoConfig(self.initial, per_channel)
 
+    def check(self, x: FifoConfig, what: str) -> FifoConfig:
+        """x, or a ValueError naming ``what`` unless x has one valid word per channel."""
+        k = len(self.channels)
+        if len(x.contents) != k:
+            raise ValueError(f"{what} channels {len(x.contents)} != machine channels {k}")
+        for ch, word in zip(self.channels, x.contents):
+            self.alphabet.check_word(word, f"{what} word of channel {ch!r}")
+        return x
+
     def describe_transition(self, label: int) -> str:
         t = self.transitions[label]
         prefix = "" if len(self.channels) == 1 else t.channel
@@ -192,7 +210,9 @@ def resolve_action_run(
     string; zero or several are errors.  One forward pass over the actions,
     with no backtracking, keeps per reached configuration the number of
     label sequences that reach it, capped at 2, and the first of them.
+    Raises ValueError on an x0 that :meth:`FifoMachine.check` refuses.
     """
+    machine.check(x0, "initial")
     if isinstance(actions, str):
         tokens = actions.split()
     else:
@@ -263,11 +283,7 @@ class BoundedLang(FrozenFields):
             for w in per_channel:
                 if not w:
                     raise ValueError("bounded-language words must be non-empty")
-                for letter in w:
-                    if letter not in self.alphabet:
-                        raise ValueError(f"a word of channel {ch!r} uses unknown letter {letter!r}")
-                if not isinstance(w, str):
-                    raise ValueError(f"a word of channel {ch!r} is not a str: {w!r}")
+                self.alphabet.check_word(w, f"a word of channel {ch!r}")
 
     def blocks_for(self, channel: str) -> tuple[str, ...]:
         if channel not in self.channels:
@@ -534,14 +550,13 @@ def check_fifo_infinite_iterability(
     which is safe by periodicity.  A sequence that does not fire, or that
     ends in a different control state (so a second iteration is
     impossible), yields False, and so does the empty sequence, which is
-    no loop at all.
+    no loop at all.  Raises ValueError on an x that :func:`fifo_olts`
+    refuses, whatever the labels.
     """
-    if not labels:
-        return False
     from .olts import fifo_olts  # olts imports this module
 
     final, stuck = fifo_olts(machine, x).run(labels)
-    if stuck is not None or final.control != x.control:
+    if not labels or stuck is not None or final.control != x.control:
         return False
     for ci, ch in enumerate(machine.channels):
         s = send_proj(machine, labels, ch)

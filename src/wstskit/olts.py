@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .counter import CounterConfig, CounterMachine, check_values, cm_post, counter_config_str
+from .counter import CounterConfig, CounterMachine, cm_post, counter_config_str
 from .fifo import FifoConfig, FifoMachine, fifo_config_str, fifo_post
 from .orders import COUNTER_ORDER, EXT_PREFIX_ORDER, Order
 
@@ -58,21 +58,12 @@ class Olts(NamedTuple):
 
 
 def counter_olts(machine: CounterMachine, initial: CounterConfig | None = None) -> Olts:
-    x0 = initial if initial is not None else machine.initial_config()
-    if len(x0.values) != len(machine.counters):
-        raise ValueError("initial configuration has a different number of counters")
-    check_values(x0.values, "initial")
+    x0 = machine.initial_config() if initial is None else machine.check(initial, "initial")
     return Olts(x0, partial(cm_post, machine), len(machine.transitions), COUNTER_ORDER,
                 counter_config_str, machine.describe_transition)
 
 
 def fifo_olts(machine: FifoMachine, initial: FifoConfig | None = None) -> Olts:
-    x0 = initial if initial is not None else machine.initial_config()
-    if len(x0.contents) != len(machine.channels):
-        raise ValueError("initial configuration has a different number of channels")
-    for ch, word in zip(machine.channels, x0.contents):
-        for letter in word:
-            if letter not in machine.alphabet:
-                raise ValueError(f"initial word of channel {ch!r} uses unknown letter {letter!r}")
+    x0 = machine.initial_config() if initial is None else machine.check(initial, "initial")
     return Olts(x0, partial(fifo_post, machine), len(machine.transitions), EXT_PREFIX_ORDER,
                 lambda x: fifo_config_str(machine, x), machine.describe_transition)

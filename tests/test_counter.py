@@ -67,12 +67,6 @@ def test_initial_config_shapes():
         m.initial_config([1])
 
 
-def test_initial_config_refuses_negative_values():
-    m = mk(["q0"], ["a", "b"], [], "q0")
-    with pytest.raises(ValueError, match="^initial values must be non-negative$"):
-        m.initial_config([0, -3])
-
-
 def test_step_semantics_on_hand_cases():
     m = mk(
         ["q0", "q1"],
@@ -135,17 +129,6 @@ def test_post_matches_reference_steps_on_random_machines():
                     if (y := ref_counter_step(m, x, label)) is not None
                 ]
                 assert cm_post(m, x) == want, (m, x)
-
-
-def test_olts_rejects_initial_config_of_other_dimension():
-    m = mk(["q0"], ["c"], [t("q0", OP_INC, "c", "q0")], "q0")
-    with pytest.raises(ValueError, match="counters"):
-        counter_olts(m, CounterConfig("q0", (0, 0)))
-    with pytest.raises(ValueError, match="counters"):
-        counter_olts(m, CounterConfig("q0", ()))
-    assert counter_olts(m, CounterConfig("q0", (4,))).post(CounterConfig("q0", (4,))) == [
-        (0, CounterConfig("q0", (5,)))
-    ]
 
 
 def test_run_reports_first_stuck_index():

@@ -172,23 +172,6 @@ def test_downset_of_config():
     assert not downset_contains(d, CounterConfig("q0", (2, 1)))
 
 
-def test_downset_post_signature_check(m7):
-    with pytest.raises(ValueError):
-        downset_post(m7.machine, DownSet((Ideal("nope", (0,)),)))
-    with pytest.raises(ValueError):
-        downset_post(m7.machine, DownSet((Ideal("q0", (0, 0)),)))
-
-
-def test_downset_closed_signature_check(m7):
-    # the same ValueError as downset_post, on a bad control and a bad dimension
-    for bad in (DownSet((Ideal("nope", (0,)),)), DownSet((Ideal("q0", (0, 0)),))):
-        with pytest.raises(ValueError) as want:
-            downset_post(m7.machine, bad)
-        with pytest.raises(ValueError) as got:
-            downset_closed(m7.machine, bad)
-        assert str(got.value) == str(want.value)
-
-
 def widened_closure(m: CounterMachine, d: DownSet, cap: int = 2) -> DownSet:
     """Least D above d with post(D) ⊆ D whose finite entries are at most cap:
     iterate d ∪ post(d), raising entries above cap to ω."""
@@ -558,81 +541,6 @@ def test_x0_coverability_reordering_transitions_keeps_definite_verdicts():
         outcomes[was, now] += 1
     for outcome in (Outcome.POSITIVE, Outcome.NEGATIVE):
         assert outcomes[outcome, outcome] >= 20, outcomes
-
-
-# (x0, y, error) on one-counter machines with controls q0 and q1
-BAD_CONFIGS = (
-    (CounterConfig("zz", (0,)), CounterConfig("q1", (1,)),
-     "initial control 'zz' not a machine state"),
-    (CounterConfig("q0", (0,)), CounterConfig("zz", (0,)),
-     "target control 'zz' not a machine state"),
-    (CounterConfig("q0", (0, 0)), CounterConfig("q1", (1,)),
-     "initial dimension 2 != machine dimension 1"),
-    (CounterConfig("q0", (0,)), CounterConfig("q1", ()),
-     "target dimension 0 != machine dimension 1"),
-)
-
-
-def test_x0_coverability_rejects_configurations_the_machine_lacks(m8):
-    # an undeclared control once answered NOT COVERABLE with a certificate on it
-    for bad_x0, bad_y, message in BAD_CONFIGS:
-        with pytest.raises(ValueError) as err:
-            x0_coverability(m8.machine, bad_x0, bad_y)
-        assert str(err.value) == message
-
-
-@pytest.mark.parametrize(
-    "procedure", [backward_coverability], ids=lambda f: f.__name__,
-)
-def test_cover_procedures_reject_configurations_the_machine_lacks(procedure):
-    # backward_coverability once answered True for x0 = y = zz:(0), a
-    # control the machine lacks
-    two_state = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
-    zz = CounterConfig("zz", (0,))
-    for bad_x0, bad_y, message in BAD_CONFIGS + (
-        (zz, zz, "initial control 'zz' not a machine state"),
-    ):
-        with pytest.raises(ValueError) as err:
-            procedure(two_state, bad_x0, bad_y)
-        assert str(err.value) == message
-
-
-@pytest.mark.parametrize(
-    "procedure", [x0_coverability, backward_coverability], ids=lambda f: f.__name__,
-)
-def test_cover_procedures_refuse_negative_values(procedure):
-    # x0_coverability from q0:(-1) once answered COVERABLE
-    two_state = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
-    for x0, y, what in ((CounterConfig("q0", (-1,)), CounterConfig("q1", (0,)), "initial"),
-                        (CounterConfig("q0", (0,)), CounterConfig("q1", (-2,)), "target")):
-        with pytest.raises(ValueError, match=f"^{what} values must be non-negative$"):
-            procedure(two_state, x0, y)
-
-
-@pytest.mark.parametrize("value", [0.5, True, "a", OMEGA], ids=repr)
-def test_cover_procedures_refuse_values_that_are_not_ints(m8, value):
-    # on m8, x0_coverability from q0:(0.5) or q0:(True) to q2:(1) once
-    # answered COVERABLE, and "a" raised a bare TypeError; ω bounds an
-    # ideal but is no configuration value
-    two_state = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
-    for procedure, machine, target in ((x0_coverability, m8.machine, "q2"),
-                                       (backward_coverability, two_state, "q1")):
-        for x0, y, what in (((value,), (1,), "initial"), ((0,), (value,), "target")):
-            with pytest.raises(ValueError, match=f"^{what} values must be integers$"):
-                procedure(machine, CounterConfig("q0", x0), CounterConfig(target, y))
-
-
-def test_downset_procedures_refuse_negative_bounds(m8):
-    d = DownSet((Ideal("q0", (-1,)),))
-    for procedure in (downset_post, downset_closed):
-        with pytest.raises(ValueError, match="^ideal values must be non-negative$"):
-            procedure(m8.machine, d)
-    # ω is an ideal bound; a float, a bool or a str is not
-    assert not downset_closed(m8.machine, DownSet((Ideal("q0", (OMEGA,)),)))
-    for value in (0.5, True, "a"):
-        for procedure in (downset_post, downset_closed):
-            with pytest.raises(ValueError, match="^ideal values must be integers$"):
-                procedure(m8.machine, DownSet((Ideal("q0", (value,)),)))
 
 
 def test_x0_coverability_without_counters_answers_within_one_round_per_state():

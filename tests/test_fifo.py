@@ -202,15 +202,6 @@ def test_post_matches_reference_steps_on_random_machines():
                 assert fifo_post(m, x) == want, (m, x)
 
 
-def test_olts_rejects_initial_config_of_other_signature(m2):
-    m = m2.machine
-    with pytest.raises(ValueError, match="channels"):
-        fifo_olts(m, FifoConfig("q0", ("", "")))
-    with pytest.raises(ValueError, match="channels"):
-        fifo_olts(m, FifoConfig("q0", ()))
-    assert fifo_olts(m, FifoConfig("q0", ("",))).initial == m.initial_config()
-
-
 def test_initial_config_takes_letter_names(m2):
     m = m2.machine
     want = FifoConfig("q0", (m.alphabet.word("ca"),))

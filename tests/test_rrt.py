@@ -407,28 +407,6 @@ def test_undeclared_initial_control_gives_one_dead_node(kind):
     assert root.mark == DEAD and root.subsumed_by is None and root.state is olts.initial
 
 
-def test_systems_refuse_starts_their_machine_cannot_have(m1, m8):
-    # once answered UNBOUNDED from q0:(-1), and from a channel word with a
-    # letter m1 lacks, whose DOT export then raised IndexError
-    with pytest.raises(ValueError, match="^initial values must be non-negative$"):
-        counter_olts(m8.machine, CounterConfig("q0", (-1,)))
-    message = r"^initial word of channel 'ch' uses unknown letter '\\x07'$"
-    with pytest.raises(ValueError, match=message):
-        fifo_olts(m1.machine, FifoConfig("q0", ("\x07",)))
-    with pytest.raises(ValueError, match="unknown letter 7"):
-        fifo_olts(m1.machine, FifoConfig("q0", ((7,),)))
-
-
-@pytest.mark.parametrize("value", [0.5, True, "a"], ids=repr)
-def test_counter_starts_refuse_values_that_are_not_ints(m8, value):
-    # from q0:(0.5) and q0:(True), m8 once answered UNBOUNDED and
-    # NON-TERMINATING; q0:("a") raised a bare TypeError from the order
-    with pytest.raises(ValueError, match="^initial values must be integers$"):
-        counter_olts(m8.machine, CounterConfig("q0", (value,)))
-    with pytest.raises(ValueError, match="^initial values must be integers$"):
-        m8.machine.initial_config((value,))
-
-
 def test_boundedness_verdict_and_caveats(m1):
     olts = fifo_olts(m1.machine)
     rrt = build_rrt(olts)
