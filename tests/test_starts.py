@@ -150,15 +150,15 @@ def _ids():
 
 @pytest.mark.parametrize("entry, machine_name, args, message", TABLE, ids=list(_ids()))
 def test_entry_points_refuse_starts_their_machine_cannot_have(entry, machine_name, args, message):
-    # some rows were once answered or raised a bare error: counter_olts from
-    # q0:(-1) answered UNBOUNDED, from q0:(0.5) or q0:(True) m8 answered
-    # UNBOUNDED, NON-TERMINATING and COVERABLE, backward_coverability
-    # answered True for x0 = y = zz:(0), check_cover_monotone_bounded
-    # answered (True, None) from q0:(-1), and a channel word that is not a
-    # str passed fifo_olts and made fifo_post raise TypeError, and
-    # check_fifo_infinite_iterability answered False for an empty loop
-    # from any start, and resolve_action_run resolved "!a" on m1 from a
-    # start with two channels
+    # some rows were once answered, or raised a bare error: from q0:(-1)
+    # counter_olts answered UNBOUNDED; from q0:(0.5) or q0:(True) m8
+    # answered UNBOUNDED, NON-TERMINATING and COVERABLE;
+    # backward_coverability answered True for x0 = y = zz:(0);
+    # check_cover_monotone_bounded answered (True, None) from q0:(-1);
+    # fifo_olts passed a channel word that is not a str on to fifo_post,
+    # which raised TypeError; check_fifo_infinite_iterability answered False
+    # for an empty loop from any start; resolve_action_run resolved "!a" on
+    # m1 from a start with two channels
     with pytest.raises(ValueError) as err:
         ENTRY_POINTS[entry](machine(machine_name), *args)
     assert str(err.value) == message
@@ -168,6 +168,10 @@ def test_entry_points_accept_the_starts_of_their_machine(m2, m8):
     one_counter = machine("two_state")
     assert counter_olts(one_counter, C("q0", (4,))).post(C("q0", (4,))) == [(0, C("q1", (5,)))]
     assert fifo_olts(m2.machine, F("q0", ("",))).initial == m2.machine.initial_config()
+    m1 = machine("m1")
+    assert resolve_action_run(m1, F("q0", ("",)), "!a") == [0]
+    assert check_fifo_infinite_iterability(m1, F("q0", ("",)), (0,))
+    assert not check_fifo_infinite_iterability(m1, F("q0", ("",)), ())  # no loop at all
     assert not downset_closed(m8.machine, ideal(OMEGA))  # ω is an ideal bound
     # m8 is monotone from q0:(0), not from q0:(1)
     assert check_cover_monotone_bounded(m8.machine, C("q0", (0,)), 3, 3) == (True, None)
