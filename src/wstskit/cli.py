@@ -10,6 +10,7 @@ command, verdict, witness, budget, elapsed_ms, and caveats.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -298,5 +299,13 @@ def main(argv=None) -> int:
     return args.func(parser, args)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of ``python -m wstskit`` and the ``wstskit`` script: main,
+    with the start-up heap frozen first, so that neither the run's collections
+    nor those at exit traverse the imported modules again."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -209,6 +209,7 @@ def pre_basis(machine: CounterMachine, u: UpSet) -> UpSet:
     max(b_c - 1, 0); dec(c) raises it to b_c + 1; a plain move keeps b.
     """
     require_no_zero_tests(machine)
+    _check(machine, *(("basis", b) for b in u.basis))
     preds = []
     for b in u.basis:
         for t in machine.transitions:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import time
-from itertools import product as iproduct
 from random import Random
 
 from conftest import MODELS

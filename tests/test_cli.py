@@ -361,15 +361,54 @@ def test_product_usage_errors(tmp_path):
     assert fails("product", str(loaded)) == 1  # nonempty initial contents
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "wstskit", "check", "termination", path("m2"), "--json"],
-        capture_output=True,
-        text=True,
+def _bar_elapsed(text: str) -> str:
+    return re.sub(r'^elapsed: .*|"elapsed_ms": [0-9.]+', "elapsed", text, flags=re.M)
+
+
+# python -m wstskit goes through cli.run, which freezes the start-up heap;
+# what a run prints and its exit code are those of the in-process cli.main
+@pytest.mark.parametrize("argv, exit_code", [
+    (["check", "termination", path("m1"), "--json"], 0),
+    (["check", "termination", path("m4"), "--budget", "3"], 2),
+    (["check", "weirdness", path("m1")], 1),
+    (["check", "boundedness", "{bad}"], 1),
+    (["product", path("m4")], 0),
+], ids=["json", "inconclusive", "usage-error", "parse-error", "product"])
+def test_module_entry_point_matches_main(argv, exit_code, tmp_path, capsysbinary):
+    bad = tmp_path / "bad.model"
+    bad.write_text("kind counter\nstates q\nq -- jump --> q\n", encoding="utf-8")
+    argv = [str(bad) if a == "{bad}" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "wstskit", *argv], capture_output=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsysbinary.readouterr()
+    assert proc.returncode == code == exit_code
+    assert _bar_elapsed(proc.stdout.decode()) == _bar_elapsed(out.decode())
+    assert proc.stderr == err
+    if argv[0] == "product":
+        assert proc.stdout == out
+
+
+@pytest.mark.parametrize("module", ["wstskit", "wstskit.cli"])
+def test_process_entries_freeze_and_still_run_atexit(module):
+    child = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        f"sys.argv = ['wstskit', 'check', 'termination', {path('m1')!r}, '--json']\n"
+        f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)\n"
     )
-    assert proc.returncode == 0
-    report = json.loads(proc.stdout)
-    assert report["verdict"] == "non-terminating"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report, frozen = proc.stdout.splitlines()
+    assert json.loads(report)["verdict"] == "non-terminating"
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+
+
+def test_console_script_goes_through_run():
+    pyproject = (MODELS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\nwstskit = "wstskit.cli:run"\n' in pyproject
 
 
 def _readme_block(heading: str) -> list[str]:

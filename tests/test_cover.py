@@ -41,7 +41,6 @@ from wstskit.cover import (
     OMEGA,
     DownSet,
     Ideal,
-    UpSet,
     backward_coverability,
     check_cover_monotone_bounded,
     downset_candidates,

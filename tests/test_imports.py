@@ -1,9 +1,9 @@
-"""Every name that a module of the package imports is used in it.
+"""Every name that a module of the package or of its tests imports is used in it.
 
 A name left imported after its last use (a helper that moved, a check
 that was folded into another) hides what a module depends on.  Each
-``src/wstskit/*.py`` is parsed with :mod:`ast`; a name counts as used when
-the module reads it anywhere, annotations included.
+``src/wstskit/*.py`` and ``tests/*.py`` is parsed with :mod:`ast`; a name
+counts as used when the module reads it anywhere, annotations included.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wstskit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wstskit"
 
 # imported by cli.py only so that bench/tracing.py can rebind them there
 KEPT = {"cli.py": {"downset_post", "downset_subset"}}
@@ -38,6 +39,7 @@ def test_unused_imports_finds_what_it_should():
     assert unused_imports("from __future__ import annotations\nimport x\ndef f(y: x): pass\n") == set()
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_modules_use_every_name_they_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == KEPT.get(path.name, set())

@@ -17,10 +17,12 @@ from wstskit.cover import (
     OMEGA,
     DownSet,
     Ideal,
+    UpSet,
     backward_coverability,
     check_cover_monotone_bounded,
     downset_closed,
     downset_post,
+    pre_basis,
     x0_coverability,
 )
 from wstskit.dsl import parse_model
@@ -38,11 +40,12 @@ C, F = CounterConfig, FifoConfig
 ENTRY_POINTS = {f.__name__: f for f in (
     counter_olts, fifo_olts, x0_coverability, backward_coverability, downset_post,
     downset_closed, check_cover_monotone_bounded, check_fifo_infinite_iterability,
-    resolve_action_run,
+    resolve_action_run, pre_basis,
 )} | {"CounterMachine.initial_config": CounterMachine.initial_config}
 
 MACHINES = {
-    # controls q0 and q1, one counter, no zero test: backward_coverability's input
+    # controls q0 and q1, one counter, no zero test: the input of
+    # backward_coverability and pre_basis
     "two_state": CounterMachine(("q0", "q1"), ("c",),
                                 (CounterTransition("q0", OP_INC, "c", frozenset(), "q1"),), "q0"),
     "two_counters": CounterMachine(("q0",), ("a", "b"), (), "q0"),
@@ -79,6 +82,7 @@ TABLE = [
      "initial dimension 2 != machine dimension 1"),
     ("downset_post", "m7", (ideal(0, 0),), "ideal dimension 2 != machine dimension 1"),
     ("downset_closed", "m7", (ideal(0, 0),), "ideal dimension 2 != machine dimension 1"),
+    ("pre_basis", "two_state", (UpSet((C("q1", ()),)),), "basis dimension 0 != machine dimension 1"),
     *((name, m, (x0, y), message)
       for name, m in (("x0_coverability", "m8"), ("backward_coverability", "two_state"))
       for x0, y, message in (
@@ -97,6 +101,8 @@ TABLE = [
      "ideal control 'nope' not a machine state"),
     ("downset_closed", "m7", (DownSet((Ideal("nope", (0,)),)),),
      "ideal control 'nope' not a machine state"),
+    ("pre_basis", "two_state", (UpSet((C("q1", (1,)), C("zz", (0,)))),),
+     "basis control 'zz' not a machine state"),
     # a negative value
     ("counter_olts", "m8", (C("q0", (-1,)),), "initial values must be non-negative"),
     ("CounterMachine.initial_config", "two_counters", ((0, -3),),
@@ -110,6 +116,7 @@ TABLE = [
           (C("q0", (0,)), C("q1", (-2,)), "target values must be non-negative"))),
     ("downset_post", "m8", (ideal(-1),), "ideal values must be non-negative"),
     ("downset_closed", "m8", (ideal(-1),), "ideal values must be non-negative"),
+    ("pre_basis", "two_state", (UpSet((C("q1", (-1,)),)),), "basis values must be non-negative"),
     # a value that is not exactly an int; ω bounds an ideal only
     *(row
       for value in (0.5, True, "a")
@@ -153,7 +160,9 @@ def test_entry_points_refuse_starts_their_machine_cannot_have(entry, machine_nam
     # some rows were once answered, or raised a bare error: from q0:(-1)
     # counter_olts answered UNBOUNDED; from q0:(0.5) or q0:(True) m8
     # answered UNBOUNDED, NON-TERMINATING and COVERABLE;
-    # backward_coverability answered True for x0 = y = zz:(0);
+    # backward_coverability answered True for x0 = y = zz:(0); pre_basis
+    # raised IndexError for the basis q1:() and answered ↑{q0:(0)} for the
+    # bases with zz:(0) and with q1:(-1);
     # check_cover_monotone_bounded answered (True, None) from q0:(-1);
     # fifo_olts passed a channel word that is not a str on to fifo_post,
     # which raised TypeError; check_fifo_infinite_iterability answered False
