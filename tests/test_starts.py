@@ -82,7 +82,8 @@ TABLE = [
      "initial dimension 2 != machine dimension 1"),
     ("downset_post", "m7", (ideal(0, 0),), "ideal dimension 2 != machine dimension 1"),
     ("downset_closed", "m7", (ideal(0, 0),), "ideal dimension 2 != machine dimension 1"),
-    ("pre_basis", "two_state", (UpSet((C("q1", ()),)),), "basis dimension 0 != machine dimension 1"),
+    ("pre_basis", "two_state", (UpSet((C("q1", ()),)),),
+     "basis dimension 0 != machine dimension 1"),
     *((name, m, (x0, y), message)
       for name, m in (("x0_coverability", "m8"), ("backward_coverability", "two_state"))
       for x0, y, message in (
@@ -116,7 +117,8 @@ TABLE = [
           (C("q0", (0,)), C("q1", (-2,)), "target values must be non-negative"))),
     ("downset_post", "m8", (ideal(-1),), "ideal values must be non-negative"),
     ("downset_closed", "m8", (ideal(-1),), "ideal values must be non-negative"),
-    ("pre_basis", "two_state", (UpSet((C("q1", (-1,)),)),), "basis values must be non-negative"),
+    ("pre_basis", "two_state", (UpSet((C("q1", (-1,)),)),),
+     "basis values must be non-negative"),
     # a value that is not exactly an int; ω bounds an ideal only
     *(row
       for value in (0.5, True, "a")
