@@ -48,11 +48,11 @@ EXIT_INCONCLUSIVE = 2
 # Each analysis: its JSON words for Outcome.POSITIVE and NEGATIVE, the machine kinds it
 # applies to, and the options it reads besides --init and --json; tree analyses first.
 _ANY = ("counter", "fifo")
-_TREE = ("--budget", "--dot", "--assert-strict-monotone")
+_TREE = ("--budget", "--dot")
 _ANALYSES = {
     "boundedness": (("unbounded", "bounded"), _ANY, _TREE),
     "termination": (("non-terminating", "terminating"), _ANY, _TREE),
-    "nonterm-iterable": (("non-terminating", "terminating"), _ANY, ("--budget", "--dot")),
+    "nonterm-iterable": (("non-terminating", "terminating"), _ANY, _TREE),
     "cmrz": (("cmrz", "not-cmrz"), ("counter",), ()),
     "x0-cover": (("coverable", "not-coverable"), ("counter",), ("--budget", "--target")),
 }
@@ -81,8 +81,6 @@ def _build_parser() -> _Parser:
                        help="x0-cover target on a counter machine, e.g. q2:(3) or q1:(1,0)")
     check.add_argument("--init", metavar="STATE", dest="init_state",
                        help="override the initial control state from the file")
-    check.add_argument("--assert-strict-monotone", action="store_true",
-                       help="caller vouches for strict compatibility; drops the caveat")
     check.add_argument("--dot", metavar="PATH", help="write the analysis tree as DOT")
     check.add_argument("--json", action="store_true", help="machine-readable report")
     check.set_defaults(func=_cmd_check)
@@ -142,7 +140,7 @@ def _cmd_check(parser: _Parser, args) -> int:
         parser.error(f"analysis {args.analysis!r} applies to {' and '.join(kinds)} machines only")
     if args.analysis == "x0-cover" and not args.target:
         parser.error("x0-cover needs --target")
-    for flag in ("--budget", "--target", "--dot", "--assert-strict-monotone"):
+    for flag in ("--budget", "--target", "--dot"):
         if getattr(args, flag[2:].replace("-", "_")) and flag not in reads:
             print(f"note: {flag} is ignored by this analysis", file=sys.stderr)
     initial = _override_init(parser, mf, args.init_state)
@@ -154,7 +152,7 @@ def _cmd_check(parser: _Parser, args) -> int:
 
     started = time.perf_counter()
     if args.analysis in TREE_ANALYSES:
-        report = _tree_report(args.analysis, mf, initial, budget, args.assert_strict_monotone)
+        report = _tree_report(args.analysis, mf, initial, budget)
     elif args.analysis == "cmrz":
         report = _cmrz_report(mf, initial)
     else:
@@ -194,21 +192,19 @@ def _cmd_check(parser: _Parser, args) -> int:
     return EXIT_DEFINITE if verdict.is_definite else EXIT_INCONCLUSIVE
 
 
-def _tree_report(analysis, mf, initial, budget, asserted) -> _Report:
+def _tree_report(analysis, mf, initial, budget) -> _Report:
     olts = (counter_olts if mf.kind == "counter" else fifo_olts)(mf.machine, initial)
     notes = ()
     if mf.kind == "counter":
         restricted, _ = is_cmrz(mf.machine, initial.control)
         notes = (f"restricted zero-test class: {'yes' if restricted else 'no'}",)
-        # the restricted class replays loops verbatim, so growth is strict
-        asserted = asserted or restricted
     if analysis == "nonterm-iterable":
         tree = build_lrrt(olts, budget)
         verdict = decide_nonterm_by_iterable(tree)
     else:
         tree = build_rrt(olts, budget)
         decide = decide_boundedness if analysis == "boundedness" else decide_nontermination
-        verdict = decide(tree, asserted)
+        verdict = decide(tree)
     witness = None
     if verdict.witness is not None:
         fmt = olts.state_fmt

@@ -6,7 +6,9 @@ and subsumed, since continuing the branch can only repeat behaviour the
 ancestor already enables.  Deadlocked nodes are dead without a subsumer.
 On top of the tree sit three analyses: boundedness of the reachability
 set, non-termination via subsumed nodes, and non-termination via
-iterable nodes, whose loop is checked to replay concretely with growth.
+iterable nodes.  No positive answer assumes monotony: each rests on a
+loop that :meth:`Rrt.repeats` fires once more, from the larger state it
+reached, and that ends at or above that state again.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from .verdict import DEFAULT_BUDGET, AnalysisVerdict, Outcome
 
 LIVE = "live"
 DEAD = "dead"
+#: The caveat of a tree answer left open because no loop repeats.
+NO_REPEAT = ("a loop grows but does not fire again from the state it reaches; "
+             "the tree cannot decide")
 
 
 class RrtNode(Fields):
@@ -79,6 +84,19 @@ class Rrt(NamedTuple):
             raise ValueError(f"node {node_id} is not subsumed")
         skip = len(self.ancestor_ids(node.subsumed_by))
         return self.path_labels(node_id)[skip:]
+
+    def repeats(self, ancestor_id: int, node_id: int) -> bool:
+        """Does the loop from an ancestor down to a node fire once more from
+        the node's state, and end at or above that state?  On a counter
+        machine the second pass runs with every counter ``δ = node -
+        ancestor`` higher, so it goes through exactly when no zero-tested
+        counter grows, and then the loop fires from ``ancestor + jδ`` for
+        every j.  On FIFO machines the rule is tested, not proved."""
+        system = self.system
+        x = self.nodes[node_id].state
+        loop = self.path_labels(node_id)[len(self.ancestor_ids(ancestor_id)):]
+        end, stuck = system.run(loop, x)
+        return stuck is None and system.order.leq(x, end)
 
     def subsumed_nodes(self) -> Iterator[tuple[int, RrtNode]]:
         """``(id, node)`` for each subsumed node, in id order, read from
@@ -185,17 +203,17 @@ def _grow(olts: Olts, budget: int) -> Rrt:
     return Rrt(nodes, not exhausted, olts, subsumed)
 
 
-def decide_boundedness(rrt: Rrt, strict_asserted: bool = False) -> AnalysisVerdict:
+def decide_boundedness(rrt: Rrt) -> AnalysisVerdict:
     """Is the reachability set infinite, by the order of the tree's system?
 
-    Positive (unbounded) on an ancestor pair that strictly increases along
-    a branch; the witness is ``(ancestor_id, node_id)``.  Unless
-    ``strict_asserted``, the positive answer carries a caveat: it relies
-    on strictly larger states being able to replay the loop with strict
-    growth.  Negative (bounded) when the tree is complete and no strictly
-    increasing pair exists; every subsumption then closes a loop over
-    already-seen states, so the answer is unconditional.  Inconclusive
-    when the budget ran out first.
+    Positive (unbounded) on the first ancestor pair, scanning subsumed
+    nodes in id order and their ancestors root first, that strictly
+    increases along a branch and whose loop :meth:`Rrt.repeats`; the
+    witness is ``(ancestor_id, node_id)``.  Negative (bounded) when the
+    tree is complete and no strictly increasing pair exists; every
+    subsumption then closes a loop over already-seen states.  Inconclusive
+    when the budget ran out first, or when strictly increasing pairs exist
+    and none of their loops repeats.
 
     Raises ValueError if the subsumption pairs reveal the ordering is not
     antisymmetric: the bounded verdict needs a partial order.
@@ -210,85 +228,67 @@ def decide_boundedness(rrt: Rrt, strict_asserted: bool = False) -> AnalysisVerdi
                 "boundedness analysis requires a partial order"
             )
     leq = order.leq
-    witness = None
+    strict = False
     for nid, n in rrt.subsumed_nodes():
         x = n.state
-        # the first ancestor a, root first, strictly below x; leq(x, a) runs
-        # only where a <= x, so the recorded leq calls stay the same
+        # ancestors a, root first, strictly below x; leq(x, a) runs only
+        # where a <= x, so the recorded leq calls stay the same
         for aid in rrt.ancestor_ids(nid):
             a = nodes[aid].state
             if leq(a, x) and not leq(x, a):
-                witness = (aid, nid)
-                break
-        if witness is not None:
-            break
-    caveat = None if strict_asserted else (
-        "unboundedness assumes strict compatibility: transitions fired "
-        "from a strictly larger state reach a strictly larger state"
-    )
-    return _tree_verdict(rrt, witness, caveat)
+                if rrt.repeats(aid, nid):
+                    return _tree_verdict(rrt, (aid, nid))
+                strict = True
+    return _tree_verdict(rrt, None, strict)
 
 
-def decide_nontermination(rrt: Rrt, monotone_asserted: bool = False) -> AnalysisVerdict:
+def decide_nontermination(rrt: Rrt) -> AnalysisVerdict:
     """Does some infinite run of the tree's system exist?
 
-    Positive on any subsumed node; the witness is ``(subsumer_id,
-    node_id)`` and the run is the branch to the subsumer followed by the
-    loop forever.  It is the first such pair, by node id, whose states are
-    equal by the ``eq`` of the system's order, else the first pair: with
-    equal states the loop literally repeats and the answer needs no
-    assumption.  A strictly increasing witness carries a caveat unless
-    ``monotone_asserted``: replaying the loop must stay enabled.  Negative
+    Positive on a subsumed node; the witness is ``(subsumer_id, node_id)``
+    and the run is the branch to the subsumer followed by the loop
+    forever.  It is the first such pair, by node id, whose states are
+    equal by the ``eq`` of the system's order, so that the loop literally
+    repeats; else the first pair whose loop :meth:`Rrt.repeats`.  Negative
     when the tree is complete and nothing was subsumed: every branch of
-    the full unfolding ends in a deadlock.
+    the full unfolding ends in a deadlock.  Inconclusive when the budget
+    ran out first, or when nodes were subsumed and none of their loops
+    repeats.
     """
     eq, nodes = rrt.system.order.eq, rrt.nodes
     pairs = [(n.subsumed_by, nid) for nid, n in rrt.subsumed_nodes()]
-    equal = next(((a, b) for a, b in pairs if eq(nodes[a].state, nodes[b].state)), None)
-    if equal is not None:
-        return _tree_verdict(rrt, equal, None)
-    caveat = None if monotone_asserted else (
-        "non-termination assumes compatibility: the loop stays "
-        "fireable from the larger state it reaches"
-    )
-    return _tree_verdict(rrt, pairs[0] if pairs else None, caveat)
+    witness = next(((a, b) for a, b in pairs if eq(nodes[a].state, nodes[b].state)), None)
+    if witness is None:
+        witness = next(((a, b) for a, b in pairs if rrt.repeats(a, b)), None)
+    return _tree_verdict(rrt, witness, bool(pairs))
 
 
-def _tree_verdict(rrt: Rrt, witness: Any, caveat: Optional[str]) -> AnalysisVerdict:
-    """Positive on a witness, negative on a complete tree, else inconclusive."""
+def _tree_verdict(rrt: Rrt, witness: Any, looped: bool = False) -> AnalysisVerdict:
+    """Positive on a witness; negative on a complete tree where no loop was
+    found; else inconclusive, with a caveat when loops were found."""
     used = len(rrt.nodes)
     if witness is not None:
-        return AnalysisVerdict(Outcome.POSITIVE, witness, used, () if caveat is None else (caveat,))
-    if rrt.complete:
-        return AnalysisVerdict(Outcome.NEGATIVE, None, used)
-    return AnalysisVerdict(Outcome.INCONCLUSIVE, None, used)
+        return AnalysisVerdict(Outcome.POSITIVE, witness, used)
+    if looped or not rrt.complete:
+        return AnalysisVerdict(Outcome.INCONCLUSIVE, None, used, (NO_REPEAT,) if looped else ())
+    return AnalysisVerdict(Outcome.NEGATIVE, None, used)
 
 
 def build_lrrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
-    """Reduced reachability tree with its iterable nodes listed.
-
-    For each subsumed node, the loop from its subsumer down to it is
-    replayed once more, concretely, from the subsumed node's own state.
-    The node is iterable when the replay goes through and ends at a state
-    at or above the node's state; ``Rrt.iterable`` holds their ids.
-    """
+    """Reduced reachability tree with its iterable nodes listed: the
+    subsumed nodes whose loop from the subsumer :meth:`Rrt.repeats`, in
+    ``Rrt.iterable``."""
     rrt = build_rrt(olts, budget)
-    iterable = []
-    for nid, n in rrt.subsumed_nodes():
-        x, stuck = olts.run(rrt.loop_labels(nid), n.state)
-        if stuck is None and olts.order.leq(n.state, x):
-            iterable.append(nid)
-    return rrt._replace(iterable=tuple(iterable))
+    return rrt._replace(iterable=tuple(
+        nid for nid, n in rrt.subsumed_nodes() if rrt.repeats(n.subsumed_by, nid)
+    ))
 
 
 def decide_nonterm_by_iterable(lrrt: Rrt) -> AnalysisVerdict:
     """Non-termination from iterable nodes; never answers negative.
 
     An iterable node's loop fired once from the subsumer and once more
-    from the subsumed state, growing both times; for counter machines the
-    replay pins every zero-tested counter to a fixed value, and for FIFO
-    machines the channel words satisfy the periodicity equation that
-    makes the loop repeat forever.  So a positive answer is unconditional.
+    from the subsumed state, growing both times (:meth:`Rrt.repeats`).
     The absence of iterable nodes proves nothing, even on a complete
     tree: a terminating loop check belongs to the subsumption analysis.
     """

@@ -2,8 +2,7 @@
 
 Semi-decision procedures stop at a budget; an inconclusive outcome means
 the budget ran out before either answer was established, never that the
-property is false.  Caveats spell out any monotonicity assumption a
-definite answer leans on.
+property is false.  Caveats say why an answer was left open.
 """
 
 from __future__ import annotations

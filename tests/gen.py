@@ -106,6 +106,26 @@ def random_loop_instance(rng: Random, *, max_len: int = 6, letters: str = "ab"):
     return machine, x, list(range(len(acts))), w, s, r
 
 
+def random_counter_loop_instance(rng: Random, *, max_len: int = 6, max_counters: int = 2):
+    """A counter cycle machine q0 -> q1 -> ... -> q0 plus a start in q0.
+
+    Each transition of the cycle has a random operation and tests each
+    counter for zero with probability 0.3.  Returns (machine, x, labels),
+    where ``labels`` goes once round the cycle from x.
+    """
+    counters = tuple(f"c{i}" for i in range(rng.randint(1, max_counters)))
+    states = tuple(f"q{i}" for i in range(rng.randint(1, max_len)))
+    trans = []
+    for i, state in enumerate(states):
+        op = rng.choice((OP_INC, OP_DEC, OP_NOOP))
+        counter = None if op == OP_NOOP else rng.choice(counters)
+        tested = frozenset(c for c in counters if rng.random() < 0.3)
+        trans.append(CounterTransition(state, op, counter, tested, states[(i + 1) % len(states)]))
+    machine = CounterMachine(states, counters, tuple(trans), states[0], name="loop")
+    x = machine.initial_config([rng.randint(0, 3) for _ in counters])
+    return machine, x, list(range(len(states)))
+
+
 def random_downset(
     rng: Random,
     machine: CounterMachine,

@@ -93,12 +93,13 @@ def ref_run(machine, x, labels: Iterable[int], step: Callable):
 
 
 def simulate_iterations(
-    machine: FifoMachine, x: FifoConfig, labels: Sequence[int], count: int
-) -> tuple[int, FifoConfig]:
-    """Fire the label sequence up to `count` times; (full iterations done, last config)."""
+    machine, x, labels: Sequence[int], count: int, step: Callable = ref_fifo_step
+) -> tuple:
+    """Fire the label sequence up to `count` times with `step` (default: the
+    FIFO step); (full iterations done, last config)."""
     done = 0
     while done < count:
-        y, stuck = ref_run(machine, x, labels, ref_fifo_step)
+        y, stuck = ref_run(machine, x, labels, step)
         if stuck is not None:
             return done, y
         x = y
@@ -286,17 +287,23 @@ def ref_rrt(machine, x0, step: Callable, leq: Callable, *, max_nodes: int) -> di
     return tree
 
 
-def ref_boundedness_witness(nodes: Sequence, order) -> Optional[tuple[int, int]]:
-    """The order checks of ``decide_boundedness``, a strict-ancestor scan,
-    on a tree's nodes (record fields only; a node's id is its position).
+def ref_boundedness_witness(
+    nodes: Sequence, order, machine, step: Callable
+) -> Optional[tuple[int, int]]:
+    """The order checks of ``decide_boundedness``, a strict-ancestor scan
+    with a replay per strict pair, on a tree's nodes (record fields only; a
+    node's id is its position).
 
     First every subsumed node is checked against its subsumer with
     ``leq(node, subsumer)``; then, node by node, each strict ancestor,
     root first, is tested for ancestor < node, spelled out as
-    ``leq(ancestor, node) and not leq(node, ancestor)``.  Returns
-    the first strictly increasing pair (ancestor id, node id), or None.  A
-    wrapped ``order.leq`` therefore sees the calls that the pinned
-    benchmark counts were recorded with.
+    ``leq(ancestor, node) and not leq(node, ancestor)``.  For each such
+    pair the labels from the ancestor down to the node are fired once more
+    from the node's state with ``step``, and a run that goes through is
+    checked with ``leq(node, end)``.  Returns the first strictly increasing
+    pair (ancestor id, node id) whose run goes through and ends at or above
+    the node, or None.  A wrapped ``order.leq`` therefore sees the calls
+    that the pinned benchmark counts were recorded with.
     """
     leq = order.leq
     subsumed = [(i, n) for i, n in enumerate(nodes) if n.subsumed_by is not None]
@@ -305,15 +312,17 @@ def ref_boundedness_witness(nodes: Sequence, order) -> Optional[tuple[int, int]]
         if leq(n.state, a.state) and not order.eq(a.state, n.state):
             raise ValueError("ordering is not antisymmetric on observed states")
     for nid, n in subsumed:
-        chain = []
-        cur = n.parent
-        while cur is not None:
-            chain.append(cur)
-            cur = nodes[cur].parent
-        for aid in reversed(chain):
+        chain = [nid]
+        while nodes[chain[-1]].parent is not None:
+            chain.append(nodes[chain[-1]].parent)
+        chain.reverse()  # root first, the node last
+        for depth, aid in enumerate(chain[:-1]):
             a = nodes[aid].state
             if leq(a, n.state) and not leq(n.state, a):
-                return aid, nid
+                loop = [nodes[i].label for i in chain[depth + 1:]]
+                end, stuck = ref_run(machine, n.state, loop, step)
+                if stuck is None and leq(n.state, end):
+                    return aid, nid
     return None
 
 

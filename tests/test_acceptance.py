@@ -270,8 +270,8 @@ def test_criterion_6_tree_verdicts_vs_explicit_oracles():
         machine = random_cmrz_machine(rng, max_states=4, max_counters=2)
         olts = counter_olts(machine)
         rrt = build_rrt(olts, budget=2000)
-        bound = decide_boundedness(rrt, strict_asserted=True)
-        nonterm = decide_nontermination(rrt, monotone_asserted=True)
+        bound = decide_boundedness(rrt)
+        nonterm = decide_nontermination(rrt)
         x0 = machine.initial_config()
         _, finite = bfs_reach(machine, x0, ref_counter_step, max_nodes=4000)
         inf_run, inf_known = has_infinite_run(

@@ -53,7 +53,7 @@ def test_json_report_contract(capsys):
     }
     assert report["budget"] == 3
     assert isinstance(report["elapsed_ms"], float)
-    assert report["caveats"] and "strict" in report["caveats"][0]
+    assert report["caveats"] == []  # the loop !a repeats
 
 
 def test_termination_human_output(capsys):
@@ -66,14 +66,24 @@ def test_termination_human_output(capsys):
     witness = json.loads(next(l for l in lines if l.startswith("witness: "))[9:])
     assert witness["loop"] == ["!a"]
     assert witness["subsumer_state"] == "q0:(ε)" and witness["state"] == "q0:(a)"
-    assert any(l.startswith("caveat: ") for l in lines)
+    assert not any(l.startswith("caveat: ") for l in lines)
 
 
-def test_assert_strict_monotone_drops_caveat(capsys):
-    code, report, _ = run_json(
-        capsys, "check", "boundedness", path("m1"), "--assert-strict-monotone"
-    )
-    assert code == 0 and report["caveats"] == []
+@pytest.mark.parametrize("analysis", ["boundedness", "termination"])
+@pytest.mark.parametrize("model, init", [("m3", ()), ("m4", ()), ("m8", ("--init", "q1"))])
+def test_loops_that_do_not_repeat_leave_the_tree_answer_open(model, init, analysis, capsys):
+    # m3 and m4 (the same triangle) and m8 from q1 are finite and deadlock;
+    # each has a strict pair whose loop sticks when fired again from the
+    # state it reaches, so the tree cannot decide
+    code, report, _ = run_json(capsys, "check", analysis, path(model), *init)
+    assert code == 2 and report["verdict"] == "inconclusive" and report["witness"] is None
+    assert report["caveats"] == [
+        "a loop grows but does not fire again from the state it reaches; the tree cannot decide"
+    ]
+    code, out, _ = run(capsys, "check", analysis, path(model), *init)
+    assert code == 2 and "verdict: INCONCLUSIVE" in out.splitlines()
+    # no option forces the unchecked answer
+    assert fails("check", analysis, path(model), "--assert-strict-monotone") == 1
 
 
 def test_counter_machines_report_zero_test_class(capsys):
@@ -86,7 +96,7 @@ def test_counter_machines_report_zero_test_class(capsys):
 
 
 def test_restricted_class_needs_no_assertion(capsys):
-    # m7 is in the restricted class, so tree verdicts carry no caveats
+    # no tree verdict rests on an assertion; m7 is in the restricted class
     code, report, _ = run_json(capsys, "check", "termination", path("m7"))
     assert code == 0
     assert report["verdict"] == "terminating" and report["caveats"] == []
@@ -276,15 +286,15 @@ def test_unwritable_product_output_exits_one(tmp_path, capsys):
 # What each analysis reads besides --init and --json; every other option
 # given to an analysis gets one note.
 READS = {
-    "boundedness": ("--budget", "--dot", "--assert-strict-monotone"),
-    "termination": ("--budget", "--dot", "--assert-strict-monotone"),
+    "boundedness": ("--budget", "--dot"),
+    "termination": ("--budget", "--dot"),
     "nonterm-iterable": ("--budget", "--dot"),
     "cmrz": (),
     "x0-cover": ("--budget", "--target"),
 }
 
 
-@pytest.mark.parametrize("option", ["--budget", "--target", "--dot", "--assert-strict-monotone"])
+@pytest.mark.parametrize("option", ["--budget", "--target", "--dot"])
 @pytest.mark.parametrize("analysis", ANALYSES)
 def test_ignored_option_gets_one_note_and_changes_nothing(analysis, option, tmp_path, capsys):
     # the tree analyses run on a FIFO and a counter model, the others on

@@ -13,13 +13,13 @@ print a report with exactly the contract's keys.  ``x0-cover`` runs at
 
 When a mutant parses, its definite answers go through the checks of
 ``test_cli_random``: BOUNDED and TERMINATING against a search capped at
-the report's node count, ``cmrz`` answers against the reference, and
-COVERABLE runs, invariants and reach closures against the oracles.  A
+the report's node count, UNBOUNDED and NON-TERMINATING against a search
+capped at 2,000 configurations, ``cmrz`` answers against the reference,
+and COVERABLE runs, invariants and reach closures against the oracles.  A
 non-``--json`` run is repeated with ``--json`` to read its report.  A
 mutant whose start values or certificate bounds exceed ``CAP`` is not
 checked, since member enumeration grows with them (a ``10**30`` start
-makes it unbounded).  UNBOUNDED and NON-TERMINATING answers are not
-checked, as in ``test_cli_random``.
+makes it unbounded).
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _checked_kind(argv: list[str], report: dict, text: str) -> Optional[str]:
         y = parse_target(mf, argv[argv.index("--target") + 1])
         return check_cover_report(report, mf.machine, x0, y)
     check_tree_report(report, mf.machine, x0, step)
-    return report["verdict"] if report["verdict"] in ("bounded", "terminating") else None
+    return report["verdict"]
 
 
 def test_mutated_models_exit_cleanly(capsys, tmp_path):
@@ -147,4 +147,5 @@ def test_mutated_models_exit_cleanly(capsys, tmp_path):
     # the sweep reaches both parse errors and analyses of parsed mutants
     assert all(codes.count(code) >= 10 for code in (0, 1, 2)), sorted(set(codes))
     # and checks the kinds of definite answer that parsed mutants give most
-    assert all(checked[kind] >= 5 for kind in ("bounded", "terminating", "cmrz", "not-cmrz")), checked
+    kinds = ("bounded", "unbounded", "terminating", "non-terminating", "cmrz", "not-cmrz")
+    assert all(checked[kind] >= 5 for kind in kinds), checked

@@ -1,18 +1,18 @@
 """Random model texts through the command line.
 
 Each random machine is written as model text with ``print_model``, read
-back by ``wstskit check --json``.  Every BOUNDED, TERMINATING, COVERABLE
-and NOT COVERABLE answer, and every ``cmrz`` answer with its violating
-path, is checked against the slow references in ``oracles``.  UNBOUNDED
-and NON-TERMINATING answers are not checked: on machines with zero tests
-they rest on a monotony that need not hold.  The ``check_*_report``
-functions check one JSON report each; ``test_cli_mutants`` uses them too.
+back by ``wstskit check --json``.  Every BOUNDED, UNBOUNDED, TERMINATING,
+NON-TERMINATING, COVERABLE and NOT COVERABLE answer, and every ``cmrz``
+answer with its violating path, is checked against the slow references in
+``oracles``.  The ``check_*_report`` functions check one JSON report each;
+``test_cli_mutants`` uses them too.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import lru_cache
 from random import Random
 
 from gen import random_counter_machine, random_fifo_machine
@@ -35,6 +35,8 @@ from wstskit.dsl import ModelFile, parse_model, print_model
 from wstskit.fifo import FifoConfig, bounded_lang
 
 BUDGET = 200
+# the oracles' cap on configurations for UNBOUNDED and NON-TERMINATING answers
+CAP = 2000
 
 
 def _counter_model(rng: Random) -> ModelFile:
@@ -75,16 +77,27 @@ def witness_downset(shown: list[str]) -> DownSet:
 
 
 def check_tree_report(report: dict, machine, x0, step) -> None:
-    """Check a tree analysis's BOUNDED or TERMINATING answer from x0."""
-    # both come from a complete tree of N nodes that holds every reachable
-    # configuration, so the oracle search capped at N + 1 configurations
-    # must finish with at most N of them
+    """Check a tree analysis's answer from x0."""
+    # BOUNDED and TERMINATING come from a complete tree of N nodes that
+    # holds every reachable configuration, so the oracle search capped at
+    # N + 1 configurations must finish with at most N of them
     n = report["budget"]
     if report["verdict"] in ("bounded", "terminating"):
         reached, complete = bfs_reach(machine, x0, step, max_nodes=n + 1)
         assert complete and len(reached) <= n, report
     if report["verdict"] == "terminating":
         assert has_infinite_run(machine, x0, step, max_nodes=n + 1) == (False, True), report
+    # UNBOUNDED needs more than CAP reachable configurations, and
+    # NON-TERMINATING must not be refuted by CAP of them
+    if report["verdict"] == "unbounded":
+        assert _capped_infinite_run(machine, x0, step) == (None, False), report
+    if report["verdict"] == "non-terminating":
+        assert _capped_infinite_run(machine, x0, step) != (False, True), report
+
+
+@lru_cache(maxsize=4)  # the three tree analyses of one start share it
+def _capped_infinite_run(machine, x0, step) -> tuple:
+    return has_infinite_run(machine, x0, step, max_nodes=CAP)
 
 
 def check_cover_report(report: dict, machine, x0: CounterConfig, y: CounterConfig) -> str:
@@ -167,6 +180,6 @@ def test_random_models_through_the_cli(tmp_path, capsys):
                 x0 = FifoConfig(extra[1] if extra else mf.initial.control, mf.initial.contents)
                 _check_tree_answers(capsys, seen, path, mf, x0, extra, ref_fifo_step)
     # each kind of checked answer turns up
-    for verdict in ("bounded", "terminating", "coverable", "invariant", "reach_closure",
-                    "cmrz", "not-cmrz"):
+    for verdict in ("bounded", "unbounded", "terminating", "non-terminating", "coverable",
+                    "invariant", "reach_closure", "cmrz", "not-cmrz"):
         assert seen[verdict] >= 3, seen

@@ -13,8 +13,10 @@ import pytest
 from conftest import load_model
 from gen import (
     random_cmrz_machine,
+    random_counter_loop_instance,
     random_counter_machine,
     random_fifo_machine,
+    random_loop_instance,
     renamed,
     shuffled,
 )
@@ -28,6 +30,7 @@ from oracles import (
     ref_fifo_step,
     ref_rrt,
     ref_run,
+    simulate_iterations,
 )
 from wstskit.counter import (
     OP_DEC,
@@ -38,13 +41,23 @@ from wstskit.counter import (
     CounterTransition,
 )
 from wstskit.dsl import parse_model
-from wstskit.fifo import RECV, SEND, Alphabet, FifoConfig, FifoMachine, FifoTransition
+from wstskit.fifo import (
+    RECV,
+    SEND,
+    Alphabet,
+    FifoConfig,
+    FifoMachine,
+    FifoTransition,
+    check_fifo_infinite_iterability,
+)
 from wstskit.olts import Olts, counter_olts, fifo_olts
 from wstskit.orders import Order
 from wstskit.rrt import (
     DEAD,
     LIVE,
+    NO_REPEAT,
     Rrt,
+    RrtNode,
     build_lrrt,
     build_rrt,
     decide_boundedness,
@@ -90,7 +103,7 @@ def test_m2_from_q2_completes(m2):
     assert bound.outcome is Outcome.POSITIVE and bound.witness == (0, 2)
     nonterm = decide_nontermination(rrt)
     assert nonterm.outcome is Outcome.POSITIVE and nonterm.witness == (0, 2)
-    assert nonterm.caveats  # strict pair, nothing asserted
+    assert not nonterm.caveats  # a strict pair whose loop !c repeats
 
 
 def tree_by_path(rrt: Rrt) -> dict:
@@ -407,14 +420,22 @@ def test_undeclared_initial_control_gives_one_dead_node(kind):
     assert root.mark == DEAD and root.subsumed_by is None and root.state is olts.initial
 
 
-def test_boundedness_verdict_and_caveats(m1):
+def test_boundedness_verdict_and_caveats(m1, m3):
     olts = fifo_olts(m1.machine)
     rrt = build_rrt(olts)
     v = decide_boundedness(rrt)
     assert v.outcome is Outcome.POSITIVE and v.witness == (0, 1)
-    assert v.caveats and "strict" in v.caveats[0]
-    assert not decide_boundedness(rrt, strict_asserted=True).caveats
+    assert not v.caveats  # the loop !a repeats
     assert v.budget_used == 3
+    # m3's only strict pair has the loop !a !b ?a, which sticks from q0:(b);
+    # its raw triangle has 6 reachable configurations and deadlocks
+    rrt = build_rrt(fifo_olts(m3.machine))
+    assert rrt.complete and rrt.subsumed == [3] and not rrt.repeats(0, 3)
+    for decide in (decide_boundedness, decide_nontermination):
+        v = decide(rrt)
+        assert (v.outcome, v.witness, v.caveats) == (Outcome.INCONCLUSIVE, None, (NO_REPEAT,))
+    reached, complete = bfs_reach(m3.machine, rrt.system.initial, ref_fifo_step, max_nodes=100)
+    assert complete and len(reached) == 6
 
 
 def test_budget_exhaustion_is_inconclusive():
@@ -531,8 +552,8 @@ def test_iterable_marking_counter():
 
 def test_iterable_marking_rejects_failing_replay():
     # the loop zero-tests c and then bumps it, so the replay from the
-    # larger state fails and the subsumption caveat is doing real work:
-    # this machine deadlocks after one round
+    # larger state fails: this machine deadlocks after one round, and no
+    # tree answer may say otherwise
     tricky = cm(
         ["q0", "q1"], ["c"],
         [t("q0", OP_NOOP, None, "q1", zero=["c"]), t("q1", OP_INC, "c", "q0")],
@@ -542,8 +563,47 @@ def test_iterable_marking_rejects_failing_replay():
     assert [i in lrrt.iterable for i in range(len(lrrt.nodes))] == [False, False, False]
     assert decide_nonterm_by_iterable(lrrt).outcome is Outcome.INCONCLUSIVE
     sub = decide_nontermination(lrrt)
-    assert sub.outcome is Outcome.POSITIVE and sub.caveats
+    assert (sub.outcome, sub.witness, sub.caveats) == (Outcome.INCONCLUSIVE, None, (NO_REPEAT,))
+    assert decide_boundedness(lrrt).outcome is Outcome.INCONCLUSIVE
     assert has_infinite_run(tricky, tricky.initial_config(), ref_counter_step, max_nodes=100) == (False, True)
+
+
+def one_branch(olts: Olts, labels: list) -> Rrt:
+    """The tree of a single run: ``labels`` fired from the initial state."""
+    nodes = [RrtNode(olts.initial, None, None)]
+    for label in labels:
+        nodes.append(RrtNode(olts.step(nodes[-1].state, label), len(nodes) - 1, label))
+    return Rrt(nodes, True, olts, [])
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
+def test_repeats_agrees_with_exact_rules_on_loops_that_grow_once(fifo):
+    # a loop that fires once from x and ends at y >= x: repeats(x, y) must
+    # say whether it fires forever, by the exact rule of its machine kind
+    # and by 120 simulated iterations
+    rng = Random(20261101 + fifo)
+    seen = Counter()
+    while sum(seen.values()) < 400:
+        if fifo:
+            machine, x, labels, *_ = random_loop_instance(rng)
+            olts, step, leq = fifo_olts(machine, x), ref_fifo_step, ref_ext_prefix_leq
+        else:
+            machine, x, labels = random_counter_loop_instance(rng)
+            olts, step, leq = counter_olts(machine, x), ref_counter_step, ref_counter_leq
+        y, stuck = ref_run(machine, x, labels, step)
+        if stuck is not None or not leq(x, y):
+            continue
+        if fifo:
+            exact = check_fifo_infinite_iterability(machine, x, labels)
+        else:
+            # the loop fires from x + jδ for every j iff no zero-tested counter grows
+            tested = {machine.counters.index(c) for t in machine.transitions for c in t.zero_tests}
+            exact = all(y.values[i] == x.values[i] for i in tested)
+        forever = simulate_iterations(machine, x, labels, 120, step)[0] == 120
+        got = one_branch(olts, labels).repeats(0, len(labels))
+        assert got == exact == forever, (machine, x)
+        seen[got] += 1
+    assert min(seen[True], seen[False]) >= 15, seen
 
 
 def test_iterable_marking_fifo(m2, m4):
@@ -599,7 +659,8 @@ def test_analyses_read_the_system_of_their_tree(m1):
     assert leq_calls[0] > 0
     leq_calls[0] = eq_calls[0] = 0
     assert decide_nontermination(rrt).outcome is Outcome.POSITIVE
-    assert (leq_calls[0], eq_calls[0]) == (0, 1)
+    # one eq for the pair, which is strict, and one leq for its replay
+    assert (leq_calls[0], eq_calls[0]) == (1, 1)
 
 
 def test_rrt_helpers_on_random_trees():
@@ -650,26 +711,40 @@ def tree_verdicts(olts: Olts, budget: int) -> tuple:
     )
 
 
-def ref_nontermination_witness(rrt: Rrt):
+def ref_nontermination_witness(rrt: Rrt, machine, step, leq):
     """The first subsumed pair, by node id, with equal states, else the
-    first subsumed pair, else None."""
+    first subsumed pair whose loop fires once more from the node's state
+    and ends at or above it, else None."""
     nodes = rrt.nodes
     pairs = [(n.subsumed_by, i) for i, n in enumerate(nodes) if n.subsumed_by is not None]
     equal = [(a, i) for a, i in pairs if nodes[a].state == nodes[i].state]
-    return (equal + pairs + [None])[0]
+
+    def repeats(a, i):
+        loop, j = [], i
+        while j != a:
+            loop.append(nodes[j].label)
+            j = nodes[j].parent
+        end, stuck = ref_run(machine, nodes[i].state, loop[::-1], step)
+        return stuck is None and leq(nodes[i].state, end)
+
+    return (equal + [p for p in pairs if repeats(*p)] + [None])[0]
 
 
 @pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
 def test_nontermination_witness_matches_the_reference(fifo):
     rng = Random(20261030 + fifo)
+    leq, step = (ref_ext_prefix_leq, ref_fifo_step) if fifo else (ref_counter_leq, ref_counter_step)
     seen = Counter()
     for _ in range(150):
-        rrt = build_rrt(random_olts(rng, fifo), 50)
-        want = ref_nontermination_witness(rrt)
+        make, machine, x0 = random_start(rng, fifo)
+        rrt = build_rrt(make(machine, x0), 50)
+        want = ref_nontermination_witness(rrt, machine, step, leq)
         assert decide_nontermination(rrt).witness == want, rrt.system.initial
         pairs = [(n.subsumed_by, i) for i, n in rrt.subsumed_nodes()]
-        seen["none" if not pairs else "first" if want == pairs[0] else "later"] += 1
-    # a later equal pair must beat an earlier strictly increasing one
+        seen["none" if not pairs else "open" if want is None else
+             "first" if want == pairs[0] else "later"] += 1
+    # a later pair must beat an earlier one that is not equal, or whose
+    # loop does not repeat
     assert min(seen[key] for key in ("none", "first", "later")) >= 5, seen
 
 
@@ -725,7 +800,7 @@ def test_tree_and_boundedness_make_the_pinned_leq_calls(fifo):
         calls[0] = 0
         got = decide_boundedness(rrt).witness
         want_leq, want_calls = counted(ref_leq)
-        want = ref_boundedness_witness(rrt.nodes, order._replace(leq=want_leq))
+        want = ref_boundedness_witness(rrt.nodes, order._replace(leq=want_leq), machine, step)
         assert (got, calls) == (want, want_calls), (machine, x0)
         seen[rrt.complete, want is not None] += 1
     assert min(seen[key] for key in ((True, True), (True, False), (False, True))) >= 10, seen
@@ -756,8 +831,15 @@ def scan_log(rrt: Rrt) -> list:
     return log
 
 
-def same_objects(got: list, want: list) -> bool:
-    return [tuple(map(id, p)) for p in got] == [tuple(map(id, p)) for p in want]
+def same_calls(got: list, want: list, rrt: Rrt) -> bool:
+    """Equal ``leq`` logs, where an argument that is a state of the tree
+    must be the same object; the end of a replay is a fresh state."""
+    tree = {id(n.state) for n in rrt.nodes}
+
+    def key(x):
+        return ("tree", id(x)) if id(x) in tree else ("fresh", x)
+
+    return [tuple(map(key, p)) for p in got] == [tuple(map(key, p)) for p in want]
 
 
 @pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
@@ -766,10 +848,13 @@ def test_tree_and_boundedness_make_the_pinned_leq_calls_in_order(fifo):
     # decide_boundedness must also make them in the pinned order, on the
     # same state objects, on complete and cut trees alike.
     rng = Random(20261031 + fifo)
-    ref_leq = ref_ext_prefix_leq if fifo else ref_counter_leq
+    ref_leq, step = (
+        (ref_ext_prefix_leq, ref_fifo_step) if fifo else (ref_counter_leq, ref_counter_step)
+    )
     seen = Counter()
     for _ in range(100):
-        olts = random_olts(rng, fifo)
+        make, machine, x0 = random_start(rng, fifo)
+        olts = make(machine, x0)
         leq, log = logged(olts.order.leq)
         order = olts.order._replace(leq=leq)
         # a budget below the tree's size cuts it, often before anything
@@ -777,12 +862,12 @@ def test_tree_and_boundedness_make_the_pinned_leq_calls_in_order(fifo):
         for budget in (50, rng.randint(1, len(build_rrt(olts, 50).nodes))):
             log.clear()
             rrt = build_rrt(olts._replace(order=order), budget)
-            assert same_objects(log, scan_log(rrt)), (olts.initial, budget)
+            assert same_calls(log, scan_log(rrt), rrt), (olts.initial, budget)
             log.clear()
             decide_boundedness(rrt)
             want_leq, want_log = logged(ref_leq)
-            ref_boundedness_witness(rrt.nodes, order._replace(leq=want_leq))
-            assert same_objects(log, want_log), (olts.initial, budget)
+            ref_boundedness_witness(rrt.nodes, order._replace(leq=want_leq), machine, step)
+            assert same_calls(log, want_log, rrt), (olts.initial, budget)
             seen[rrt.complete, bool(rrt.subsumed)] += 1
     assert min(seen.values()) >= 10 and len(seen) == 4, seen
 
