@@ -208,18 +208,13 @@ def _tree_report(analysis, mf, initial, budget) -> _Report:
     witness = None
     if verdict.witness is not None:
         fmt = olts.state_fmt
-        if analysis == "nonterm-iterable":
-            nid, loop = verdict.witness
-            witness = {"node": nid, "state": fmt(tree.nodes[nid].state)}
-        else:
-            aid, nid = verdict.witness
-            key = "ancestor" if analysis == "boundedness" else "subsumer"
-            witness = {f"{key}_node": aid, "node": nid, f"{key}_state": fmt(tree.nodes[aid].state),
-                       "state": fmt(tree.nodes[nid].state)}
-            loop = tree.loop_labels(nid)
-        # both non-termination witnesses name the loop that repeats
+        aid, nid = verdict.witness
+        key = "ancestor" if analysis == "boundedness" else "subsumer"
+        witness = {f"{key}_node": aid, "node": nid, f"{key}_state": fmt(tree.nodes[aid].state),
+                   "state": fmt(tree.nodes[nid].state)}
+        # a non-termination witness names the loop that repeats
         if analysis != "boundedness":
-            witness["loop"] = [olts.label_fmt(l) for l in loop]
+            witness["loop"] = [olts.label_fmt(l) for l in tree.loop_labels(nid)]
     return _Report(verdict, witness, notes, not tree.complete, tree)
 
 

@@ -99,8 +99,11 @@ class CounterMachine(FrozenFields):
         return self.check(CounterConfig(self.initial, values), "initial")
 
     def check(self, x, what: str):
-        """x, or a ValueError naming ``what`` unless x has one ``int`` ≥ 0, not a
-        ``bool``, per counter; a cover ideal (``what == "ideal"``) may use ω."""
+        """x, or a ValueError naming ``what`` unless x has a declared control
+        and one ``int`` ≥ 0, not a ``bool``, per counter; a cover ideal
+        (``what == "ideal"``) may use ω."""
+        if x.control not in self.states:
+            raise ValueError(f"{what} control {x.control!r} not a machine state")
         values = x.bounds if what == "ideal" else x.values
         k = len(self.counters)
         if len(values) != k:
@@ -150,7 +153,10 @@ def cm_post(machine: CounterMachine, x: CounterConfig) -> list[tuple[int, Counte
 
 
 def control_reachable(machine: CounterMachine, start: str) -> set[str]:
-    """Control states reachable from ``start`` in the control graph."""
+    """Control states reachable in the control graph from ``start``, which
+    must be a machine state."""
+    if start not in machine.states:
+        raise ValueError(f"start control {start!r} not a machine state")
     explorer = Explorer(start)
     for i, q in explorer:
         for label, *_, target in machine.post_index.get(q, ()):

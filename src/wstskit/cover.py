@@ -121,15 +121,6 @@ def downset_of_config(x: CounterConfig) -> DownSet:
     return DownSet((Ideal(x.control, x.values),))
 
 
-def _check(machine: CounterMachine, *named: tuple) -> None:
-    """Raise ValueError unless each ``(what, x)`` has a declared control
-    state and passes ``machine.check(x, what)``."""
-    for what, x in named:
-        if x.control not in machine.states:
-            raise ValueError(f"{what} control {x.control!r} not a machine state")
-        machine.check(x, what)
-
-
 def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
     """Successor ideals of one ideal, per transition from its control state.
 
@@ -155,7 +146,8 @@ def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
 def downset_post(machine: CounterMachine, d: DownSet) -> DownSet:
     """Exact one-step image, downward closed: the union of the successor
     ideals of every ideal of d."""
-    _check(machine, *(("ideal", i) for i in d.ideals))
+    for i in d.ideals:
+        machine.check(i, "ideal")
     return downset_normalize(s for ideal in d.ideals for s in _ideal_post(machine, ideal))
 
 
@@ -166,7 +158,8 @@ def downset_closed(machine: CounterMachine, d: DownSet) -> bool:
     each successor ideal is tested against d as it is made, and the test
     stops at the first one outside d, without normalising the image.
     """
-    _check(machine, *(("ideal", i) for i in d.ideals))
+    for i in d.ideals:
+        machine.check(i, "ideal")
     return _closed(d, partial(_ideal_post, machine))
 
 
@@ -209,7 +202,8 @@ def pre_basis(machine: CounterMachine, u: UpSet) -> UpSet:
     max(b_c - 1, 0); dec(c) raises it to b_c + 1; a plain move keeps b.
     """
     require_no_zero_tests(machine)
-    _check(machine, *(("basis", b) for b in u.basis))
+    for b in u.basis:
+        machine.check(b, "basis")
     preds = []
     for b in u.basis:
         for t in machine.transitions:
@@ -238,7 +232,8 @@ def backward_coverability(
     :func:`x0_coverability` does on configurations the machine lacks.
     """
     require_no_zero_tests(machine)
-    _check(machine, ("initial", x0), ("target", y))
+    machine.check(x0, "initial")
+    machine.check(y, "target")
     basis = upset_normalize([y])
     while True:
         if upset_contains(basis, x0):
@@ -336,12 +331,12 @@ def x0_coverability(
     exact facts; the budget bounds the number of rounds, and termination
     within any budget is only guaranteed for systems that are monotone
     relative to x0.  Raises ValueError when the budget is below 1, and when
-    x0 or y has a control state the machine does not declare or values
-    that :meth:`CounterMachine.check` refuses.
+    :meth:`CounterMachine.check` refuses x0 or y.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    _check(machine, ("initial", x0), ("target", y))
+    machine.check(x0, "initial")
+    machine.check(y, "target")
     # the forward search; cm_post and counter_state_leq stay global lookups
     explorer = Explorer(x0)
     frontier = iter(explorer)
@@ -405,7 +400,7 @@ def check_cover_monotone_bounded(
     """
     if value_cap < 1 or length_cap < 1:
         raise ValueError("caps must be >= 1")
-    _check(machine, ("initial", x0))
+    machine.check(x0, "initial")
     reached = Explorer(x0)
     for i, x in reached:
         for label, nxt in cm_post(machine, x):

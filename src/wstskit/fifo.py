@@ -159,7 +159,10 @@ class FifoMachine(FrozenFields):
         return FifoConfig(self.initial, per_channel)
 
     def check(self, x: FifoConfig, what: str) -> FifoConfig:
-        """x, or a ValueError naming ``what`` unless x has one valid word per channel."""
+        """x, or a ValueError naming ``what`` unless x has a declared control
+        and one valid word per channel."""
+        if x.control not in self.states:
+            raise ValueError(f"{what} control {x.control!r} not a machine state")
         k = len(self.channels)
         if len(x.contents) != k:
             raise ValueError(f"{what} channels {len(x.contents)} != machine channels {k}")

@@ -4,11 +4,12 @@ The tree unfolds a system breadth-first but stops below any node whose
 state is at or above an ancestor state: such a node is recorded as dead
 and subsumed, since continuing the branch can only repeat behaviour the
 ancestor already enables.  Deadlocked nodes are dead without a subsumer.
-On top of the tree sit three analyses: boundedness of the reachability
-set, non-termination via subsumed nodes, and non-termination via
-iterable nodes.  No positive answer assumes monotony: each rests on a
-loop that :meth:`Rrt.repeats` fires once more, from the larger state it
-reached, and that ends at or above that state again.
+On top of the tree sit two decisions: boundedness of the reachability
+set, and non-termination via subsumed nodes, which the iterable-node
+analysis answers too, never negatively.  No positive answer assumes
+monotony: each rests on a loop that :meth:`Rrt.repeats` fires once more,
+from the larger state it reached, and that ends at or above that state
+again.
 """
 
 from __future__ import annotations
@@ -285,18 +286,16 @@ def build_lrrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
 
 
 def decide_nonterm_by_iterable(lrrt: Rrt) -> AnalysisVerdict:
-    """Non-termination from iterable nodes; never answers negative.
-
-    An iterable node's loop fired once from the subsumer and once more
-    from the subsumed state, growing both times (:meth:`Rrt.repeats`).
-    The absence of iterable nodes proves nothing, even on a complete
-    tree: a terminating loop check belongs to the subsumption analysis.
+    """Non-termination, never answered negative: the answer, witness and
+    caveat of :func:`decide_nontermination`, with a negative answer left
+    inconclusive.  The witness node is in ``lrrt.iterable``, since an equal
+    pair's loop repeats too; a terminating answer belongs to the
+    subsumption analysis.
     """
-    used = len(lrrt.nodes)
-    if lrrt.iterable:
-        nid = lrrt.iterable[0]
-        return AnalysisVerdict(Outcome.POSITIVE, (nid, tuple(lrrt.loop_labels(nid))), used)
-    return AnalysisVerdict(Outcome.INCONCLUSIVE, None, used)
+    verdict = decide_nontermination(lrrt)
+    if verdict.outcome is Outcome.NEGATIVE:
+        return verdict._replace(outcome=Outcome.INCONCLUSIVE)
+    return verdict
 
 
 def _dot_escape(text: str) -> str:

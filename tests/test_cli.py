@@ -14,6 +14,7 @@ import pytest
 from conftest import MODELS
 from wstskit.cli import ANALYSES, TREE_ANALYSES, main
 from wstskit.dsl import parse_model
+from wstskit.rrt import NO_REPEAT
 
 REPORT_KEYS = ["command", "verdict", "witness", "budget", "elapsed_ms", "caveats"]
 
@@ -108,12 +109,17 @@ def test_nonterm_iterable(capsys):
     )
     assert code == 0
     assert report["verdict"] == "non-terminating"
-    assert report["witness"] == {"node": 2, "state": "q2:(c)", "loop": ["!c"]}
+    assert report["witness"] == {"subsumer_node": 0, "node": 2, "subsumer_state": "q2:(ε)",
+                                 "state": "q2:(c)", "loop": ["!c"]}
     assert report["caveats"] == []
+    # termination's witness, as one decision gives both answers
+    _, termination, _ = run_json(capsys, "check", "termination", path("m2"), "--init", "q2")
+    assert termination["witness"] == report["witness"]
 
     code, report, _ = run_json(capsys, "check", "nonterm-iterable", path("m4"))
     assert code == 2  # replay shifts off its footprint; never a negative
     assert report["verdict"] == "inconclusive" and report["witness"] is None
+    assert report["caveats"] == [NO_REPEAT]
 
 
 def test_cmrz_analysis(capsys):

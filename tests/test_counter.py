@@ -226,12 +226,14 @@ def test_is_cmrz_matches_the_transition_scan_on_random_machines():
         got = is_cmrz(m)
         assert got == ref_is_cmrz(m), m
         violations += not got[0]
-        # an undeclared start reaches only itself, so nothing is tested
-        assert "zz" not in m.states
-        for q in m.states + ("zz",):
+        for q in m.states:
             assert is_cmrz(m, q) == ref_is_cmrz(m, q), (m, q)
             assert control_reachable(m, q) == _ref_control_reachable(m, q), (m, q)
-        assert is_cmrz(m, "zz") == (True, None)
+        # an undeclared start once reached only itself, so nothing was tested
+        assert "zz" not in m.states
+        for check in (is_cmrz, control_reachable):
+            with pytest.raises(ValueError, match="^start control 'zz' not a machine state$"):
+                check(m, "zz")
     assert violations >= 400, violations
 
 

@@ -405,19 +405,19 @@ def test_build_pauses_the_cyclic_collector(enabled, fail_at):
 
 
 @pytest.mark.parametrize("kind", ["counter", "fifo"])
-def test_undeclared_initial_control_gives_one_dead_node(kind):
+def test_undeclared_initial_control_is_refused(kind):
+    # such a start once gave one dead node, which both tree analyses
+    # answered bounded and terminating
     if kind == "counter":
         machine = cm(["q0"], ["c"], [t("q0", OP_INC, "c", "q0")])
-        olts = counter_olts(machine, CounterConfig("zz", (0,)))
+        make, start = counter_olts, CounterConfig("zz", (0,))
     else:
         machine = FifoMachine(("q0",), ("ch",), Alphabet("a"),
                               (FifoTransition("q0", "ch", SEND, Alphabet("a").letter("a"), "q0"),),
                               "q0")
-        olts = fifo_olts(machine, FifoConfig("zz", ("",)))
-    rrt = build_rrt(olts)
-    assert rrt.complete and len(rrt.nodes) == 1
-    root = rrt.nodes[0]
-    assert root.mark == DEAD and root.subsumed_by is None and root.state is olts.initial
+        make, start = fifo_olts, FifoConfig("zz", ("",))
+    with pytest.raises(ValueError, match="^initial control 'zz' not a machine state$"):
+        make(machine, start)
 
 
 def test_boundedness_verdict_and_caveats(m1, m3):
@@ -546,8 +546,8 @@ def test_iterable_marking_counter():
     lrrt = build_lrrt(olts)
     assert len(lrrt.nodes) == 2 and 1 in lrrt.iterable
     v = decide_nonterm_by_iterable(lrrt)
-    assert v.outcome is Outcome.POSITIVE and v.witness == (1, (0,))
-    assert not v.caveats
+    assert v.outcome is Outcome.POSITIVE and v.witness == (0, 1)
+    assert lrrt.loop_labels(1) == [0] and not v.caveats
 
 
 def test_iterable_marking_rejects_failing_replay():
@@ -610,12 +610,14 @@ def test_iterable_marking_fifo(m2, m4):
     olts = fifo_olts(m2.machine, FifoConfig("q2", ("",)))
     lrrt = build_lrrt(olts)
     v = decide_nonterm_by_iterable(lrrt)
-    assert v.outcome is Outcome.POSITIVE and v.witness == (2, (6,))
+    assert v.outcome is Outcome.POSITIVE and v.witness == (0, 2)
+    assert 2 in lrrt.iterable and lrrt.loop_labels(2) == [6]
 
     triangle = fifo_olts(m4.machine)
     lrrt2 = build_lrrt(triangle)
     # the b left in the channel shifts the replay off its own footprint
-    assert decide_nonterm_by_iterable(lrrt2).outcome is Outcome.INCONCLUSIVE
+    v = decide_nonterm_by_iterable(lrrt2)
+    assert (v.outcome, v.witness, v.caveats) == (Outcome.INCONCLUSIVE, None, (NO_REPEAT,))
     assert all(i not in lrrt2.iterable for i in range(len(lrrt2.nodes)))
 
 
@@ -746,6 +748,39 @@ def test_nontermination_witness_matches_the_reference(fifo):
     # a later pair must beat an earlier one that is not equal, or whose
     # loop does not repeat
     assert min(seen[key] for key in ("none", "first", "later")) >= 5, seen
+
+
+def test_both_nontermination_analyses_give_one_decision():
+    # nonterm-iterable answers as termination does, in witness, caveats and
+    # budget, but leaves a negative answer open, and its witness node is
+    # iterable.  A "later" witness is not the first iterable node, which an
+    # earlier rule of nonterm-iterable chose.
+    rng = Random(35)
+    seen = Counter()
+    for i in range(600):
+        kind = ("counter", "zero-test", "fifo")[i % 3]
+        if kind == "fifo":
+            m = random_fifo_machine(rng)
+            words = {ch: "".join(rng.choices("ab", k=rng.randint(0, 6))) for ch in m.channels}
+            olts = fifo_olts(m, m.initial_config(words))
+        else:
+            m = random_counter_machine(rng, zero_tests=kind == "zero-test")
+            olts = counter_olts(m, m.initial_config([rng.randint(0, 6) for _ in m.counters]))
+        want = decide_nontermination(build_rrt(olts, 50))
+        lrrt = build_lrrt(olts, 50)
+        got = decide_nonterm_by_iterable(lrrt)
+        outcome = Outcome.INCONCLUSIVE if want.outcome is Outcome.NEGATIVE else want.outcome
+        assert got == want._replace(outcome=outcome), (m, olts.initial)
+        if got.witness is None:
+            seen[want.outcome, got.caveats == (NO_REPEAT,), lrrt.complete] += 1
+        else:
+            assert got.witness[1] in lrrt.iterable, (m, olts.initial)
+            seen[kind, "first" if got.witness[1] == lrrt.iterable[0] else "later"] += 1
+    for kind in ("counter", "zero-test", "fifo"):
+        assert seen[kind, "first"] >= 20 and seen[kind, "later"] >= 5, seen
+    assert seen[Outcome.NEGATIVE, False, True] >= 20, seen
+    assert seen[Outcome.INCONCLUSIVE, True, True] >= 3, seen
+    assert seen[Outcome.INCONCLUSIVE, False, False] >= 3, seen
 
 
 @pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])

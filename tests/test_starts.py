@@ -2,9 +2,9 @@
 machine cannot have, with one message per rule, and checks it once.
 
 A counter start is checked by ``CounterMachine.check``, a FIFO start by
-``FifoMachine.check`` and its ``Alphabet``'s word rule, and the cover
-procedures also check the control first.  The tree analyses keep an
-undeclared start control (``test_rrt.py`` pins its one dead node).
+``FifoMachine.check`` and its ``Alphabet``'s word rule; both check the
+control first.  ``control_reachable`` and ``is_cmrz``, which start from a
+control alone, refuse one the machine does not declare.
 """
 
 from __future__ import annotations
@@ -12,7 +12,14 @@ from __future__ import annotations
 import pytest
 
 from conftest import load_model
-from wstskit.counter import OP_INC, CounterConfig, CounterMachine, CounterTransition
+from wstskit.counter import (
+    OP_INC,
+    CounterConfig,
+    CounterMachine,
+    CounterTransition,
+    control_reachable,
+    is_cmrz,
+)
 from wstskit.cover import (
     OMEGA,
     DownSet,
@@ -40,7 +47,7 @@ C, F = CounterConfig, FifoConfig
 ENTRY_POINTS = {f.__name__: f for f in (
     counter_olts, fifo_olts, x0_coverability, backward_coverability, downset_post,
     downset_closed, check_cover_monotone_bounded, check_fifo_infinite_iterability,
-    resolve_action_run, pre_basis,
+    resolve_action_run, pre_basis, control_reachable, is_cmrz,
 )} | {"CounterMachine.initial_config": CounterMachine.initial_config}
 
 MACHINES = {
@@ -147,6 +154,20 @@ TABLE = [
      "initial word of channel 'ch' is not a str: ('\\x00',)"),
     ("resolve_action_run", "m1", (F("q0", (("\x00",),)), "!a"),
      "initial word of channel 'ch' is not a str: ('\\x00',)"),
+    # a control the machine does not declare, in every other entry point,
+    # checked before the values
+    ("counter_olts", "m8", (C("zz", (0,)),), "initial control 'zz' not a machine state"),
+    ("counter_olts", "m8", (C("zz", (0, 0)),), "initial control 'zz' not a machine state"),
+    ("fifo_olts", "m1", (F("zz", ("",)),), "initial control 'zz' not a machine state"),
+    ("fifo_olts", "m1", (F("zz", ("", "")),), "initial control 'zz' not a machine state"),
+    ("resolve_action_run", "m1", (F("zz", ("",)), "!a"),
+     "initial control 'zz' not a machine state"),
+    ("check_fifo_infinite_iterability", "m1", (F("zz", ("",)), (0,)),
+     "initial control 'zz' not a machine state"),
+    ("check_fifo_infinite_iterability", "m1", (F("zz", ("",)), ()),
+     "initial control 'zz' not a machine state"),
+    ("control_reachable", "m8", ("zz",), "start control 'zz' not a machine state"),
+    ("is_cmrz", "m8", ("zz",), "start control 'zz' not a machine state"),
 ]
 
 
@@ -169,7 +190,11 @@ def test_entry_points_refuse_starts_their_machine_cannot_have(entry, machine_nam
     # fifo_olts passed a channel word that is not a str on to fifo_post,
     # which raised TypeError; check_fifo_infinite_iterability answered False
     # for an empty loop from any start; resolve_action_run resolved "!a" on
-    # m1 from a start with two channels
+    # m1 from a start with two channels; from an undeclared control,
+    # counter_olts and fifo_olts gave one dead node, which both tree
+    # analyses answered bounded and terminating, is_cmrz answered
+    # (True, None) on m8, resolve_action_run said "not executable" and
+    # check_fifo_infinite_iterability answered False
     with pytest.raises(ValueError) as err:
         ENTRY_POINTS[entry](machine(machine_name), *args)
     assert str(err.value) == message
