@@ -32,7 +32,6 @@ from .fifo import (
 from .olts import counter_olts, fifo_olts
 from .rrt import (
     Rrt,
-    build_lrrt,
     build_rrt,
     decide_boundedness,
     decide_nonterm_by_iterable,
@@ -40,6 +39,10 @@ from .rrt import (
     export_dot,
 )
 from .verdict import DEFAULT_BUDGET, AnalysisVerdict, Outcome
+
+# no analysis calls it; only bench/tracing.py reads it, to rebind it as it
+# does build_rrt, until the benchmark counts its work without rebinding
+build_lrrt = build_rrt
 
 EXIT_DEFINITE = 0
 EXIT_USAGE = 1
@@ -198,13 +201,10 @@ def _tree_report(analysis, mf, initial, budget) -> _Report:
     if mf.kind == "counter":
         restricted, _ = is_cmrz(mf.machine, initial.control)
         notes = (f"restricted zero-test class: {'yes' if restricted else 'no'}",)
-    if analysis == "nonterm-iterable":
-        tree = build_lrrt(olts, budget)
-        verdict = decide_nonterm_by_iterable(tree)
-    else:
-        tree = build_rrt(olts, budget)
-        decide = decide_boundedness if analysis == "boundedness" else decide_nontermination
-        verdict = decide(tree)
+    tree = build_rrt(olts, budget)
+    decide = {"boundedness": decide_boundedness, "termination": decide_nontermination,
+              "nonterm-iterable": decide_nonterm_by_iterable}[analysis]
+    verdict = decide(tree)
     witness = None
     if verdict.witness is not None:
         fmt = olts.state_fmt

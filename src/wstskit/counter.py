@@ -199,14 +199,3 @@ def is_cmrz(
                 explorer.add(target, i, ui)
     best = min(violations, key=len, default=None)
     return best is None, best
-
-
-def require_no_zero_tests(machine: CounterMachine) -> CounterMachine:
-    """Gate for the monotone fragment; raises when a zero test is present."""
-    for i, t in enumerate(machine.transitions):
-        if t.zero_tests:
-            raise ValueError(
-                f"transition {i} carries a zero test; this operation is only "
-                "sound for machines without zero tests"
-            )
-    return machine

@@ -2,10 +2,8 @@
 coverability procedures built on it.
 
 A downward-closed set is a finite union of ideals (control state plus a
-vector over ℕ ∪ {ω}); an upward-closed set is the up-closure of a finite
-antichain of configurations.  On top of the algebra sit:
+vector over ℕ ∪ {ω}).  On top of the algebra sit:
 
-  * exact backward coverability for machines without zero tests,
   * a decision loop from a fixed initial state that interleaves exact
     forward search with a certificate search, which enumerates candidate
     downward-closed invariants and is sound for arbitrary machines, and
@@ -15,15 +13,15 @@ antichain of configurations.  On top of the algebra sit:
 Zero tests are the fault line: the one-step image of a downward-closed
 set stays exactly computable (a zero test restricts an ideal to its
 member states with the tested entries at 0), but backward reasoning,
-which relies on monotonicity, breaks, so the backward operations refuse
-machines with zero tests outright.
+which relies on monotonicity, breaks; so the decision loop searches
+forward and for certificates, and never backward.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import partial
-from operator import attrgetter, le
+from operator import le
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ._explore import Explorer
@@ -34,8 +32,6 @@ from .counter import (
     CounterConfig,
     CounterMachine,
     cm_post,
-    counter_config_str,
-    require_no_zero_tests,
 )
 from .orders import counter_state_leq, nat_vec_leq
 from .verdict import DEFAULT_BUDGET, AnalysisVerdict, Outcome
@@ -81,21 +77,15 @@ class DownSet(NamedTuple):
         return "{" + ", ".join(i.show() for i in self.ideals) + "}"
 
 
-def _antichain(items: Iterable, dominated: Callable, key: Optional[Callable] = None) -> tuple:
-    """The distinct items that no other item dominates, sorted by ``key``.
-
-    Duplicates are removed first, so afterwards only strict domination
-    can hold between distinct items and the survivors are unambiguous;
-    ``dominated(a, b)`` says that b dominates a.
-    """
-    pool = list(dict.fromkeys(items))
-    keep = [a for a in pool if not any(b is not a and dominated(a, b) for b in pool)]
-    return tuple(sorted(keep, key=key))
-
-
 def downset_normalize(ideals: Iterable[Ideal]) -> DownSet:
-    """Drop every ideal contained in another; sort as (control, bounds)."""
-    return DownSet(_antichain(ideals, ideal_subset))
+    """Drop every ideal contained in another; sort as (control, bounds).
+
+    Duplicates are removed first, so afterwards only strict inclusion can
+    hold between distinct ideals and the survivors are unambiguous.
+    """
+    pool = list(dict.fromkeys(ideals))
+    return DownSet(tuple(sorted(
+        a for a in pool if not any(b is not a and ideal_subset(a, b) for b in pool))))
 
 
 def downset_contains(d: DownSet, x: CounterConfig) -> bool:
@@ -111,14 +101,6 @@ def _covers(d: DownSet, x: CounterConfig) -> bool:
 def downset_subset(d1: DownSet, d2: DownSet) -> bool:
     """Denotation inclusion; an ideal lies in a union iff in one member."""
     return all(any(ideal_subset(a, b) for b in d2.ideals) for a in d1.ideals)
-
-
-def downset_union(d1: DownSet, d2: DownSet) -> DownSet:
-    return downset_normalize(d1.ideals + d2.ideals)
-
-
-def downset_of_config(x: CounterConfig) -> DownSet:
-    return DownSet((Ideal(x.control, x.values),))
 
 
 def _ideal_post(machine: CounterMachine, ideal: Ideal) -> Iterator[Ideal]:
@@ -172,76 +154,6 @@ def _closed(d: DownSet, post: Callable[[Ideal], Iterable[Ideal]]) -> bool:
         for ideal in ideals
         for s in post(ideal)
     )
-
-
-class UpSet(NamedTuple):
-    """Upward closure of a minimal antichain of configurations."""
-
-    basis: tuple[CounterConfig, ...]
-
-    def show(self) -> str:
-        return "↑{" + ", ".join(counter_config_str(b) for b in self.basis) + "}"
-
-
-def upset_normalize(configs: Iterable[CounterConfig]) -> UpSet:
-    """Drop every configuration above another; sort as (control, values)."""
-    # counter_state_leq is looked up at each call, so a rebinding holds
-    return UpSet(_antichain(configs, lambda a, b: counter_state_leq(b, a),
-                            attrgetter("control", "values")))
-
-
-def upset_contains(u: UpSet, x: CounterConfig) -> bool:
-    return any(counter_state_leq(b, x) for b in u.basis)
-
-
-def pre_basis(machine: CounterMachine, u: UpSet) -> UpSet:
-    """Minimal basis of the states that reach the up-closure in one step.
-
-    Only for machines without zero tests.  For a basis vector b and a
-    transition into its control state: inc(c) lowers component c to
-    max(b_c - 1, 0); dec(c) raises it to b_c + 1; a plain move keeps b.
-    """
-    require_no_zero_tests(machine)
-    for b in u.basis:
-        machine.check(b, "basis")
-    preds = []
-    for b in u.basis:
-        for t in machine.transitions:
-            if t.target != b.control:
-                continue
-            values = list(b.values)
-            if t.op == OP_INC:
-                ci = machine.counter_index(t.counter)
-                values[ci] = max(values[ci] - 1, 0)
-            elif t.op == OP_DEC:
-                ci = machine.counter_index(t.counter)
-                values[ci] = values[ci] + 1
-            preds.append(CounterConfig(t.source, values))
-    return upset_normalize(preds)
-
-
-def backward_coverability(
-    machine: CounterMachine, x0: CounterConfig, y: CounterConfig
-) -> bool:
-    """Exact coverability for machines without zero tests.
-
-    Saturates the backward sequence I, I ∪ pre(I), ... to its fixpoint
-    (bases compared as canonical antichains; termination is guaranteed by
-    the well-ordering of counter vectors) and answers whether x0 lies in
-    the final upward-closed set.  Raises ValueError as
-    :func:`x0_coverability` does on configurations the machine lacks.
-    """
-    require_no_zero_tests(machine)
-    machine.check(x0, "initial")
-    machine.check(y, "target")
-    basis = upset_normalize([y])
-    while True:
-        if upset_contains(basis, x0):
-            return True
-        bigger = upset_normalize(basis.basis + pre_basis(machine, basis).basis)
-        if bigger == basis:
-            return False
-        basis = bigger
 
 
 def _antichain_subsets(vectors: list[Vec], max_size: int) -> list[tuple[Vec, ...]]:

@@ -3,7 +3,7 @@ input-bounded product construction.
 
 A letter is a one-character ``str`` that an :class:`Alphabet` maps to and
 from its name, and every word is a ``str`` of letters: transition letters,
-channel contents, bounded-language words, projections and DFA actions.  So
+channel contents, bounded-language words and DFA actions.  So
 the prefix order is a C-level ``str.startswith``.  Transition labels are
 declaration indices, as for counter machines.  The product construction
 restricts a machine to behaviours whose per-channel send projections stay
@@ -14,7 +14,6 @@ is a product with two deterministic position-tracking automata.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -198,72 +197,6 @@ def fifo_post(machine: FifoMachine, x: FifoConfig) -> list[tuple[int, FifoConfig
             continue
         out.append((label, FifoConfig(target, contents[:ci] + (word,) + contents[ci + 1 :])))
     return out
-
-
-_ACTION_RE = re.compile(r"^(\w+)?([!?])(\w+)$")
-
-
-def resolve_action_run(
-    machine: FifoMachine, x0: FifoConfig, actions: str | Sequence[str]
-) -> list[int]:
-    """Resolve an action-string run like ``"!c !b ?c"`` to transition labels.
-
-    The channel may be omitted on single-channel machines.  Resolution
-    requires exactly one transition sequence that executes the whole action
-    string; zero or several are errors.  One forward pass over the actions,
-    with no backtracking, keeps per reached configuration the number of
-    label sequences that reach it, capped at 2, and the first of them.
-    Raises ValueError on an x0 that :meth:`FifoMachine.check` refuses.
-    """
-    machine.check(x0, "initial")
-    if isinstance(actions, str):
-        tokens = actions.split()
-    else:
-        tokens = list(actions)
-    parsed: list[Action] = []
-    for tok in tokens:
-        m = _ACTION_RE.match(tok)
-        if not m:
-            raise ValueError(f"bad action token {tok!r}")
-        ch, kind, letter = m.groups()
-        if ch is None:
-            if len(machine.channels) != 1:
-                raise ValueError(f"action {tok!r} omits the channel on a multi-channel machine")
-            ch = machine.channels[0]
-        parsed.append((ch, kind, machine.alphabet.letter(letter)))
-
-    spelled = [(t.channel, t.kind, t.letter) for t in machine.transitions]
-    reached: dict[FifoConfig, tuple[int, list[int]]] = {x0: (1, [])}
-    for action in parsed:
-        after: dict[FifoConfig, tuple[int, list[int]]] = {}
-        for x, (count, labels) in reached.items():
-            for label, y in fifo_post(machine, x):
-                if spelled[label] != action:
-                    continue
-                seen, first = after.setdefault(y, (0, labels + [label]))
-                after[y] = (min(seen + count, 2), first)
-        reached = after
-    resolutions = sum(count for count, _ in reached.values())
-    if not resolutions:
-        raise ValueError("action run is not executable")
-    if resolutions > 1:
-        raise ValueError("action run is ambiguous; pass transition labels instead")
-    return next(iter(reached.values()))[1]
-
-
-def _proj(machine: FifoMachine, labels: Iterable[int], channel: str, kind: str) -> str:
-    picked = (machine.transitions[label] for label in labels)
-    return "".join(t.letter for t in picked if t.channel == channel and t.kind == kind)
-
-
-def send_proj(machine: FifoMachine, labels: Iterable[int], channel: str) -> str:
-    """Word of letters sent on ``channel`` along the label sequence."""
-    return _proj(machine, labels, channel, SEND)
-
-
-def recv_proj(machine: FifoMachine, labels: Iterable[int], channel: str) -> str:
-    """Word of letters received on ``channel`` along the label sequence."""
-    return _proj(machine, labels, channel, RECV)
 
 
 class BoundedLang(FrozenFields):
@@ -531,45 +464,3 @@ def product_machine(machine: FifoMachine, send_dfa: Dfa, recv_dfa: Dfa) -> FifoM
     transitions = tuple(FifoTransition(names[i], *action, names[j]) for i, action, j in moved_to)
     return machine._replace(states=names, transitions=transitions,
                             initial=names[0], name=f"{machine.name}-product")
-
-
-def _omega_prefix(head: str, period: str, n: int) -> str:
-    out = head
-    while len(out) < n:
-        out += period
-    return out[:n]
-
-
-def check_fifo_infinite_iterability(
-    machine: FifoMachine, x: FifoConfig, labels: Sequence[int]
-) -> bool:
-    """Decide whether the loop ``labels`` can be iterated forever from x.
-
-    True iff the sequence fires from x, returns to x's control state, and
-    for every channel either nothing is received, or the receive
-    projection is no longer than the send projection and the eventually
-    periodic words w_c·send^ω and recv^ω coincide.  The ω-equation is
-    decided on a prefix of length |w_c| + |send|·|recv| + |send| + |recv|,
-    which is safe by periodicity.  A sequence that does not fire, or that
-    ends in a different control state (so a second iteration is
-    impossible), yields False, and so does the empty sequence, which is
-    no loop at all.  Raises ValueError on an x that :func:`fifo_olts`
-    refuses, whatever the labels.
-    """
-    from .olts import fifo_olts  # olts imports this module
-
-    final, stuck = fifo_olts(machine, x).run(labels)
-    if not labels or stuck is not None or final.control != x.control:
-        return False
-    for ci, ch in enumerate(machine.channels):
-        s = send_proj(machine, labels, ch)
-        r = recv_proj(machine, labels, ch)
-        if not r:
-            continue
-        if len(r) > len(s):
-            return False
-        w = x.contents[ci]
-        n = len(w) + len(s) * len(r) + len(s) + len(r)
-        if _omega_prefix(w + s, s, n) != _omega_prefix(r, r, n):
-            return False
-    return True

@@ -1,6 +1,6 @@
 """A uniform view of ordered labelled transition systems.
 
-The tree constructions and antichain search work against this interface
+The tree construction and its analyses work against this interface
 only, so counter machines, FIFO machines, and ad hoc test systems plug in
 the same way: an initial state, a successor enumerator, the number of
 transition labels, and a quasi-ordering on states.  Single steps and runs

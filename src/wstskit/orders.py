@@ -1,4 +1,4 @@
-"""Quasi-orderings on states and vectors, plus antichain witness search.
+"""Quasi-orderings on states and vectors.
 
 Every analysis in this package is parametrised by an order on states,
 carried by the analysed system as ``Olts.order``; a tree reads it from
@@ -16,15 +16,12 @@ from typing import Any, Callable, NamedTuple, Sequence
 class Order(NamedTuple):
     """A decidable quasi-order together with state equality.
 
-    Incomparability, like strictness where a caller writes it out, is
-    derived from ``leq``, which rules out inconsistent (leq, lt) pairs.
+    Strictness, where a caller writes it out, is derived from ``leq``,
+    which rules out inconsistent (leq, lt) pairs.
     """
 
     leq: Callable[[Any, Any], bool]
     eq: Callable[[Any, Any], bool] = eq  # operator.eq
-
-    def incomparable(self, x: Any, y: Any) -> bool:
-        return not self.leq(x, y) and not self.leq(y, x)
 
 
 def nat_vec_leq(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -82,32 +79,3 @@ def counter_state_leq(x, y) -> bool:
 #: configuration once, and successors keep its signature.
 COUNTER_ORDER = Order(leq=_counter_state_leq)
 EXT_PREFIX_ORDER = Order(leq=_ext_prefix_leq)
-
-
-def find_antichain_on_run(system, labels: Sequence, limit: int) -> list:
-    """Greedy hunt for pairwise-incomparable states along a run.
-
-    The run is replayed from the system's initial state; all visited states
-    (initial state included) are scanned left to right, and a state is kept
-    when it is incomparable with everything kept so far, stopping once
-    ``limit`` states are kept.  The result is maximal in the sense that no
-    state visited later in the run could be added, not a globally largest
-    antichain.  Runs whose visited states form a chain yield ``[]``; fewer
-    than two kept states means there is no antichain worth reporting.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    order = system.order
-    visited = [system.initial]
-    for i, label in enumerate(labels):
-        nxt = system.step(visited[-1], label)
-        if nxt is None:
-            raise ValueError(f"run not executable: stuck at index {i}")
-        visited.append(nxt)
-    kept: list = []
-    for s in visited:
-        if len(kept) >= limit:
-            break
-        if all(order.incomparable(k, s) for k in kept):
-            kept.append(s)
-    return kept if len(kept) >= 2 else []

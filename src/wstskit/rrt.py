@@ -5,11 +5,11 @@ state is at or above an ancestor state: such a node is recorded as dead
 and subsumed, since continuing the branch can only repeat behaviour the
 ancestor already enables.  Deadlocked nodes are dead without a subsumer.
 On top of the tree sit two decisions: boundedness of the reachability
-set, and non-termination via subsumed nodes, which the iterable-node
-analysis answers too, never negatively.  No positive answer assumes
-monotony: each rests on a loop that :meth:`Rrt.repeats` fires once more,
-from the larger state it reached, and that ends at or above that state
-again.
+set, and non-termination via subsumed nodes, which
+:func:`decide_nonterm_by_iterable` answers too, never negatively.  No
+positive answer assumes monotony: each rests on a loop that
+:meth:`Rrt.repeats` fires once more, from the larger state it reached,
+and that ends at or above that state again.
 """
 
 from __future__ import annotations
@@ -52,15 +52,13 @@ class RrtNode(Fields):
 class Rrt(NamedTuple):
     """Tree nodes in creation (breadth-first) order; ``complete`` unless
     the budget cut the build; the system that was unfolded, whose order
-    and formatters the analyses and :func:`export_dot` read; the ids of
-    the subsumed nodes, in id order, as the build made them; and, for a
-    tree from :func:`build_lrrt`, the ids of its iterable nodes."""
+    and formatters the analyses and :func:`export_dot` read; and the ids
+    of the subsumed nodes, in id order, as the build made them."""
 
     nodes: list[RrtNode]
     complete: bool
     system: Olts
     subsumed: list[int]
-    iterable: tuple[int, ...] = ()
 
     def ancestor_ids(self, node_id: int) -> list[int]:
         """Strict ancestors of a node, root first."""
@@ -275,24 +273,13 @@ def _tree_verdict(rrt: Rrt, witness: Any, looped: bool = False) -> AnalysisVerdi
     return AnalysisVerdict(Outcome.NEGATIVE, None, used)
 
 
-def build_lrrt(olts: Olts, budget: int = DEFAULT_BUDGET) -> Rrt:
-    """Reduced reachability tree with its iterable nodes listed: the
-    subsumed nodes whose loop from the subsumer :meth:`Rrt.repeats`, in
-    ``Rrt.iterable``."""
-    rrt = build_rrt(olts, budget)
-    return rrt._replace(iterable=tuple(
-        nid for nid, n in rrt.subsumed_nodes() if rrt.repeats(n.subsumed_by, nid)
-    ))
-
-
-def decide_nonterm_by_iterable(lrrt: Rrt) -> AnalysisVerdict:
+def decide_nonterm_by_iterable(rrt: Rrt) -> AnalysisVerdict:
     """Non-termination, never answered negative: the answer, witness and
     caveat of :func:`decide_nontermination`, with a negative answer left
-    inconclusive.  The witness node is in ``lrrt.iterable``, since an equal
-    pair's loop repeats too; a terminating answer belongs to the
-    subsumption analysis.
+    inconclusive; a terminating answer belongs to the subsumption
+    analysis.
     """
-    verdict = decide_nontermination(lrrt)
+    verdict = decide_nontermination(rrt)
     if verdict.outcome is Outcome.NEGATIVE:
         return verdict._replace(outcome=Outcome.INCONCLUSIVE)
     return verdict
@@ -304,16 +291,13 @@ def _dot_escape(text: str) -> str:
 
 def export_dot(rrt: Rrt) -> str:
     """Graphviz text for a tree, states and labels shown by the formatters
-    of its system: dead nodes dashed, iterable ones doubled, subsumption
-    shown as a dashed back-edge to the subsumer."""
+    of its system: dead nodes dashed, subsumption shown as a dashed
+    back-edge to the subsumer."""
     lines = ["digraph rrt {", "  rankdir=TB;", '  node [shape=box, fontname="monospace"];']
-    iterable = set(rrt.iterable)
     for i, n in enumerate(rrt.nodes):
         attrs = [f'label="{_dot_escape(rrt.system.state_fmt(n.state))}"']
         if n.mark == DEAD:
             attrs.append("style=dashed")
-        if i in iterable:
-            attrs.append("peripheries=2")
         lines.append(f"  n{i} [{', '.join(attrs)}];")
     for i, n in enumerate(rrt.nodes):
         if n.parent is not None:

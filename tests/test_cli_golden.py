@@ -133,6 +133,17 @@ def test_report_forms_agree(human, twin):
     assert (human["code"], human["stderr"]) == (twin["code"], twin["stderr"])
 
 
+@pytest.mark.parametrize("model", sorted(path.stem for path in MODELS.glob("*.model")))
+def test_tree_analyses_draw_one_tree(model, tmp_path):
+    """The three tree analyses build one tree: from each start, with or
+    without --init, their --dot texts are identical."""
+    path = f"models/{model}.model"
+    for init in [[]] + [["--init", q] for q in load_model(model).machine.states]:
+        dots = [run_case(["check", analysis, path, *init, "--dot", DOT], tmp_path)["dot"]
+                for analysis in cli.TREE_ANALYSES]
+        assert dots[1:] == dots[:1] * 2, (model, init)
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -8,6 +8,7 @@ import pytest
 
 from gen import random_counter_machine
 from oracles import _ref_control_reachable, ref_counter_step, ref_is_cmrz, ref_run
+from paper import require_no_zero_tests
 from wstskit.counter import (
     OP_DEC,
     OP_INC,
@@ -19,7 +20,6 @@ from wstskit.counter import (
     control_reachable,
     counter_config_str,
     is_cmrz,
-    require_no_zero_tests,
 )
 from wstskit.olts import counter_olts
 

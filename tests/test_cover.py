@@ -29,6 +29,14 @@ from oracles import (
     ref_post_downclosed,
     ref_x0_coverability,
 )
+from paper import (
+    backward_coverability,
+    downset_of_config,
+    downset_union,
+    pre_basis,
+    upset_contains,
+    upset_normalize,
+)
 from wstskit.counter import (
     OP_DEC,
     OP_INC,
@@ -41,22 +49,16 @@ from wstskit.cover import (
     OMEGA,
     DownSet,
     Ideal,
-    backward_coverability,
     check_cover_monotone_bounded,
     downset_candidates,
     downset_closed,
     downset_contains,
     downset_normalize,
-    downset_of_config,
     downset_post,
     downset_subset,
-    downset_union,
     entry_str,
     ideal_contains,
     ideal_subset,
-    pre_basis,
-    upset_contains,
-    upset_normalize,
     x0_coverability,
 )
 from wstskit.orders import nat_vec_leq

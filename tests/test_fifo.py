@@ -26,6 +26,7 @@ from oracles import (
     ref_run,
     simulate_iterations,
 )
+from paper import check_fifo_infinite_iterability, recv_proj, resolve_action_run, send_proj
 from wstskit.fifo import (
     RECV,
     SEND,
@@ -37,14 +38,10 @@ from wstskit.fifo import (
     bounded_lang,
     build_recv_dfa,
     build_send_dfa,
-    check_fifo_infinite_iterability,
     fifo_config_str,
     fifo_post,
     normalize_distinct_letter,
     product_machine,
-    recv_proj,
-    resolve_action_run,
-    send_proj,
 )
 from wstskit.cli import main
 from wstskit.olts import fifo_olts
@@ -268,7 +265,8 @@ def test_resolve_action_run_is_polynomial_on_ambiguous_dead_ends():
     # child process that the timeout stops instead of hanging the suite.
     script = textwrap.dedent(
         """
-        from wstskit.fifo import Alphabet, FifoMachine, FifoTransition, resolve_action_run
+        from paper import resolve_action_run
+        from wstskit.fifo import Alphabet, FifoMachine, FifoTransition
 
         ab = Alphabet("ab")
         loop = FifoTransition("q0", "ch", "!", ab.letter("a"), "q0")
@@ -280,13 +278,14 @@ def test_resolve_action_run_is_polynomial_on_ambiguous_dead_ends():
                 print(exc)
         """
     )
-    src = str(Path(wstskit.__file__).resolve().parent.parent)
+    # the resolver lives in tests/paper.py, which imports the package
+    path = [str(Path(wstskit.__file__).resolve().parent.parent), str(Path(__file__).parent)]
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=30,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import wstskit
+from paper import UpSet
 from wstskit.counter import CounterConfig, CounterMachine, CounterTransition
-from wstskit.cover import DownSet, Ideal, UpSet
+from wstskit.cover import DownSet, Ideal
 from wstskit.fifo import Dfa, FifoConfig, FifoTransition
 from wstskit.olts import Olts
 from wstskit.orders import Order

@@ -32,6 +32,7 @@ from oracles import (
     ref_run,
     simulate_iterations,
 )
+from paper import Lrrt, check_fifo_infinite_iterability
 from wstskit.counter import (
     OP_DEC,
     OP_INC,
@@ -39,6 +40,7 @@ from wstskit.counter import (
     CounterConfig,
     CounterMachine,
     CounterTransition,
+    is_cmrz,
 )
 from wstskit.dsl import parse_model
 from wstskit.fifo import (
@@ -48,7 +50,6 @@ from wstskit.fifo import (
     FifoConfig,
     FifoMachine,
     FifoTransition,
-    check_fifo_infinite_iterability,
 )
 from wstskit.olts import Olts, counter_olts, fifo_olts
 from wstskit.orders import Order
@@ -58,7 +59,6 @@ from wstskit.rrt import (
     NO_REPEAT,
     Rrt,
     RrtNode,
-    build_lrrt,
     build_rrt,
     decide_boundedness,
     decide_nonterm_by_iterable,
@@ -543,7 +543,7 @@ def test_verdicts_against_exhaustive_oracle_on_random_machines():
 def test_iterable_marking_counter():
     pump = cm(["q0"], ["c"], [t("q0", OP_INC, "c", "q0")])
     olts = counter_olts(pump)
-    lrrt = build_lrrt(olts)
+    lrrt = Lrrt(*build_rrt(olts))
     assert len(lrrt.nodes) == 2 and 1 in lrrt.iterable
     v = decide_nonterm_by_iterable(lrrt)
     assert v.outcome is Outcome.POSITIVE and v.witness == (0, 1)
@@ -559,7 +559,7 @@ def test_iterable_marking_rejects_failing_replay():
         [t("q0", OP_NOOP, None, "q1", zero=["c"]), t("q1", OP_INC, "c", "q0")],
     )
     olts = counter_olts(tricky)
-    lrrt = build_lrrt(olts)
+    lrrt = Lrrt(*build_rrt(olts))
     assert [i in lrrt.iterable for i in range(len(lrrt.nodes))] == [False, False, False]
     assert decide_nonterm_by_iterable(lrrt).outcome is Outcome.INCONCLUSIVE
     sub = decide_nontermination(lrrt)
@@ -608,13 +608,13 @@ def test_repeats_agrees_with_exact_rules_on_loops_that_grow_once(fifo):
 
 def test_iterable_marking_fifo(m2, m4):
     olts = fifo_olts(m2.machine, FifoConfig("q2", ("",)))
-    lrrt = build_lrrt(olts)
+    lrrt = Lrrt(*build_rrt(olts))
     v = decide_nonterm_by_iterable(lrrt)
     assert v.outcome is Outcome.POSITIVE and v.witness == (0, 2)
     assert 2 in lrrt.iterable and lrrt.loop_labels(2) == [6]
 
     triangle = fifo_olts(m4.machine)
-    lrrt2 = build_lrrt(triangle)
+    lrrt2 = Lrrt(*build_rrt(triangle))
     # the b left in the channel shifts the replay off its own footprint
     v = decide_nonterm_by_iterable(lrrt2)
     assert (v.outcome, v.witness, v.caveats) == (Outcome.INCONCLUSIVE, None, (NO_REPEAT,))
@@ -623,18 +623,17 @@ def test_iterable_marking_fifo(m2, m4):
 
 def test_iterable_never_negative_on_complete_trees():
     line = cm(["q0", "q1"], ["c"], [t("q0", OP_INC, "c", "q1")])
-    olts = counter_olts(line)
-    lrrt = build_lrrt(olts)
-    assert lrrt.complete
-    assert decide_nonterm_by_iterable(lrrt).outcome is Outcome.INCONCLUSIVE
+    rrt = build_rrt(counter_olts(line))
+    assert rrt.complete
+    assert decide_nonterm_by_iterable(rrt).outcome is Outcome.INCONCLUSIVE
 
 
 def test_export_dot_shape(m1):
     olts = fifo_olts(m1.machine)
-    text = export_dot(build_lrrt(olts))
+    text = export_dot(build_rrt(olts))
     assert text.startswith("digraph rrt {")
     assert 'n0 [label="q0:(ε)"]' in text
-    assert 'n1 [label="q0:(a)", style=dashed, peripheries=2]' in text
+    assert 'n1 [label="q0:(a)", style=dashed]' in text
     assert 'n0 -> n1 [label="!a"]' in text
     assert "n1 -> n0 [style=dashed, constraint=false]" in text
     assert "budget exhausted" not in text
@@ -650,7 +649,7 @@ def test_analyses_read_the_system_of_their_tree(m1):
     # by that system's order (test_export_dot_shape checks that the DOT
     # text shows them by its formatters)
     olts = fifo_olts(m1.machine)
-    assert build_rrt(olts).system is olts and build_lrrt(olts).system is olts
+    assert build_rrt(olts).system is olts
     leq, leq_calls = counted(olts.order.leq)
     eq, eq_calls = counted(olts.order.eq)
     counting_olts = olts._replace(order=Order(leq=leq, eq=eq))
@@ -708,7 +707,7 @@ def tree_verdicts(olts: Olts, budget: int) -> tuple:
         for v in (
             decide_boundedness(rrt),
             decide_nontermination(rrt),
-            decide_nonterm_by_iterable(build_lrrt(olts, budget)),
+            decide_nonterm_by_iterable(rrt),
         )
     )
 
@@ -766,8 +765,8 @@ def test_both_nontermination_analyses_give_one_decision():
         else:
             m = random_counter_machine(rng, zero_tests=kind == "zero-test")
             olts = counter_olts(m, m.initial_config([rng.randint(0, 6) for _ in m.counters]))
-        want = decide_nontermination(build_rrt(olts, 50))
-        lrrt = build_lrrt(olts, 50)
+        lrrt = Lrrt(*build_rrt(olts, 50))
+        want = decide_nontermination(lrrt)
         got = decide_nonterm_by_iterable(lrrt)
         outcome = Outcome.INCONCLUSIVE if want.outcome is Outcome.NEGATIVE else want.outcome
         assert got == want._replace(outcome=outcome), (m, olts.initial)
@@ -781,6 +780,24 @@ def test_both_nontermination_analyses_give_one_decision():
     assert seen[Outcome.NEGATIVE, False, True] >= 20, seen
     assert seen[Outcome.INCONCLUSIVE, True, True] >= 3, seen
     assert seen[Outcome.INCONCLUSIVE, False, False] >= 3, seen
+
+
+def test_restricted_zero_test_machines_never_leave_a_loop_open():
+    # On a machine that is_cmrz accepts, every growing loop repeats: a loop
+    # that grew a counter it zero-tests would increment that counter, and
+    # run twice, that increment follows the zero test, which the class
+    # forbids.  So no tree answer there carries NO_REPEAT; outside the
+    # class some do, so the property has something to check.
+    rng = Random(2026)
+    open_loops = Counter()
+    for _ in range(400):
+        m = random_counter_machine(rng, zero_tests=True, zero_p=0.4)
+        rrt = build_rrt(counter_olts(m), 3000)
+        restricted = is_cmrz(m)[0]
+        for verdict in (decide_boundedness(rrt), decide_nontermination(rrt)):
+            open_loops[restricted] += NO_REPEAT in verdict.caveats
+        assert not restricted or rrt.complete, m
+    assert open_loops[True] == 0 and open_loops[False] > 0, open_loops
 
 
 @pytest.mark.parametrize("fifo", [False, True], ids=["counter", "fifo"])
@@ -914,10 +931,10 @@ def test_subsumed_lists_the_subsumed_node_ids(fifo):
     for _ in range(100):
         olts = random_olts(rng, fifo)
         for budget in (50, rng.randint(1, len(build_rrt(olts, 50).nodes))):
-            for rrt in (build_rrt(olts, budget), build_lrrt(olts, budget)):
-                want = [i for i, n in enumerate(rrt.nodes) if n.subsumed_by is not None]
-                assert rrt.subsumed == want, (olts.initial, budget)
-                assert [i for i, _ in rrt.subsumed_nodes()] == want
+            rrt = build_rrt(olts, budget)
+            want = [i for i, n in enumerate(rrt.nodes) if n.subsumed_by is not None]
+            assert rrt.subsumed == want, (olts.initial, budget)
+            assert [i for i, _ in rrt.subsumed_nodes()] == want
             seen[rrt.complete, bool(want)] += 1
     assert min(seen.values()) >= 10 and len(seen) == 4, seen
 

@@ -12,6 +12,13 @@ from __future__ import annotations
 import pytest
 
 from conftest import load_model
+from paper import (
+    UpSet,
+    backward_coverability,
+    check_fifo_infinite_iterability,
+    pre_basis,
+    resolve_action_run,
+)
 from wstskit.counter import (
     OP_INC,
     CounterConfig,
@@ -24,20 +31,15 @@ from wstskit.cover import (
     OMEGA,
     DownSet,
     Ideal,
-    UpSet,
-    backward_coverability,
     check_cover_monotone_bounded,
     downset_closed,
     downset_post,
-    pre_basis,
     x0_coverability,
 )
 from wstskit.dsl import parse_model
 from wstskit.fifo import (
     FifoConfig,
     FifoMachine,
-    check_fifo_infinite_iterability,
-    resolve_action_run,
 )
 from wstskit.olts import counter_olts, fifo_olts
 from wstskit.rrt import build_rrt
